@@ -22,6 +22,11 @@ cargo build --release --offline --workspace
 echo "==> cargo test -q --offline"
 cargo test -q --offline --workspace
 
+echo "==> benchmark package: builds against the crate APIs it drives, unit tests pass"
+# benchmark/ is a workspace of its own, so the workspace build above
+# never compiles it.
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> no-unwrap gate: clippy -D clippy::unwrap_used on faults + engine + model + fuzz + coloring + bench + synth + topo + serve + certify"
 cargo clippy --offline -p nocsyn-faults -p nocsyn-engine -p nocsyn-model -p nocsyn-fuzz \
     -p nocsyn-coloring -p nocsyn-bench -p nocsyn-synth -p nocsyn-topo -p nocsyn-serve \
@@ -91,6 +96,15 @@ if ./target/release/nocsyn certify examples_data/pipeline.txt "$j4" > /dev/null 
     exit 1
 fi
 grep -q 'cert-binding-mismatch' "$j1"
+# A freshly bound forgery whose route channel lists are unsorted (two
+# contending flows hide a shared channel from the merge) must be refused
+# at parse time.
+if ./target/release/nocsyn certify examples_data/forged_unsorted_route.txt \
+    examples_data/forged_unsorted_route.cert.json > /dev/null 2> "$j1"; then
+    echo "forged certificate with unsorted route channels was accepted" >&2
+    exit 1
+fi
+grep -q 'cert-bad-field' "$j1"
 
 echo "==> serve cache gate: same job twice -> miss then byte-identical hit"
 # The daemon in --drain mode is fully scriptable: two copies of the same

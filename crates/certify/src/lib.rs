@@ -19,12 +19,12 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 
 use nocsyn_model::{
-    CertError, Certificate, CliqueSet, ContentionSet, Digest, Flow, FlowPair, ParseLimits,
-    ParseOptions, ParseScheduleError,
+    CertError, Certificate, CliqueSet, Digest, Flow, FlowPair, ParseLimits, ParseOptions,
+    ParseScheduleError,
 };
 
 /// Checker configuration: the resource budget applied to both the
@@ -208,11 +208,21 @@ impl fmt::Display for Rejection {
 
 impl std::error::Error for Rejection {}
 
+/// The potential contention set `C` as the pattern states it.
+enum Contention {
+    /// Schedules: every two flows of one phase contend. Each phase's
+    /// flows are sorted.
+    Phases(Vec<Vec<Flow>>),
+    /// Traces: the overlap-derived pairs, sorted.
+    Pairs(Vec<FlowPair>),
+}
+
 /// The pattern facts the checker re-derives with model-only code.
 struct Recomputed {
     n_procs: usize,
-    flows: BTreeSet<Flow>,
-    contention: ContentionSet,
+    /// Distinct flows, sorted.
+    flows: Vec<Flow>,
+    contention: Contention,
     cliques: CliqueSet,
 }
 
@@ -229,41 +239,79 @@ fn characterize(text: &str, opts: &ParseOptions) -> Result<Recomputed, ParseSche
         Ok(Recomputed {
             n_procs: trace.n_procs(),
             flows: trace.flows().into_iter().collect(),
-            contention: trace.contention_set(),
+            contention: Contention::Pairs(trace.contention_set().iter().collect()),
             cliques: trace.maximum_clique_set(),
         })
     } else {
         let schedule = opts.parse_schedule(text)?;
-        let mut contention = ContentionSet::new();
-        for phase in schedule.iter() {
-            let flows: Vec<Flow> = phase.iter().collect();
-            for i in 0..flows.len() {
-                for j in i + 1..flows.len() {
-                    contention.insert(flows[i], flows[j]);
-                }
-            }
-        }
         Ok(Recomputed {
             n_procs: schedule.n_procs(),
             flows: schedule.all_flows().into_iter().collect(),
-            contention,
+            contention: Contention::Phases(schedule.iter().map(|p| p.iter().collect()).collect()),
             cliques: schedule.maximum_clique_set(),
         })
     }
 }
 
-fn normalized_cliques<'a, I: IntoIterator<Item = &'a Vec<Flow>>>(
-    cliques: I,
-) -> BTreeSet<Vec<Flow>> {
-    cliques
-        .into_iter()
-        .map(|c| {
-            let mut c: Vec<Flow> = c.clone();
-            c.sort();
+/// Cliques as a sorted, duplicate-free list of sorted, duplicate-free
+/// flow lists: equal iff the two clique sets are equal as sets of sets.
+fn normalized_cliques(cliques: impl Iterator<Item = Vec<Flow>>) -> Vec<Vec<Flow>> {
+    let mut out: Vec<Vec<Flow>> = cliques
+        .map(|mut c| {
+            c.sort_unstable();
             c.dedup();
             c
         })
-        .collect()
+        .collect();
+    out.sort_unstable();
+    out.dedup();
+    out
+}
+
+/// `C` restricted to routed flows, as sorted, duplicate-free pairs of
+/// positions in `routed` (the routed flows, sorted). Positions are
+/// monotone in flow order, so a pair `(a, b)` with `a <= b` sorts exactly
+/// like the [`FlowPair`] of its two flows.
+fn routed_pairs(contention: &Contention, routed: &[Flow]) -> Vec<(usize, usize)> {
+    let position = |f: &Flow| routed.binary_search(f).ok();
+    let mut pairs = Vec::new();
+    match contention {
+        Contention::Phases(phases) => {
+            let mut at = Vec::new();
+            for phase in phases {
+                at.clear();
+                at.extend(phase.iter().filter_map(position));
+                for (i, &a) in at.iter().enumerate() {
+                    pairs.extend(at[i + 1..].iter().map(|&b| (a, b)));
+                }
+            }
+            // Each phase's pairs come out sorted (its flows iterate in
+            // order), so the stable sort only merges one run per phase.
+            pairs.sort();
+            pairs.dedup();
+        }
+        Contention::Pairs(list) => pairs.extend(
+            list.iter()
+                .filter_map(|p| Some((position(&p.first())?, position(&p.second())?))),
+        ),
+    }
+    pairs
+}
+
+/// Pushes the ids two sorted id lists share onto `out`.
+fn shared_ids(a: &[usize], b: &[usize], out: &mut Vec<usize>) {
+    let (mut i, mut j) = (0, 0);
+    while let (Some(&x), Some(&y)) = (a.get(i), b.get(j)) {
+        match x.cmp(&y) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                out.push(x);
+                i += 1;
+                j += 1;
+            }
+        }
+    }
 }
 
 /// Validates `cert_text` against `pattern_text`.
@@ -278,6 +326,13 @@ fn normalized_cliques<'a, I: IntoIterator<Item = &'a Vec<Flow>>>(
 /// freedom while an obligation is violated is rejected with the typed
 /// violation report.
 ///
+/// The cost is one binding digest plus a few sorts and linear merges:
+/// the contention pairs (as pairs of route positions), the declared
+/// obligations and the `(label, route)` mentions are each sorted once,
+/// and obligation exactness, crossing inversion and every disjointness
+/// test are merge walks over sorted vectors of pairs and interned
+/// channel ids.
+///
 /// # Errors
 ///
 /// A [`Rejection`] with a stable fingerprint on any parse failure,
@@ -289,7 +344,14 @@ pub fn check_certificate(
     opts: &CheckOptions,
 ) -> Result<CheckSummary, Rejection> {
     let cert = Certificate::parse(cert_text, &opts.limits).map_err(Rejection::Cert)?;
-    if !cert.verify_binding() {
+    // One binding pass: it authenticates the payload here and is the
+    // summary's binding below.
+    let binding = cert.binding().to_hex();
+    if cert
+        .claimed_binding
+        .as_ref()
+        .is_some_and(|claimed| *claimed != binding)
+    {
         return Err(Rejection::BindingMismatch);
     }
     if let Some(expected) = expected_job {
@@ -303,78 +365,103 @@ pub fn check_certificate(
     if cert.n_procs != pattern.n_procs {
         return Err(Rejection::PatternMismatch);
     }
-    for flow in cert.routes.keys() {
-        if !pattern.flows.contains(flow) {
-            return Err(Rejection::RouteUnknown(*flow));
-        }
+    // The routed flows in flow order (the route map's key order); route
+    // `r` below is `routed[r]`.
+    let routed: Vec<Flow> = cert.routes.keys().copied().collect();
+    if let Some(&flow) = routed
+        .iter()
+        .find(|f| pattern.flows.binary_search(f).is_err())
+    {
+        return Err(Rejection::RouteUnknown(flow));
     }
 
     // K: the declared clique set must be exactly the recomputed maximum
     // clique set (as sets of flow sets).
-    if normalized_cliques(&cert.cliques)
-        != normalized_cliques(
-            pattern
-                .cliques
-                .iter()
-                .map(|c| c.iter().collect::<Vec<Flow>>())
-                .collect::<Vec<_>>()
-                .iter(),
-        )
+    if normalized_cliques(cert.cliques.iter().cloned())
+        != normalized_cliques(pattern.cliques.iter().map(|c| c.iter().collect()))
     {
         return Err(Rejection::CliqueMismatch);
     }
 
-    // C restricted to routed flows: declared obligations must cover it
-    // exactly.
-    let expected_obligations: BTreeSet<FlowPair> = pattern
-        .contention
-        .iter()
-        .filter(|p| cert.routes.contains_key(&p.first()) && cert.routes.contains_key(&p.second()))
-        .collect();
-    let declared: BTreeSet<FlowPair> = cert.obligations.iter().copied().collect();
-    if let Some(missing) = expected_obligations.difference(&declared).next() {
-        return Err(Rejection::ObligationMissing(*missing));
-    }
-    if let Some(unknown) = declared.difference(&expected_obligations).next() {
-        return Err(Rejection::ObligationUnknown(*unknown));
-    }
-
-    // Crossings must be the exact inverse of the routes.
-    let mut inverse: BTreeMap<String, Vec<Flow>> = BTreeMap::new();
-    for (flow, chans) in &cert.routes {
-        for ch in chans {
-            inverse.entry(ch.clone()).or_default().push(*flow);
+    // C restricted to routed flows must equal the declared obligations.
+    // One merge walk: the first expected pair not declared is missing
+    // (and wins), else the first declared pair not expected is unknown.
+    let pair = |(a, b): (usize, usize)| FlowPair::new(routed[a], routed[b]);
+    let expected = routed_pairs(&pattern.contention, &routed);
+    let mut declared = cert.obligations;
+    declared.sort_unstable();
+    declared.dedup();
+    let mut unknown = None;
+    let mut rest = declared.iter().copied().peekable();
+    for &at in &expected {
+        let want = pair(at);
+        while let Some(have) = rest.next_if(|&have| have < want) {
+            unknown.get_or_insert(have);
+        }
+        if rest.next_if_eq(&want).is_none() {
+            return Err(Rejection::ObligationMissing(want));
         }
     }
-    for (ch, flows) in &inverse {
-        if cert.crossings.get(ch) != Some(flows) {
-            return Err(Rejection::CrossingMismatch(ch.clone()));
-        }
-    }
-    if let Some(extra) = cert.crossings.keys().find(|ch| !inverse.contains_key(*ch)) {
-        return Err(Rejection::CrossingMismatch(extra.clone()));
+    if let Some(pair) = unknown.or_else(|| rest.next()) {
+        return Err(Rejection::ObligationUnknown(pair));
     }
 
-    // The obligations themselves: R-disjointness by label-set
-    // intersection.
+    // Channel labels interned to ids in label order. Every (label, route)
+    // mention is sorted once; a run of one label is one channel, its
+    // routes in flow order, which is exactly the crossing set the
+    // certificate must declare for it. Route lists are strictly
+    // increasing (parsing enforces it), so each route's ids come out
+    // sorted in `ids[start[r]..start[r + 1]]`.
+    let mut start = Vec::with_capacity(routed.len() + 1);
+    start.push(0);
+    let mut mentions: Vec<(&str, usize)> = Vec::new();
+    for (r, chans) in cert.routes.values().enumerate() {
+        mentions.extend(chans.iter().map(|ch| (ch.as_str(), r)));
+        start.push(mentions.len());
+    }
+    mentions.sort_unstable();
+    let mut labels: Vec<&str> = Vec::new();
+    let mut ids = vec![0; mentions.len()];
+    let mut fill = start.clone();
+    let mut declared_crossings = cert.crossings.iter().peekable();
+    let mut extra = None;
+    for run in mentions.chunk_by(|a, b| a.0 == b.0) {
+        let label = run[0].0;
+        let id = labels.len();
+        labels.push(label);
+        for &(_, r) in run {
+            ids[fill[r]] = id;
+            fill[r] += 1;
+        }
+        // Crossing keys that sort before this label invert no route.
+        while let Some((ch, _)) = declared_crossings.next_if(|(ch, _)| ch.as_str() < label) {
+            extra.get_or_insert(ch);
+        }
+        let inverts = declared_crossings
+            .next_if(|(ch, _)| ch.as_str() == label)
+            .is_some_and(|(_, flows)| {
+                flows.len() == run.len()
+                    && flows.iter().zip(run).all(|(f, &(_, r))| *f == routed[r])
+            });
+        if !inverts {
+            return Err(Rejection::CrossingMismatch(label.to_string()));
+        }
+    }
+    if let Some(ch) = extra.or_else(|| declared_crossings.next().map(|(ch, _)| ch)) {
+        return Err(Rejection::CrossingMismatch(ch.clone()));
+    }
+
+    // The obligations themselves: R-disjointness by merging the two
+    // routes' sorted channel ids.
+    let route_ids = |r: usize| &ids[start[r]..start[r + 1]];
     let mut violations = Vec::new();
-    for pair in &declared {
-        let (Some(ra), Some(rb)) = (
-            cert.routes.get(&pair.first()),
-            cert.routes.get(&pair.second()),
-        ) else {
-            // Unreachable: obligations were checked against routed flows.
-            return Err(Rejection::ObligationUnknown(*pair));
-        };
-        let shared: Vec<String> = ra
-            .iter()
-            .filter(|ch| rb.binary_search(ch).is_ok())
-            .cloned()
-            .collect();
+    let mut shared = Vec::new();
+    for &(a, b) in &expected {
+        shared_ids(route_ids(a), route_ids(b), &mut shared);
         if !shared.is_empty() {
             violations.push(ObligationViolation {
-                pair: *pair,
-                shared,
+                pair: pair((a, b)),
+                shared: shared.drain(..).map(|id| labels[id].to_string()).collect(),
             });
         }
     }
@@ -418,9 +505,9 @@ pub fn check_certificate(
 
     Ok(CheckSummary {
         contention_free: cert.contention_free,
-        binding: cert.binding().to_hex(),
+        binding,
         n_obligations: declared.len(),
-        n_routes: cert.routes.len(),
+        n_routes: routed.len(),
         n_flows: pattern.flows.len(),
         n_cliques: pattern.cliques.len(),
         n_witnesses: cert.witnesses.len(),
@@ -616,5 +703,290 @@ mod tests {
         let err = check_certificate("wat\n", &cert.to_json(), None, &CheckOptions::new())
             .expect_err("bad pattern text");
         assert_eq!(err.fingerprint(), "pattern-rejected");
+    }
+
+    /// A pattern whose processor ids have one and two decimal digits, so
+    /// string order ("10>0" < "9>11") and numeric order disagree.
+    const WIDE: &str = "procs 12\nphase\n  0 -> 1\n  2 -> 10\n  9 -> 11\n\
+                        phase\n  1 -> 2\n  10 -> 3\n  11 -> 0\nphase\n  3 -> 9\n  10 -> 0\n";
+
+    fn flow(s: usize, d: usize) -> Flow {
+        Flow::from_indices(s, d)
+    }
+
+    fn pair(a: (usize, usize), b: (usize, usize)) -> FlowPair {
+        FlowPair::new(flow(a.0, a.1), flow(b.0, b.1))
+    }
+
+    /// Rebuilds the crossing sets as the exact inverse of the routes.
+    fn reinvert(cert: &mut Certificate) {
+        cert.crossings.clear();
+        for (flow, chans) in &cert.routes {
+            for ch in chans {
+                cert.crossings.entry(ch.clone()).or_default().push(*flow);
+            }
+        }
+    }
+
+    /// A faithful certificate for a schedule: flow `i` (in flow order)
+    /// crosses only its private channel `L{i}+`.
+    fn faithful_cert(pattern: &str) -> Certificate {
+        let schedule = nocsyn_model::parse_schedule(pattern).expect("pattern is valid");
+        let mut cert = Certificate {
+            n_procs: schedule.n_procs(),
+            contention_free: true,
+            cliques: schedule
+                .maximum_clique_set()
+                .iter()
+                .map(|c| c.iter().collect())
+                .collect(),
+            obligations: Vec::new(),
+            routes: BTreeMap::new(),
+            crossings: BTreeMap::new(),
+            witnesses: Vec::new(),
+            job: None,
+            claimed_binding: None,
+        };
+        for (i, flow) in schedule.all_flows().into_iter().enumerate() {
+            cert.routes.insert(flow, vec![format!("L{i}+")]);
+        }
+        for phase in schedule.iter() {
+            let flows: Vec<Flow> = phase.iter().collect();
+            for (i, a) in flows.iter().enumerate() {
+                for b in &flows[i + 1..] {
+                    cert.obligations.push(FlowPair::new(*a, *b));
+                }
+            }
+        }
+        reinvert(&mut cert);
+        cert
+    }
+
+    /// Certificates that break several rules at once: the checker must
+    /// report the first rule in its documented order, with the exact
+    /// payload (first missing/unknown pair in pair order, first channel
+    /// in label order, full violation list).
+    #[test]
+    fn rejection_precedence_table() {
+        let job = nocsyn_model::sha256(b"expected-job");
+        let stale = |cert: &Certificate| {
+            cert.to_json()
+                .replacen("\"contention_free\":true", "\"contention_free\":false", 1)
+        };
+        let mut rows: Vec<(&str, &str, String, Option<Digest>, Rejection)> = Vec::new();
+
+        let mut c = good_cert();
+        c.obligations.pop();
+        rows.push((
+            "stale binding + missing obligation",
+            PATTERN,
+            stale(&c),
+            None,
+            Rejection::BindingMismatch,
+        ));
+        rows.push((
+            "stale binding + job mismatch",
+            PATTERN,
+            stale(&good_cert()),
+            Some(job),
+            Rejection::BindingMismatch,
+        ));
+        rows.push((
+            "job mismatch + pattern mismatch",
+            "procs 8\nphase\n  0 -> 1\n",
+            good_cert().to_json(),
+            Some(job),
+            Rejection::JobMismatch,
+        ));
+
+        let mut c = good_cert();
+        c.n_procs = 5;
+        c.routes.insert(flow(0, 4), vec!["Z".to_string()]);
+        reinvert(&mut c);
+        rows.push((
+            "pattern mismatch + unknown route",
+            PATTERN,
+            c.to_json(),
+            None,
+            Rejection::PatternMismatch,
+        ));
+
+        let mut c = good_cert();
+        c.routes.insert(flow(3, 1), vec!["Z1".to_string()]);
+        c.routes.insert(flow(0, 2), vec!["Z2".to_string()]);
+        c.cliques.pop();
+        reinvert(&mut c);
+        rows.push((
+            "unknown route + clique mismatch",
+            PATTERN,
+            c.to_json(),
+            None,
+            Rejection::RouteUnknown(flow(0, 2)),
+        ));
+
+        let mut c = good_cert();
+        c.cliques.pop();
+        c.obligations.pop();
+        rows.push((
+            "clique mismatch + missing obligation",
+            PATTERN,
+            c.to_json(),
+            None,
+            Rejection::CliqueMismatch,
+        ));
+
+        // (0>1, 1>2) is unknown and sorts before the first missing pair:
+        // missing still wins.
+        let missing = [pair((10, 3), (11, 0)), pair((2, 10), (9, 11))];
+        let unknown = [pair((10, 0), (10, 3)), pair((9, 11), (10, 0))];
+        let mut c = faithful_cert(WIDE);
+        c.obligations.retain(|p| !missing.contains(p));
+        c.obligations.extend(unknown);
+        c.obligations.push(pair((0, 1), (1, 2)));
+        rows.push((
+            "missing + unknown obligation",
+            WIDE,
+            c.to_json(),
+            None,
+            Rejection::ObligationMissing(pair((2, 10), (9, 11))),
+        ));
+
+        let mut c = faithful_cert(WIDE);
+        c.obligations.extend(unknown);
+        c.routes.insert(flow(0, 1), Vec::new());
+        rows.push((
+            "unknown obligation + crossing mismatch",
+            WIDE,
+            c.to_json(),
+            None,
+            Rejection::ObligationUnknown(pair((9, 11), (10, 0))),
+        ));
+
+        // The routes move 0>1 and 2>3 onto "SH" without fixing the
+        // crossings: "L0+" is now an extra crossing key that sorts before
+        // "SH", but the inverse walk reports "SH" first.
+        let mut c = good_cert();
+        c.routes.insert(flow(0, 1), vec!["SH".to_string()]);
+        c.routes.insert(flow(2, 3), vec!["SH".to_string()]);
+        c.crossings.remove("L1+");
+        rows.push((
+            "crossing mismatch + violated obligation",
+            PATTERN,
+            c.to_json(),
+            None,
+            Rejection::CrossingMismatch("SH".to_string()),
+        ));
+
+        let mut c = faithful_cert(WIDE);
+        c.crossings.insert("A".to_string(), vec![flow(0, 1)]);
+        rows.push((
+            "extra crossing key",
+            WIDE,
+            c.to_json(),
+            None,
+            Rejection::CrossingMismatch("A".to_string()),
+        ));
+
+        let mut c = faithful_cert(WIDE);
+        c.crossings.insert("L9+".to_string(), Vec::new());
+        c.crossings.insert("L10+".to_string(), Vec::new());
+        rows.push((
+            "two crossing mismatches",
+            WIDE,
+            c.to_json(),
+            None,
+            Rejection::CrossingMismatch("L10+".to_string()),
+        ));
+
+        let mut c = good_cert();
+        c.routes
+            .insert(flow(0, 1), vec!["SH".to_string(), "X1".to_string()]);
+        c.routes.insert(
+            flow(2, 3),
+            vec!["A0".to_string(), "SH".to_string(), "X1".to_string()],
+        );
+        c.routes.insert(flow(1, 2), vec!["Y".to_string()]);
+        c.routes.insert(flow(3, 0), vec!["Y".to_string()]);
+        reinvert(&mut c);
+        let violations = vec![
+            ObligationViolation {
+                pair: pair((0, 1), (2, 3)),
+                shared: vec!["SH".to_string(), "X1".to_string()],
+            },
+            ObligationViolation {
+                pair: pair((1, 2), (3, 0)),
+                shared: vec!["Y".to_string()],
+            },
+        ];
+        rows.push((
+            "violated obligations",
+            PATTERN,
+            c.to_json(),
+            None,
+            Rejection::ObligationViolated(violations.clone()),
+        ));
+        c.witnesses = vec![CertWitness {
+            pair: pair((0, 1), (2, 3)),
+            shared: vec!["SH".to_string()],
+        }];
+        rows.push((
+            "violated obligations + witnesses on a freedom claim",
+            PATTERN,
+            c.to_json(),
+            None,
+            Rejection::ObligationViolated(violations),
+        ));
+        c.contention_free = false;
+        rows.push((
+            "declared contention with a wrong witness",
+            PATTERN,
+            c.to_json(),
+            None,
+            Rejection::WitnessInvalid(
+                "declared witnesses disagree with the recomputed collisions".to_string(),
+            ),
+        ));
+
+        let mut c = good_cert();
+        c.witnesses = vec![CertWitness {
+            pair: pair((0, 1), (2, 3)),
+            shared: vec!["L0+".to_string()],
+        }];
+        rows.push((
+            "freedom claim with witnesses",
+            PATTERN,
+            c.to_json(),
+            None,
+            Rejection::WitnessInvalid(
+                "a contention-free certificate declares witnesses".to_string(),
+            ),
+        ));
+
+        for (name, pattern, text, expected_job, want) in rows {
+            let got =
+                check_certificate(pattern, &text, expected_job.as_ref(), &CheckOptions::new())
+                    .expect_err(name);
+            assert_eq!(got, want, "{name}");
+        }
+    }
+
+    /// The route lists of a faithful certificate are strictly increasing;
+    /// the checker intersects them by merging, so an unsorted list could
+    /// hide a shared channel. Such a list is refused at parse time.
+    #[test]
+    fn unsorted_route_channels_are_rejected() {
+        let mut cert = good_cert();
+        cert.routes
+            .insert(flow(0, 1), vec!["X".to_string(), "B".to_string()]);
+        cert.routes
+            .insert(flow(2, 3), vec!["X".to_string(), "A".to_string()]);
+        reinvert(&mut cert);
+        let err = check(&cert).expect_err("the two contending flows share X");
+        assert_eq!(err.fingerprint(), "cert-bad-field");
+        cert.routes
+            .insert(flow(0, 1), vec!["B".to_string(), "B".to_string()]);
+        reinvert(&mut cert);
+        let err = check(&cert).expect_err("duplicate labels are not strictly increasing");
+        assert_eq!(err.fingerprint(), "cert-bad-field");
     }
 }

@@ -100,33 +100,40 @@ fn seed_certificate() -> Certificate {
     }
 }
 
+/// The seed certificate with the routes of `0 -> 1` and `2 -> 3`
+/// replaced and the crossings re-inverted (the binding is fresh on
+/// render).
+fn rerouted(a: &[&str], b: &[&str]) -> Certificate {
+    let labels = |chans: &[&str]| chans.iter().map(|c| c.to_string()).collect();
+    let mut cert = seed_certificate();
+    cert.routes.insert(Flow::from_indices(0, 1), labels(a));
+    cert.routes.insert(Flow::from_indices(2, 3), labels(b));
+    cert.crossings.clear();
+    for (flow, chans) in &cert.routes {
+        for ch in chans {
+            cert.crossings.entry(ch.clone()).or_default().push(*flow);
+        }
+    }
+    cert
+}
+
 /// Seed corpus: one valid certificate, one valid non-freedom proof, and
-/// near-valid mutants, so mutation reaches past the JSON layer into the
+/// near-valid mutants (including a freshly bound forgery with unsorted
+/// route lists), so mutation reaches past the JSON layer into the
 /// binding and set-arithmetic layers.
 pub fn certify_corpus() -> Vec<Vec<u8>> {
     let good = seed_certificate();
-    let mut contended = seed_certificate();
-    let a = Flow::from_indices(0, 1);
-    let b = Flow::from_indices(2, 3);
-    contended.routes.insert(a, vec!["SH".to_string()]);
-    contended.routes.insert(b, vec!["SH".to_string()]);
-    contended.crossings.clear();
-    for (flow, chans) in &contended.routes {
-        for ch in chans {
-            contended
-                .crossings
-                .entry(ch.clone())
-                .or_default()
-                .push(*flow);
-        }
-    }
+    let mut contended = rerouted(&["SH"], &["SH"]);
     contended.contention_free = false;
     contended.witnesses = vec![CertWitness {
-        pair: FlowPair::new(a, b),
+        pair: FlowPair::new(Flow::from_indices(0, 1), Flow::from_indices(2, 3)),
         shared: vec!["SH".to_string()],
     }];
     let mut bound = seed_certificate();
     bound.job = Some(nocsyn_model::sha256(b"fuzz-job").to_hex());
+    // Two contending flows sharing `X` behind unsorted route lists:
+    // refused at parse time.
+    let unsorted = rerouted(&["X", "B"], &["X", "A"]);
 
     let good_text = good.to_json();
     let tampered = good_text.replacen("\"contention_free\":true", "\"contention_free\":false", 1);
@@ -139,6 +146,7 @@ pub fn certify_corpus() -> Vec<Vec<u8>> {
         truncated.into_bytes(),
         br#"{"schema":"nocsyn-cert-v1"}"#.to_vec(),
         br#"{"schema":"nocsyn-cert-v9","n_procs":4}"#.to_vec(),
+        unsorted.to_json().into_bytes(),
     ]
 }
 
@@ -162,6 +170,7 @@ mod tests {
         assert!(reports[4].rejected.is_some(), "truncated JSON must reject");
         assert_eq!(reports[5].rejected, Some("cert-missing-field"));
         assert_eq!(reports[6].rejected, Some("cert-schema-unsupported"));
+        assert_eq!(reports[7].rejected, Some("cert-bad-field"));
     }
 
     #[test]

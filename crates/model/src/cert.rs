@@ -66,12 +66,80 @@ pub struct Certificate {
     pub claimed_binding: Option<String>,
 }
 
-fn flow_key(f: Flow) -> String {
-    format!("{}>{}", f.src.index(), f.dst.index())
+/// Appends a flow's binding key, `src>dst` in decimal.
+fn push_flow_key(out: &mut String, f: Flow) {
+    let mut digits = [0; 20];
+    out.push_str(json::decimal(f.src.index() as u64, &mut digits));
+    out.push('>');
+    out.push_str(json::decimal(f.dst.index() as u64, &mut digits));
 }
 
-fn pair_key(p: FlowPair) -> String {
-    format!("{}|{}", flow_key(p.first()), flow_key(p.second()))
+/// Appends a pair's binding key, `a>b|c>d`.
+fn push_pair_key(out: &mut String, p: FlowPair) {
+    push_flow_key(out, p.first());
+    out.push('|');
+    push_flow_key(out, p.second());
+}
+
+/// Appends `items` joined by `sep`.
+fn push_joined(out: &mut String, items: &[String], sep: char) {
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(sep);
+        }
+        out.push_str(item);
+    }
+}
+
+/// Binding keys rendered back to back into one buffer, then emitted in
+/// string order: the normalization of a binding field without one
+/// `String` allocation per key.
+#[derive(Default)]
+struct SortedKeys {
+    buf: String,
+    spans: Vec<(u128, usize, usize)>,
+}
+
+impl SortedKeys {
+    /// Adds the key `render` appends.
+    fn push(&mut self, render: impl FnOnce(&mut String)) {
+        let start = self.buf.len();
+        render(&mut self.buf);
+        let key = &self.buf.as_bytes()[start..];
+        // The first 16 bytes, zero-padded and big-endian, order keys the
+        // way the bytes do whenever they differ; only ties compare the
+        // full keys.
+        let mut head = [0; 16];
+        let n = key.len().min(16);
+        head[..n].copy_from_slice(&key[..n]);
+        self.spans
+            .push((u128::from_be_bytes(head), start, self.buf.len()));
+    }
+
+    /// Appends the keys in string order joined by `sep` to `out`, and
+    /// empties the set for reuse.
+    fn drain_sorted(&mut self, out: &mut String, sep: char) {
+        let bytes = self.buf.as_bytes();
+        self.spans.sort_unstable_by(|a, b| {
+            a.0.cmp(&b.0)
+                .then_with(|| bytes[a.1..a.2].cmp(&bytes[b.1..b.2]))
+        });
+        for (i, &(_, start, end)) in self.spans.iter().enumerate() {
+            if i > 0 {
+                out.push(sep);
+            }
+            out.push_str(&self.buf[start..end]);
+        }
+        self.buf.clear();
+        self.spans.clear();
+    }
+
+    /// The keys in string order joined by `sep`.
+    fn take_sorted(&mut self, sep: char) -> String {
+        let mut out = String::with_capacity(self.buf.len() + self.spans.len());
+        self.drain_sorted(&mut out, sep);
+        out
+    }
 }
 
 impl Certificate {
@@ -79,48 +147,63 @@ impl Certificate {
     ///
     /// Computed over a [`CanonicalForm`] whose fields are normalized
     /// renderings of each collection, so it is independent of in-memory
-    /// ordering and of JSON whitespace.
+    /// ordering and of JSON whitespace. Clique members, cliques,
+    /// obligations and witnesses are sorted as *strings* (`"10>3"` sorts
+    /// before `"1>5"`); routes keep flow order and crossings label order.
     pub fn binding(&self) -> Digest {
-        let mut cliques: Vec<String> = self
-            .cliques
-            .iter()
-            .map(|c| {
-                let mut flows: Vec<String> = c.iter().map(|f| flow_key(*f)).collect();
-                flows.sort();
-                flows.join(",")
-            })
-            .collect();
-        cliques.sort();
-        let mut obligations: Vec<String> = self.obligations.iter().map(|p| pair_key(*p)).collect();
-        obligations.sort();
-        let routes: Vec<String> = self
-            .routes
-            .iter()
-            .map(|(f, chans)| format!("{}:{}", flow_key(*f), chans.join(",")))
-            .collect();
-        let crossings: Vec<String> = self
-            .crossings
-            .iter()
-            .map(|(ch, flows)| {
-                let keys: Vec<String> = flows.iter().map(|f| flow_key(*f)).collect();
-                format!("{}:{}", ch, keys.join(","))
-            })
-            .collect();
-        let mut witnesses: Vec<String> = self
-            .witnesses
-            .iter()
-            .map(|w| format!("{}:{}", pair_key(w.pair), w.shared.join(",")))
-            .collect();
-        witnesses.sort();
+        let mut keys = SortedKeys::default();
+        let mut members = SortedKeys::default();
+        for clique in &self.cliques {
+            for &f in clique {
+                members.push(|out| push_flow_key(out, f));
+            }
+            keys.push(|out| members.drain_sorted(out, ','));
+        }
+        let cliques = keys.take_sorted(';');
+        for &p in &self.obligations {
+            keys.push(|out| push_pair_key(out, p));
+        }
+        let obligations = keys.take_sorted(';');
+        for w in &self.witnesses {
+            keys.push(|out| {
+                push_pair_key(out, w.pair);
+                out.push(':');
+                push_joined(out, &w.shared, ',');
+            });
+        }
+        let witnesses = keys.take_sorted(';');
+        let mut routes = String::new();
+        for (i, (&f, chans)) in self.routes.iter().enumerate() {
+            if i > 0 {
+                routes.push(';');
+            }
+            push_flow_key(&mut routes, f);
+            routes.push(':');
+            push_joined(&mut routes, chans, ',');
+        }
+        let mut crossings = String::new();
+        for (i, (ch, flows)) in self.crossings.iter().enumerate() {
+            if i > 0 {
+                crossings.push(';');
+            }
+            crossings.push_str(ch);
+            crossings.push(':');
+            for (j, &f) in flows.iter().enumerate() {
+                if j > 0 {
+                    crossings.push(',');
+                }
+                push_flow_key(&mut crossings, f);
+            }
+        }
         CanonicalForm::new()
             .field("schema", CERT_SCHEMA)
             .field("n_procs", self.n_procs)
             .field("contention_free", self.contention_free)
-            .field("cliques", cliques.join(";"))
-            .field("obligations", obligations.join(";"))
-            .field("routes", routes.join(";"))
-            .field("crossings", crossings.join(";"))
-            .field("witnesses", witnesses.join(";"))
+            .rendered_field("cliques", cliques)
+            .rendered_field("obligations", obligations)
+            .rendered_field("routes", routes)
+            .rendered_field("crossings", crossings)
+            .rendered_field("witnesses", witnesses)
             .field("job", self.job.as_deref().unwrap_or("none"))
             .digest()
     }
@@ -262,18 +345,20 @@ impl Certificate {
             left: limits.max_messages,
         };
 
-        let mut cliques = Vec::new();
-        for c in array_field(&value, "cliques")? {
+        let items = array_field(&value, "cliques")?;
+        let mut cliques = Vec::with_capacity(items.len());
+        for c in items {
             let members = c.as_array().ok_or(CertError::BadField("cliques"))?;
-            let mut clique = Vec::new();
+            let mut clique = Vec::with_capacity(members.len());
             for m in members {
                 clique.push(parse_flow(m, n_procs, &mut mentions)?);
             }
             cliques.push(clique);
         }
 
-        let mut obligations = Vec::new();
-        for o in array_field(&value, "obligations")? {
+        let items = array_field(&value, "obligations")?;
+        let mut obligations = Vec::with_capacity(items.len());
+        for o in items {
             let ends = o.as_array().ok_or(CertError::BadField("obligations"))?;
             if ends.len() != 2 {
                 return Err(CertError::BadField("obligations"));
@@ -291,6 +376,12 @@ impl Certificate {
                 &mut mentions,
             )?;
             let chans = parse_channels(r.get("channels"), "channels", &mut mentions)?;
+            // Emitted routes are sorted and duplicate-free, and the checker
+            // intersects them by merging, so any other order is refused
+            // rather than trusted.
+            if chans.windows(2).any(|w| w[0] >= w[1]) {
+                return Err(CertError::BadField("channels"));
+            }
             if routes.insert(flow, chans).is_some() {
                 return Err(CertError::BadField("routes"));
             }
@@ -303,12 +394,12 @@ impl Certificate {
                 .and_then(|v| v.as_str())
                 .ok_or(CertError::BadField("crossings"))?;
             check_channel(ch)?;
-            let mut flows = Vec::new();
-            for f in x
+            let items = x
                 .get("flows")
                 .and_then(|v| v.as_array())
-                .ok_or(CertError::BadField("crossings"))?
-            {
+                .ok_or(CertError::BadField("crossings"))?;
+            let mut flows = Vec::with_capacity(items.len());
+            for f in items {
                 flows.push(parse_flow(f, n_procs, &mut mentions)?);
             }
             if crossings.insert(ch.to_string(), flows).is_some() {
@@ -316,8 +407,9 @@ impl Certificate {
             }
         }
 
-        let mut witnesses = Vec::new();
-        for w in array_field(&value, "witnesses")? {
+        let items = array_field(&value, "witnesses")?;
+        let mut witnesses = Vec::with_capacity(items.len());
+        for w in items {
             let a = parse_flow(
                 w.get("flow_a").ok_or(CertError::MissingField("flow_a"))?,
                 n_procs,
@@ -439,7 +531,7 @@ fn parse_channels(
     let items = v
         .and_then(|v| v.as_array())
         .ok_or(CertError::BadField(name))?;
-    let mut chans = Vec::new();
+    let mut chans = Vec::with_capacity(items.len());
     for item in items {
         budget.spend()?;
         let label = item.as_str().ok_or(CertError::BadField(name))?;
@@ -505,6 +597,160 @@ impl std::error::Error for CertError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nocsyn_check::{check, check_assert_eq, u64_in, usize_in};
+    use nocsyn_rng::Rng;
+
+    /// The binding as first specified: one `String` per key, sorted and
+    /// joined. The production binding must reproduce it bit for bit.
+    fn reference_binding(cert: &Certificate) -> Digest {
+        let flow_key = |f: &Flow| format!("{}>{}", f.src.index(), f.dst.index());
+        let pair_key = |p: &FlowPair| format!("{}|{}", flow_key(&p.first()), flow_key(&p.second()));
+        let mut cliques: Vec<String> = cert
+            .cliques
+            .iter()
+            .map(|c| {
+                let mut flows: Vec<String> = c.iter().map(flow_key).collect();
+                flows.sort();
+                flows.join(",")
+            })
+            .collect();
+        cliques.sort();
+        let mut obligations: Vec<String> = cert.obligations.iter().map(pair_key).collect();
+        obligations.sort();
+        let routes: Vec<String> = cert
+            .routes
+            .iter()
+            .map(|(f, chans)| format!("{}:{}", flow_key(f), chans.join(",")))
+            .collect();
+        let crossings: Vec<String> = cert
+            .crossings
+            .iter()
+            .map(|(ch, flows)| {
+                let keys: Vec<String> = flows.iter().map(flow_key).collect();
+                format!("{}:{}", ch, keys.join(","))
+            })
+            .collect();
+        let mut witnesses: Vec<String> = cert
+            .witnesses
+            .iter()
+            .map(|w| format!("{}:{}", pair_key(&w.pair), w.shared.join(",")))
+            .collect();
+        witnesses.sort();
+        CanonicalForm::new()
+            .field("schema", CERT_SCHEMA)
+            .field("n_procs", cert.n_procs)
+            .field("contention_free", cert.contention_free)
+            .field("cliques", cliques.join(";"))
+            .field("obligations", obligations.join(";"))
+            .field("routes", routes.join(";"))
+            .field("crossings", crossings.join(";"))
+            .field("witnesses", witnesses.join(";"))
+            .field("job", cert.job.as_deref().unwrap_or("none"))
+            .digest()
+    }
+
+    /// A random certificate over 120 processors, so flow keys mix ids of
+    /// one, two and three decimal digits and string order differs from
+    /// numeric order. Half the flows come from a small pool, so members,
+    /// pairs and whole clique prefixes repeat; route lists need not be
+    /// sorted; and labels share prefixes longer than the 16-byte sort
+    /// head, so keys tie on their heads and must be ordered by the rest.
+    fn random_cert(seed: u64, size: usize) -> Certificate {
+        let mut rng = Rng::seed_from_u64(seed);
+        let any_flow = |rng: &mut Rng| {
+            Flow::from_indices(rng.gen_range(0..120usize), rng.gen_range(0..120usize))
+        };
+        let pool: Vec<Flow> = (0..6).map(|_| any_flow(&mut rng)).collect();
+        let flow = |rng: &mut Rng| {
+            if rng.gen_bool(0.5) {
+                pool[rng.gen_range(0..pool.len())]
+            } else {
+                any_flow(rng)
+            }
+        };
+        let label = |rng: &mut Rng| {
+            let stem = ["L", "S", "link-from-switch-"][rng.gen_range(0..3usize)];
+            format!(
+                "{stem}{}{}",
+                rng.gen_range(0..120usize),
+                ["+", "-", ""][rng.gen_range(0..3usize)]
+            )
+        };
+        let labels = |rng: &mut Rng, k: usize| (0..k).map(|_| label(rng)).collect::<Vec<_>>();
+        let mut cert = Certificate {
+            n_procs: 120,
+            contention_free: rng.gen_bool(0.5),
+            cliques: Vec::new(),
+            obligations: Vec::new(),
+            routes: BTreeMap::new(),
+            crossings: BTreeMap::new(),
+            witnesses: Vec::new(),
+            job: rng
+                .gen_bool(0.5)
+                .then(|| crate::sha256(&seed.to_le_bytes()).to_hex()),
+            claimed_binding: None,
+        };
+        for _ in 0..rng.gen_range(0..=size / 4 + 1) {
+            // Either a fresh clique or the previous one plus a member.
+            let mut clique: Vec<Flow> = match cert.cliques.last() {
+                Some(prev) if rng.gen_bool(0.5) => prev.clone(),
+                _ => (0..rng.gen_range(0..=size))
+                    .map(|_| flow(&mut rng))
+                    .collect(),
+            };
+            clique.push(flow(&mut rng));
+            cert.cliques.push(clique);
+        }
+        for _ in 0..rng.gen_range(0..=4 * size) {
+            cert.obligations
+                .push(FlowPair::new(flow(&mut rng), flow(&mut rng)));
+        }
+        for _ in 0..rng.gen_range(0..=size) {
+            let k = rng.gen_range(0..4usize);
+            cert.routes.insert(flow(&mut rng), labels(&mut rng, k));
+        }
+        for _ in 0..rng.gen_range(0..=size) {
+            let k = rng.gen_range(0..4usize);
+            let flows = (0..k).map(|_| flow(&mut rng)).collect();
+            cert.crossings.insert(label(&mut rng), flows);
+        }
+        for _ in 0..rng.gen_range(0..=size / 2) {
+            let k = rng.gen_range(0..3usize);
+            cert.witnesses.push(CertWitness {
+                pair: FlowPair::new(flow(&mut rng), flow(&mut rng)),
+                shared: labels(&mut rng, k),
+            });
+        }
+        cert
+    }
+
+    #[test]
+    fn binding_matches_the_reference_rendering() {
+        check(
+            "binding_matches_the_reference_rendering",
+            (u64_in(0..u64::MAX), usize_in(0..48)),
+            |&(seed, size)| {
+                let cert = random_cert(seed, size);
+                check_assert_eq!(cert.binding(), reference_binding(&cert));
+                Ok(())
+            },
+        );
+    }
+
+    #[test]
+    fn binding_keys_sort_as_strings() {
+        let mut cert = sample();
+        cert.obligations = vec![
+            FlowPair::new(Flow::from_indices(1, 5), Flow::from_indices(2, 3)),
+            FlowPair::new(Flow::from_indices(10, 3), Flow::from_indices(2, 3)),
+        ];
+        cert.cliques = vec![vec![Flow::from_indices(1, 5), Flow::from_indices(10, 3)]];
+        assert_eq!(cert.binding(), reference_binding(&cert));
+        let mut swapped = cert.clone();
+        swapped.obligations.reverse();
+        swapped.cliques[0].reverse();
+        assert_eq!(swapped.binding(), cert.binding());
+    }
 
     fn sample() -> Certificate {
         let f01 = Flow::from_indices(0, 1);

@@ -352,6 +352,14 @@ impl CanonicalForm {
         self.fields.push((name.into(), value.to_string()));
     }
 
+    /// Adds a field whose value is already rendered, moving the bytes in
+    /// rather than copying them through `Display` (builder style).
+    #[must_use]
+    pub fn rendered_field(mut self, name: impl Into<String>, value: String) -> Self {
+        self.fields.push((name.into(), value));
+        self
+    }
+
     /// Number of fields added so far.
     pub fn len(&self) -> usize {
         self.fields.len()

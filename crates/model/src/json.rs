@@ -169,29 +169,56 @@ impl From<String> for JsonValue {
     }
 }
 
-/// Writes `s` as a JSON string literal (with surrounding quotes).
+/// Writes `s` as a JSON string literal (with surrounding quotes). Runs
+/// of bytes that need no escape go out in one `write_str`.
 fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0x00..=0x1f => None,
+            _ => continue,
+        };
+        // Escaped bytes are ASCII, so `run..i` ends on a char boundary.
+        f.write_str(&s[run..i])?;
+        match escape {
+            Some(escape) => f.write_str(escape)?,
+            None => write!(f, "\\u{b:04x}")?,
+        }
+        run = i + 1;
+    }
+    f.write_str(&s[run..])?;
+    f.write_str("\"")
+}
+
+/// The decimal digits of `n`, rendered into the tail of `buf` (the
+/// formatting machinery is slow for the millions of small integers a
+/// large certificate holds).
+pub(crate) fn decimal(mut n: u64, buf: &mut [u8; 20]) -> &str {
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
         }
     }
-    f.write_str("\"")
+    // Only ASCII digits were written.
+    std::str::from_utf8(&buf[at..]).unwrap_or_default()
 }
 
 impl fmt::Display for JsonValue {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             JsonValue::Null => f.write_str("null"),
-            JsonValue::Bool(b) => write!(f, "{b}"),
-            JsonValue::UInt(n) => write!(f, "{n}"),
+            JsonValue::Bool(b) => f.write_str(if *b { "true" } else { "false" }),
+            JsonValue::UInt(n) => f.write_str(decimal(*n, &mut [0; 20])),
             JsonValue::Int(n) => write!(f, "{n}"),
             JsonValue::Float(x) if !x.is_finite() => f.write_str("null"),
             JsonValue::Float(x) => {
@@ -210,7 +237,7 @@ impl fmt::Display for JsonValue {
                     if i > 0 {
                         f.write_str(",")?;
                     }
-                    write!(f, "{v}")?;
+                    v.fmt(f)?;
                 }
                 f.write_str("]")
             }
@@ -222,7 +249,7 @@ impl fmt::Display for JsonValue {
                     }
                     write_escaped(f, k)?;
                     f.write_str(":")?;
-                    write!(f, "{v}")?;
+                    v.fmt(f)?;
                 }
                 f.write_str("}")
             }
@@ -314,6 +341,7 @@ pub fn parse(input: &str) -> Result<JsonValue, JsonParseError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        items: Vec::new(),
     };
     p.skip_ws();
     let value = p.value(0)?;
@@ -327,6 +355,10 @@ pub fn parse(input: &str) -> Result<JsonValue, JsonParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Items of the arrays being parsed, innermost array's on top. A
+    /// finished array moves its items out in one exact-size allocation,
+    /// rather than growing its own vector item by item.
+    items: Vec<JsonValue>,
 }
 
 impl<'a> Parser<'a> {
@@ -388,21 +420,22 @@ impl<'a> Parser<'a> {
 
     fn array_value(&mut self, depth: usize) -> Result<JsonValue, JsonParseError> {
         self.expect(b'[')?;
-        let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(JsonValue::Array(items));
+            return Ok(JsonValue::Array(Vec::new()));
         }
+        let base = self.items.len();
         loop {
             self.skip_ws();
-            items.push(self.value(depth + 1)?);
+            let item = self.value(depth + 1)?;
+            self.items.push(item);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(JsonValue::Array(items));
+                    return Ok(JsonValue::Array(self.items.drain(base..).collect()));
                 }
                 Some(_) => return Err(self.err(JsonErrorKind::UnexpectedChar)),
                 None => return Err(self.err(JsonErrorKind::UnexpectedEnd)),
@@ -534,8 +567,33 @@ impl<'a> Parser<'a> {
         Ok(code)
     }
 
+    /// Fast path for the common number: a plain unsigned integer that
+    /// fits in `u64`, accumulated while it is scanned. `None` (with the
+    /// position unspecified) sends the caller to the general path.
+    fn plain_uint(&mut self) -> Option<u64> {
+        let mut n: u64 = 0;
+        match self.peek()? {
+            b'0' => self.pos += 1,
+            b'1'..=b'9' => {
+                while let Some(d @ b'0'..=b'9') = self.peek() {
+                    n = n.checked_mul(10)?.checked_add(u64::from(d - b'0'))?;
+                    self.pos += 1;
+                }
+            }
+            _ => return None,
+        }
+        if matches!(self.peek(), Some(b'.' | b'e' | b'E')) {
+            return None;
+        }
+        Some(n)
+    }
+
     fn number(&mut self) -> Result<JsonValue, JsonParseError> {
         let start = self.pos;
+        if let Some(n) = self.plain_uint() {
+            return Ok(JsonValue::UInt(n));
+        }
+        self.pos = start;
         let negative = self.peek() == Some(b'-');
         if negative {
             self.pos += 1;
@@ -579,15 +637,13 @@ impl<'a> Parser<'a> {
         // slice is valid UTF-8; fall back to an error rather than panic.
         let token = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| self.err(JsonErrorKind::BadNumber))?;
-        if integral {
-            if negative {
-                if let Ok(n) = token.parse::<i64>() {
-                    return Ok(JsonValue::Int(n));
-                }
-            } else if let Ok(n) = token.parse::<u64>() {
-                return Ok(JsonValue::UInt(n));
+        // Non-negative integers that fit in `u64` took the fast path, so
+        // an integral token here is negative or overflowed; overflow falls
+        // through to the float flavor.
+        if integral && negative {
+            if let Ok(n) = token.parse::<i64>() {
+                return Ok(JsonValue::Int(n));
             }
-            // Integer overflow: fall through to the float flavor.
         }
         token
             .parse::<f64>()

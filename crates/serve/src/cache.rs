@@ -48,7 +48,7 @@
 //! Only *completed* results are ever inserted, so a deadline can never
 //! poison the cache with a degraded best-so-far report.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -325,15 +325,19 @@ impl ResultCache {
             }
         }
         // Orphans on either side are quarantined; complete pairs stand.
+        // Stems are looked up in sets, but both passes keep `list_dir`
+        // order, so quarantine order stays deterministic.
+        let report_stems: HashSet<&str> = reports.iter().map(|(s, _)| s.as_str()).collect();
+        let cert_stems: HashSet<&str> = certs.iter().map(|(s, _)| s.as_str()).collect();
         for (stem, path) in &reports {
-            if certs.iter().any(|(s, _)| s == stem) {
+            if cert_stems.contains(stem.as_str()) {
                 self.stats.recovered += 1;
             } else {
                 self.quarantine(&dir, path);
             }
         }
         for (stem, path) in &certs {
-            if !reports.iter().any(|(s, _)| s == stem) {
+            if !report_stems.contains(stem.as_str()) {
                 self.quarantine(&dir, path);
             }
         }

@@ -10,8 +10,8 @@
 //!   correctly proves *non*-freedom (baselines with shared links).
 //! * **Tampered certificates** — every tamper class the threat model
 //!   names (dropped obligation, forged clique, omitted route resource,
-//!   fingerprint mismatch) must be rejected with its stable typed
-//!   fingerprint.
+//!   fingerprint mismatch, unsorted route channel list) must be rejected
+//!   with its stable typed fingerprint.
 
 use nocsyn::certify::{check_certificate, CheckOptions};
 use nocsyn::model::{format_schedule, Certificate, Flow};
@@ -180,4 +180,61 @@ fn certificates_are_byte_deterministic_per_seed() {
         "same seed must give byte-identical certificates"
     );
     check_certificate(&text, &cert_a, None, &CheckOptions::new()).expect("validates");
+}
+
+/// The checker intersects route channel lists by merging, so a list that
+/// is not strictly increasing could hide a shared channel. The checked-in
+/// fixture is the minimal forgery: two contending flows that share `X`,
+/// listed unsorted, with crossings inverted and a fresh binding.
+#[test]
+fn unsorted_route_channels_are_rejected() {
+    let text = include_str!("../examples_data/forged_unsorted_route.txt");
+    let schedule = nocsyn::model::parse_schedule(text).expect("fixture pattern parses");
+    let pattern = AppPattern::from_schedule(&schedule);
+    let mut forged = Certificate {
+        n_procs: 4,
+        contention_free: true,
+        cliques: pattern
+            .cliques()
+            .iter()
+            .map(|c| c.iter().collect())
+            .collect(),
+        obligations: pattern.contention().iter().collect(),
+        routes: Default::default(),
+        crossings: Default::default(),
+        witnesses: Vec::new(),
+        job: None,
+        claimed_binding: None,
+    };
+    for (flow, chans) in [
+        ((0, 1), ["X", "B"].as_slice()),
+        ((1, 2), &["L2+"]),
+        ((2, 3), &["X", "A"]),
+        ((3, 0), &["L3+"]),
+    ] {
+        let flow = Flow::from_indices(flow.0, flow.1);
+        let chans: Vec<String> = chans.iter().map(|c| c.to_string()).collect();
+        for ch in &chans {
+            forged.crossings.entry(ch.clone()).or_default().push(flow);
+        }
+        forged.routes.insert(flow, chans);
+    }
+    let rendered = forged.to_json();
+    assert_eq!(
+        include_str!("../examples_data/forged_unsorted_route.cert.json"),
+        format!("{rendered}\n"),
+        "the checked-in fixture is this forgery"
+    );
+    expect_fingerprint(&forged, text, "cert-bad-field");
+
+    // The same rule on a real certificate: reversing one multi-channel
+    // route (crossings are unchanged, the binding is fresh).
+    let (mut cert, text) = golden_cert();
+    let chans = cert
+        .routes
+        .values_mut()
+        .find(|chans| chans.len() > 1)
+        .expect("some route crosses two channels");
+    chans.reverse();
+    expect_fingerprint(&cert, &text, "cert-bad-field");
 }
