@@ -159,6 +159,36 @@ echo "==> decomposed certify gate: stitched result round-trips through the indep
 ./target/release/nocsyn synth examples_data/clus64.txt --decompose --restarts 2 --seed 65 --emit-cert "$cert1" > /dev/null
 ./target/release/nocsyn certify examples_data/clus64.txt "$cert1" --json | grep -q '"valid":true'
 
+echo "==> warm-restart gate: a fresh process serves a decomposed job from the disk tier"
+# Three daemon processes share one cache dir. The first synthesizes the
+# job and commits it with its certificate. The second starts over the warm
+# store (the startup scan), runs the checker on the decomposed
+# certificate and answers from disk, byte-identical apart from the cache
+# marker. Once the stored certificate's verdict is flipped, the third
+# process must refuse the entry, re-synthesize, and count one
+# certificate error.
+cdir="$(mktemp -d)"
+trap 'rm -f "$j1" "$j4" "$cert1" "$cert2" "$pat2"; rm -rf "$cdir"' EXIT
+pattern_json="$(awk 'BEGIN { ORS = "\\n" } { print }' examples_data/clus64.txt)"
+req="{\"op\":\"synth\",\"pattern\":\"${pattern_json}\",\"mode\":\"decomposed\",\"restarts\":2,\"seed\":65}"
+printf '%s\n' "$req" | ./target/release/nocsyn serve --drain --cache-dir "$cdir" > "$j1"
+printf '%s\n' "$req" | ./target/release/nocsyn serve --drain --cache-dir "$cdir" > "$j4"
+test "$(wc -l < "$j1")" -eq 1
+grep -q '"cache":"miss"' "$j1"
+grep -q '"cache":"disk"' "$j4"
+sed 's/"cache":"miss"/"cache":"disk"/' "$j1" | diff - "$j4"
+test "$(ls "$cdir"/*.cert.json | wc -l)" -eq 1
+stored="$(ls "$cdir"/*.cert.json)"
+sed 's/"contention_free":true/"contention_free":false/' "$stored" > "$j4"
+if cmp -s "$stored" "$j4"; then
+    echo "stored certificate has no verdict to flip" >&2
+    exit 1
+fi
+cp "$j4" "$stored"
+printf '%s\n{"op":"stats"}\n' "$req" | ./target/release/nocsyn serve --drain --cache-dir "$cdir" > "$j4"
+head -n 1 "$j4" | grep -q '"cache":"miss"'
+tail -n 1 "$j4" | grep -q '"cert_errors":1'
+
 echo "==> BENCH_8 gate: decomposition counters match the checked-in artifact"
 # Flat-vs-decomposed separation under one round budget: the harness
 # itself asserts every decomposed run is certified and flat synthesis

@@ -3,7 +3,7 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use nocsyn_model::{CliqueSet, ContentionSet, Flow, PhaseSchedule, Trace};
+use nocsyn_model::{CliqueSet, ContentionSet, Flow, FlowPair, PhaseSchedule, Trace};
 
 /// Everything the design methodology needs to know about an application:
 /// its process count, the distinct flows it performs, its potential
@@ -38,17 +38,27 @@ impl AppPattern {
     /// contention period (the paper's Section 3 extraction), so the clique
     /// set is read directly off the program structure and `C` contains all
     /// intra-phase pairs.
+    ///
+    /// `C` grows with the square of phase width, so it is built in bulk.
+    /// Every phase is a subset of some maximal clique, so the maximal
+    /// cliques' pairs are exactly the intra-phase pairs. They go into one
+    /// vector, which is sorted and deduplicated once; each clique's pairs
+    /// come out in order, so the stable sort only merges one run per
+    /// clique. The set is then built from the sorted run.
     pub fn from_schedule(schedule: &PhaseSchedule) -> Self {
         let cliques = schedule.maximum_clique_set();
-        let mut contention = ContentionSet::new();
-        for phase in schedule.iter() {
-            let flows: Vec<Flow> = phase.iter().collect();
-            for i in 0..flows.len() {
-                for j in i + 1..flows.len() {
-                    contention.insert(flows[i], flows[j]);
-                }
+        let mut pairs = Vec::new();
+        let mut flows = Vec::new();
+        for clique in cliques.iter() {
+            flows.clear();
+            flows.extend(clique.iter());
+            for (i, &a) in flows.iter().enumerate() {
+                pairs.extend(flows[i + 1..].iter().map(|&b| FlowPair::new(a, b)));
             }
         }
+        pairs.sort();
+        pairs.dedup();
+        let contention: ContentionSet = pairs.into_iter().collect();
         AppPattern {
             n_procs: schedule.n_procs(),
             flows: schedule.all_flows().into_iter().collect(),
@@ -234,5 +244,69 @@ mod tests {
     #[should_panic(expected = "at least one pattern")]
     fn merged_empty_panics() {
         let _ = AppPattern::merged(std::iter::empty());
+    }
+
+    /// `C` as first computed: one set insertion per intra-phase pair.
+    fn contention_by_insertion(schedule: &PhaseSchedule) -> ContentionSet {
+        let mut contention = ContentionSet::new();
+        for phase in schedule.iter() {
+            let flows: Vec<Flow> = phase.iter().collect();
+            for i in 0..flows.len() {
+                for j in i + 1..flows.len() {
+                    contention.insert(flows[i], flows[j]);
+                }
+            }
+        }
+        contention
+    }
+
+    #[test]
+    fn bulk_contention_matches_pairwise_insertion() {
+        let mut rng = nocsyn_rng::Rng::seed_from_u64(0xc0_11de);
+        let mut nonempty = 0;
+        for case in 0..600 {
+            let n = rng.gen_range(2..=12usize);
+            let mut sched = PhaseSchedule::new(n);
+            // A small flow pool, so flows repeat across phases.
+            let pool: Vec<(usize, usize)> = (0..rng.gen_range(1..=2 * n))
+                .map(|_| (rng.gen_range(0..n), rng.gen_range(0..n)))
+                .filter(|(s, d)| s != d)
+                .collect();
+            let mut phases: Vec<Phase> = Vec::new();
+            for _ in 0..rng.gen_range(0..6usize) {
+                let phase = match phases.last() {
+                    // A duplicate phase, or one dominated by its
+                    // predecessor: neither is a maximal clique of its own.
+                    Some(prev) if rng.gen_bool(0.25) => prev.clone(),
+                    Some(prev) if rng.gen_bool(0.3) => {
+                        Phase::from_flows(prev.iter().filter(|_| rng.gen_bool(0.5)))
+                            .expect("a subset of a phase is a phase")
+                    }
+                    _ => {
+                        let mut phase = Phase::new();
+                        for _ in 0..rng.gen_range(0..=pool.len()) {
+                            if let Some(&(s, d)) = rng.choose(&pool) {
+                                // A flow whose source or destination is
+                                // taken in this phase is skipped.
+                                let _ = phase.add(Flow::from_indices(s, d));
+                            }
+                        }
+                        phase
+                    }
+                };
+                phases.push(phase);
+            }
+            for phase in phases {
+                sched.push(phase).expect("phase fits");
+            }
+            let bulk = AppPattern::from_schedule(&sched);
+            assert_eq!(
+                bulk.contention(),
+                &contention_by_insertion(&sched),
+                "case {case}"
+            );
+            nonempty += usize::from(!bulk.contention().is_empty());
+        }
+        assert!(nonempty > 200, "only {nonempty} schedules had contention");
     }
 }

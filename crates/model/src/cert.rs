@@ -21,9 +21,12 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::json::{self, JsonValue};
+use crate::json::{self, Document, Items, JsonValue, ValueRef};
 use crate::text::ParseLimits;
 use crate::{CanonicalForm, Digest, Flow, FlowPair};
+
+#[cfg(test)]
+mod reference;
 
 /// Schema tag accepted by this version of the certificate format.
 pub const CERT_SCHEMA: &str = "nocsyn-cert-v1";
@@ -310,6 +313,12 @@ impl Certificate {
     /// panic. Semantic validation (binding, obligations, disjointness)
     /// is the checker's job; this only enforces shape and budgets.
     ///
+    /// The whole text is parsed into a flat [`Document`] before any
+    /// field is read, so a JSON error always wins over a field error.
+    /// Fields are then read in schema order through the document's
+    /// borrowed view — the first occurrence of a repeated key wins — and
+    /// an array's length is known before its items are checked.
+    ///
     /// # Errors
     ///
     /// [`CertError`] on oversized input, malformed JSON, an unsupported
@@ -318,18 +327,19 @@ impl Certificate {
         if text.len() > limits.max_input_bytes {
             return Err(CertError::LimitExceeded("input bytes"));
         }
-        let value = json::parse(text).map_err(|e| CertError::Json {
+        let doc = Document::parse(text).map_err(|e| CertError::Json {
             fingerprint: e.fingerprint(),
             detail: e.to_string(),
         })?;
+        let value = doc.root();
         if value.as_object().is_none() {
             return Err(CertError::BadField("certificate"));
         }
-        let schema = str_field(&value, "schema")?;
+        let schema = str_field(value, "schema")?;
         if schema != CERT_SCHEMA {
             return Err(CertError::SchemaUnsupported);
         }
-        let n_procs = usize_field(&value, "n_procs")?;
+        let n_procs = usize_field(value, "n_procs")?;
         if n_procs == 0 || n_procs > limits.max_procs {
             return Err(CertError::LimitExceeded("n_procs"));
         }
@@ -345,7 +355,7 @@ impl Certificate {
             left: limits.max_messages,
         };
 
-        let items = array_field(&value, "cliques")?;
+        let items = array_field(value, "cliques")?;
         let mut cliques = Vec::with_capacity(items.len());
         for c in items {
             let members = c.as_array().ok_or(CertError::BadField("cliques"))?;
@@ -356,20 +366,21 @@ impl Certificate {
             cliques.push(clique);
         }
 
-        let items = array_field(&value, "obligations")?;
+        let items = array_field(value, "obligations")?;
         let mut obligations = Vec::with_capacity(items.len());
         for o in items {
-            let ends = o.as_array().ok_or(CertError::BadField("obligations"))?;
-            if ends.len() != 2 {
+            let mut ends = o.as_array().ok_or(CertError::BadField("obligations"))?;
+            // The length is checked before either end is read.
+            let (2, Some(a), Some(b)) = (ends.len(), ends.next(), ends.next()) else {
                 return Err(CertError::BadField("obligations"));
-            }
-            let a = parse_flow(&ends[0], n_procs, &mut mentions)?;
-            let b = parse_flow(&ends[1], n_procs, &mut mentions)?;
+            };
+            let a = parse_flow(a, n_procs, &mut mentions)?;
+            let b = parse_flow(b, n_procs, &mut mentions)?;
             obligations.push(FlowPair::new(a, b));
         }
 
         let mut routes = BTreeMap::new();
-        for r in array_field(&value, "routes")? {
+        for r in array_field(value, "routes")? {
             let flow = parse_flow(
                 r.get("flow").ok_or(CertError::MissingField("flow"))?,
                 n_procs,
@@ -388,15 +399,15 @@ impl Certificate {
         }
 
         let mut crossings = BTreeMap::new();
-        for x in array_field(&value, "crossings")? {
+        for x in array_field(value, "crossings")? {
             let ch = x
                 .get("channel")
-                .and_then(|v| v.as_str())
+                .and_then(ValueRef::as_str)
                 .ok_or(CertError::BadField("crossings"))?;
             check_channel(ch)?;
             let items = x
                 .get("flows")
-                .and_then(|v| v.as_array())
+                .and_then(ValueRef::as_array)
                 .ok_or(CertError::BadField("crossings"))?;
             let mut flows = Vec::with_capacity(items.len());
             for f in items {
@@ -407,7 +418,7 @@ impl Certificate {
             }
         }
 
-        let items = array_field(&value, "witnesses")?;
+        let items = array_field(value, "witnesses")?;
         let mut witnesses = Vec::with_capacity(items.len());
         for w in items {
             let a = parse_flow(
@@ -437,7 +448,7 @@ impl Certificate {
                 Some(hex.to_string())
             }
         };
-        let binding = str_field(&value, "binding")?;
+        let binding = str_field(value, "binding")?;
         if Digest::from_hex(binding).is_none() {
             return Err(CertError::BadField("binding"));
         }
@@ -471,7 +482,7 @@ impl Budget {
     }
 }
 
-fn str_field<'a>(value: &'a JsonValue, name: &'static str) -> Result<&'a str, CertError> {
+fn str_field<'d>(value: ValueRef<'d>, name: &'static str) -> Result<&'d str, CertError> {
     value
         .get(name)
         .ok_or(CertError::MissingField(name))?
@@ -479,7 +490,7 @@ fn str_field<'a>(value: &'a JsonValue, name: &'static str) -> Result<&'a str, Ce
         .ok_or(CertError::BadField(name))
 }
 
-fn usize_field(value: &JsonValue, name: &'static str) -> Result<usize, CertError> {
+fn usize_field(value: ValueRef<'_>, name: &'static str) -> Result<usize, CertError> {
     let raw = value
         .get(name)
         .ok_or(CertError::MissingField(name))?
@@ -488,7 +499,7 @@ fn usize_field(value: &JsonValue, name: &'static str) -> Result<usize, CertError
     usize::try_from(raw).map_err(|_| CertError::BadField(name))
 }
 
-fn array_field<'a>(value: &'a JsonValue, name: &'static str) -> Result<&'a [JsonValue], CertError> {
+fn array_field<'d>(value: ValueRef<'d>, name: &'static str) -> Result<Items<'d>, CertError> {
     value
         .get(name)
         .ok_or(CertError::MissingField(name))?
@@ -496,20 +507,19 @@ fn array_field<'a>(value: &'a JsonValue, name: &'static str) -> Result<&'a [Json
         .ok_or(CertError::BadField(name))
 }
 
-fn parse_flow(v: &JsonValue, n_procs: usize, budget: &mut Budget) -> Result<Flow, CertError> {
+/// One process id of a flow: an unsigned integer.
+fn flow_end(v: Option<ValueRef<'_>>) -> Option<usize> {
+    v?.as_u64().and_then(|n| usize::try_from(n).ok())
+}
+
+fn parse_flow(v: ValueRef<'_>, n_procs: usize, budget: &mut Budget) -> Result<Flow, CertError> {
     budget.spend()?;
-    let ends = v.as_array().ok_or(CertError::BadField("flow"))?;
+    let mut ends = v.as_array().ok_or(CertError::BadField("flow"))?;
     if ends.len() != 2 {
         return Err(CertError::BadField("flow"));
     }
-    let src = ends[0]
-        .as_u64()
-        .and_then(|n| usize::try_from(n).ok())
-        .ok_or(CertError::BadField("flow"))?;
-    let dst = ends[1]
-        .as_u64()
-        .and_then(|n| usize::try_from(n).ok())
-        .ok_or(CertError::BadField("flow"))?;
+    let src = flow_end(ends.next()).ok_or(CertError::BadField("flow"))?;
+    let dst = flow_end(ends.next()).ok_or(CertError::BadField("flow"))?;
     if src >= n_procs || dst >= n_procs {
         return Err(CertError::BadField("flow"));
     }
@@ -524,12 +534,12 @@ fn check_channel(label: &str) -> Result<(), CertError> {
 }
 
 fn parse_channels(
-    v: Option<&JsonValue>,
+    v: Option<ValueRef<'_>>,
     name: &'static str,
     budget: &mut Budget,
 ) -> Result<Vec<String>, CertError> {
     let items = v
-        .and_then(|v| v.as_array())
+        .and_then(ValueRef::as_array)
         .ok_or(CertError::BadField(name))?;
     let mut chans = Vec::with_capacity(items.len());
     for item in items {
@@ -867,5 +877,119 @@ mod tests {
         let bad = text.replace(&hex, "zz");
         let err = Certificate::parse(&bad, &ParseLimits::default()).expect_err("bad binding");
         assert_eq!(err.fingerprint(), "cert-bad-field");
+    }
+
+    /// Certificates the synthesis emits: `nocsyn synth
+    /// examples_data/pipeline.txt --restarts 2 --seed 9 --emit-cert`, and
+    /// a two-cluster decomposed synthesis of a 32-node clustered pattern
+    /// (`--decompose --clusters 2 --restarts 1 --seed 3`).
+    const EMITTED: [&str; 2] = [
+        include_str!("../testdata/flat.cert.json"),
+        include_str!("../testdata/decomposed.cert.json"),
+    ];
+
+    /// Budgets that bite at different points of a parse: none, the
+    /// element budget part-way through, the process cap, and the input
+    /// size.
+    fn limits_for(text: &str, pick: usize) -> ParseLimits {
+        match pick % 4 {
+            0 => ParseLimits::default(),
+            1 => ParseLimits::default().with_max_messages(text.len() / 16),
+            2 => ParseLimits::default().with_max_procs(16),
+            _ => ParseLimits::default().with_max_input_bytes(text.len().saturating_sub(pick % 3)),
+        }
+    }
+
+    fn assert_same_parse(text: &str, limits: &ParseLimits) {
+        let got = Certificate::parse(text, limits);
+        let want = reference::parse(text, limits);
+        assert!(got == want, "flat {got:?} != tree {want:?} on {text:?}");
+    }
+
+    #[test]
+    fn flat_parse_matches_the_tree_reference_on_emitted_certificates() {
+        for text in EMITTED {
+            let cert = Certificate::parse(text, &ParseLimits::default()).expect("emitted");
+            assert!(cert.verify_binding());
+            for pick in 0..4 {
+                assert_same_parse(text, &limits_for(text, pick));
+            }
+        }
+        for seed in 0..64 {
+            let text = random_cert(seed, 24).to_json();
+            for pick in 0..4 {
+                assert_same_parse(&text, &limits_for(&text, pick));
+            }
+        }
+    }
+
+    #[test]
+    fn flat_parse_matches_the_tree_reference_on_mutations() {
+        let mut rng = Rng::seed_from_u64(0x5eed_ce27);
+        let small: Vec<String> = (0..32).map(|seed| random_cert(seed, 6).to_json()).collect();
+        let mut cases = 0;
+        // The decomposed certificate is 24 KB, so it gets fewer of the
+        // 20,000 cases than the small ones.
+        for (base, n) in [
+            (EMITTED[1], 1_500),
+            (EMITTED[0], 6_000),
+            (sample().to_json().as_str(), 4_000),
+        ]
+        .into_iter()
+        .chain(small.iter().map(|s| (s.as_str(), 300)))
+        {
+            for _ in 0..n {
+                let text = crate::json::reference::mutate(
+                    &mut rng,
+                    base,
+                    br#"{}[],:" \0123456789-.eEntrufals"#,
+                );
+                assert_same_parse(&text, &limits_for(&text, rng.gen_range(0..16usize)));
+                cases += 1;
+            }
+        }
+        assert!(cases >= 20_000);
+    }
+
+    #[test]
+    fn parse_precedence_is_the_whole_document_first() {
+        let limits = ParseLimits::default();
+        let text = sample().to_json();
+        // A bad schema before malformed JSON: the JSON error wins.
+        let err =
+            Certificate::parse(r#"{"schema":"nope","n_procs":"#, &limits).expect_err("malformed");
+        assert_eq!(err.fingerprint(), "json-unexpected-end");
+        // A three-ended obligation whose second end is out of range: the
+        // obligation's length is checked before its ends.
+        let three = text.replace(
+            r#""obligations":[[[0,1],[2,3]]]"#,
+            r#""obligations":[[[0,1],[2,99],[2,3]]]"#,
+        );
+        assert_ne!(three, text);
+        assert_eq!(
+            Certificate::parse(&three, &limits),
+            Err(CertError::BadField("obligations"))
+        );
+        // A repeated top-level key: the first occurrence wins, whether a
+        // later one differs or is ill-typed.
+        let repeated = text.replacen(
+            r#""contention_free":true"#,
+            r#""contention_free":false,"contention_free":true"#,
+            1,
+        );
+        let cert = Certificate::parse(&repeated, &limits).expect("first occurrence wins");
+        assert!(!cert.contention_free);
+        assert!(!cert.verify_binding());
+        let late = format!(
+            r#"{},"n_procs":"x","binding":"zz"}}"#,
+            &text[..text.len() - 1]
+        );
+        assert_eq!(
+            Certificate::parse(&late, &limits),
+            Certificate::parse(&text, &limits)
+        );
+        for t in [&three, &repeated, &late] {
+            assert_same_parse(t, &limits);
+        }
     }
 }

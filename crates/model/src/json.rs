@@ -3,10 +3,20 @@
 //! The workspace is hermetic — no external crates — so machine-readable
 //! output (traces, synthesis reports, experiment tables) goes through
 //! this tiny value tree instead of a serialization framework. The serve
-//! protocol also *reads* JSON from untrusted sockets, so [`parse`] is a
-//! bounded recursive-descent parser with the same contract as the text
-//! ingestion layer: never panics, depth-capped, and every failure maps
-//! to a stable [`JsonParseError::fingerprint`].
+//! protocol and its disk cache also *read* JSON from untrusted sources,
+//! so parsing has the same contract as the text ingestion layer: never
+//! panics, depth-capped, and every failure maps to a stable
+//! [`JsonParseError::fingerprint`].
+//!
+//! There is one grammar, and it writes a flat [`Document`]: a single
+//! vector of fixed-size nodes in document order, where each container
+//! node holds its item count and the index just past its last
+//! descendant, and every decoded string sits in one side buffer.
+//! Readers that want a few fields of a large text — the certificate
+//! parser, the request protocol, the cache's well-formedness checks —
+//! walk it through the borrowed [`ValueRef`] view and allocate nothing
+//! per value. [`parse`] builds the owned [`JsonValue`] tree from that
+//! same document.
 //!
 //! ```
 //! use nocsyn_model::json::{parse, JsonValue};
@@ -21,6 +31,9 @@
 
 use std::error::Error;
 use std::fmt;
+
+#[cfg(test)]
+pub(crate) mod reference;
 
 /// A JSON value, built in memory and rendered with [`fmt::Display`].
 ///
@@ -325,7 +338,7 @@ impl fmt::Display for JsonParseError {
 
 impl Error for JsonParseError {}
 
-/// Parses one complete JSON value from `input`.
+/// Parses one complete JSON value from `input` into an owned tree.
 ///
 /// Bounded and total: never panics on any byte sequence, refuses nesting
 /// past [`MAX_JSON_DEPTH`], and rejects trailing non-whitespace after the
@@ -333,35 +346,286 @@ impl Error for JsonParseError {}
 /// as `UInt`, negative integers as `Int`, anything with a fraction or
 /// exponent as `Float` — so `parse(v.to_string()) == v` for values the
 /// emitter produces (modulo non-finite floats, which render as `null`).
+/// The tree is built from the [`Document`] the one grammar produces, so
+/// it accepts and rejects exactly what [`Document::parse`] does.
 ///
 /// # Errors
 ///
 /// [`JsonParseError`] with a stable fingerprint on any malformed input.
 pub fn parse(input: &str) -> Result<JsonValue, JsonParseError> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-        items: Vec::new(),
-    };
-    p.skip_ws();
-    let value = p.value(0)?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err(JsonErrorKind::TrailingData));
-    }
-    Ok(value)
+    Document::parse(input).map(|doc| doc.root().to_value())
 }
 
+/// One node of a [`Document`]: a scalar, a string's span in the side
+/// buffer, or a container's item count and end index.
+#[derive(Debug, Clone, Copy)]
+enum Node {
+    Null,
+    Bool(bool),
+    UInt(u64),
+    Int(i64),
+    Float(f64),
+    /// A decoded string, at `start..end` in the side buffer.
+    Str {
+        start: usize,
+        end: usize,
+    },
+    /// `len` items follow; `end` is the index just past the last
+    /// descendant.
+    Array {
+        len: usize,
+        end: usize,
+    },
+    /// `len` pairs follow, each a `Str` key node and then the value's
+    /// nodes; `end` is the index just past the last descendant.
+    Object {
+        len: usize,
+        end: usize,
+    },
+}
+
+/// A parsed JSON text as a flat document: one vector of fixed-size nodes
+/// in document order, plus one side buffer holding every decoded string.
+///
+/// Reading it through [`Document::root`] allocates nothing, so a reader
+/// that only needs some fields of a large text (a certificate, a protocol
+/// frame) or only its well-formedness pays one pass and two vectors
+/// instead of an allocation per container and string.
+///
+/// ```
+/// use nocsyn_model::json::{Document, ValueRef};
+/// let doc = Document::parse(r#"{"xs":[[0,1],[2,3]],"k":"v","k":"w"}"#).expect("valid");
+/// let xs = doc.root().get("xs").and_then(ValueRef::as_array).expect("array");
+/// assert_eq!(xs.len(), 2);
+/// // Repeated keys stay in the document; `get` returns the first.
+/// assert_eq!(doc.root().get("k").and_then(ValueRef::as_str), Some("v"));
+/// assert_eq!(doc.root().as_object().map(|o| o.len()), Some(3));
+/// ```
+#[derive(Debug, Clone)]
+pub struct Document {
+    nodes: Vec<Node>,
+    strings: String,
+}
+
+impl Document {
+    /// Parses one complete JSON value from `input`, under the same
+    /// contract as [`parse`]: bounded, total, depth-capped, trailing data
+    /// rejected, and the same error kind and offset on every input.
+    ///
+    /// # Errors
+    ///
+    /// [`JsonParseError`] with a stable fingerprint on any malformed input.
+    pub fn parse(input: &str) -> Result<Document, JsonParseError> {
+        let mut p = Parser {
+            input,
+            bytes: input.as_bytes(),
+            pos: 0,
+            doc: Document {
+                nodes: Vec::new(),
+                strings: String::new(),
+            },
+        };
+        p.skip_ws();
+        p.value(0)?;
+        p.skip_ws();
+        if p.pos != p.bytes.len() {
+            return Err(p.err(JsonErrorKind::TrailingData));
+        }
+        Ok(p.doc)
+    }
+
+    /// The top-level value.
+    pub fn root(&self) -> ValueRef<'_> {
+        ValueRef { doc: self, at: 0 }
+    }
+
+    /// The index just past node `at` and its descendants.
+    fn skip(&self, at: usize) -> usize {
+        match self.nodes[at] {
+            Node::Array { end, .. } | Node::Object { end, .. } => end,
+            _ => at + 1,
+        }
+    }
+
+    fn str_at(&self, start: usize, end: usize) -> &str {
+        &self.strings[start..end]
+    }
+}
+
+/// A borrowed view of one value in a [`Document`]. The accessors read
+/// like [`JsonValue`]'s and return `None` on a flavor mismatch.
+#[derive(Debug, Clone, Copy)]
+pub struct ValueRef<'d> {
+    doc: &'d Document,
+    at: usize,
+}
+
+impl<'d> ValueRef<'d> {
+    /// The value under `key` if this is an object with that key; the
+    /// first occurrence wins, as with [`JsonValue::get`].
+    pub fn get(self, key: &str) -> Option<ValueRef<'d>> {
+        self.as_object()?
+            .find(|&(k, _)| k == key)
+            .map(|(_, value)| value)
+    }
+
+    /// The string payload, if this is a string.
+    pub fn as_str(self) -> Option<&'d str> {
+        match self.doc.nodes[self.at] {
+            Node::Str { start, end } => Some(self.doc.str_at(start, end)),
+            _ => None,
+        }
+    }
+
+    /// The boolean payload, if this is a boolean.
+    pub fn as_bool(self) -> Option<bool> {
+        match self.doc.nodes[self.at] {
+            Node::Bool(b) => Some(b),
+            _ => None,
+        }
+    }
+
+    /// An unsigned integer view, as [`JsonValue::as_u64`]: `UInt`
+    /// directly, or a non-negative `Int`.
+    pub fn as_u64(self) -> Option<u64> {
+        match self.doc.nodes[self.at] {
+            Node::UInt(n) => Some(n),
+            Node::Int(n) => u64::try_from(n).ok(),
+            _ => None,
+        }
+    }
+
+    /// The items, if this is an array. The iterator knows its length
+    /// before any item is read.
+    pub fn as_array(self) -> Option<Items<'d>> {
+        match self.doc.nodes[self.at] {
+            Node::Array { len, .. } => Some(Items {
+                doc: self.doc,
+                at: self.at + 1,
+                left: len,
+            }),
+            _ => None,
+        }
+    }
+
+    /// The `(key, value)` pairs in document order, repeated keys
+    /// included, if this is an object.
+    pub fn as_object(self) -> Option<Entries<'d>> {
+        match self.doc.nodes[self.at] {
+            Node::Object { len, .. } => Some(Entries {
+                doc: self.doc,
+                at: self.at + 1,
+                left: len,
+            }),
+            _ => None,
+        }
+    }
+
+    /// This value as an owned tree.
+    fn to_value(self) -> JsonValue {
+        match self.doc.nodes[self.at] {
+            Node::Null => JsonValue::Null,
+            Node::Bool(b) => JsonValue::Bool(b),
+            Node::UInt(n) => JsonValue::UInt(n),
+            Node::Int(n) => JsonValue::Int(n),
+            Node::Float(x) => JsonValue::Float(x),
+            Node::Str { start, end } => JsonValue::Str(self.doc.str_at(start, end).to_string()),
+            Node::Array { .. } => JsonValue::Array(
+                self.as_array()
+                    .into_iter()
+                    .flatten()
+                    .map(Self::to_value)
+                    .collect(),
+            ),
+            Node::Object { .. } => JsonValue::Object(
+                self.as_object()
+                    .into_iter()
+                    .flatten()
+                    .map(|(k, v)| (k.to_string(), v.to_value()))
+                    .collect(),
+            ),
+        }
+    }
+}
+
+/// The items of an array in a [`Document`] (see [`ValueRef::as_array`]).
+#[derive(Debug, Clone)]
+pub struct Items<'d> {
+    doc: &'d Document,
+    at: usize,
+    left: usize,
+}
+
+impl<'d> Iterator for Items<'d> {
+    type Item = ValueRef<'d>;
+
+    fn next(&mut self) -> Option<ValueRef<'d>> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        let item = ValueRef {
+            doc: self.doc,
+            at: self.at,
+        };
+        self.at = self.doc.skip(self.at);
+        Some(item)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for Items<'_> {}
+
+/// The pairs of an object in a [`Document`] (see [`ValueRef::as_object`]).
+#[derive(Debug, Clone)]
+pub struct Entries<'d> {
+    doc: &'d Document,
+    at: usize,
+    left: usize,
+}
+
+impl<'d> Iterator for Entries<'d> {
+    type Item = (&'d str, ValueRef<'d>);
+
+    fn next(&mut self) -> Option<(&'d str, ValueRef<'d>)> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        // Every key node is a string: the grammar only reads keys as
+        // strings.
+        let key = match self.doc.nodes[self.at] {
+            Node::Str { start, end } => self.doc.str_at(start, end),
+            _ => "",
+        };
+        let value = ValueRef {
+            doc: self.doc,
+            at: self.at + 1,
+        };
+        self.at = self.doc.skip(self.at + 1);
+        Some((key, value))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for Entries<'_> {}
+
+/// The one JSON grammar: recursive descent that appends nodes to a
+/// [`Document`] in document order.
 struct Parser<'a> {
+    input: &'a str,
     bytes: &'a [u8],
     pos: usize,
-    /// Items of the arrays being parsed, innermost array's on top. A
-    /// finished array moves its items out in one exact-size allocation,
-    /// rather than growing its own vector item by item.
-    items: Vec<JsonValue>,
+    doc: Document,
 }
 
-impl<'a> Parser<'a> {
+impl Parser<'_> {
     fn err(&self, kind: JsonErrorKind) -> JsonParseError {
         JsonParseError {
             offset: self.pos,
@@ -390,10 +654,11 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn literal(&mut self, word: &[u8], value: JsonValue) -> Result<JsonValue, JsonParseError> {
+    fn literal(&mut self, word: &[u8], node: Node) -> Result<(), JsonParseError> {
         if self.bytes[self.pos..].starts_with(word) {
             self.pos += word.len();
-            Ok(value)
+            self.doc.nodes.push(node);
+            Ok(())
         } else if self.bytes.len() - self.pos < word.len() {
             Err(self.err(JsonErrorKind::UnexpectedEnd))
         } else {
@@ -401,103 +666,95 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self, depth: usize) -> Result<JsonValue, JsonParseError> {
+    fn value(&mut self, depth: usize) -> Result<(), JsonParseError> {
         if depth > MAX_JSON_DEPTH {
             return Err(self.err(JsonErrorKind::TooDeep));
         }
         match self.peek() {
             None => Err(self.err(JsonErrorKind::UnexpectedEnd)),
-            Some(b'n') => self.literal(b"null", JsonValue::Null),
-            Some(b't') => self.literal(b"true", JsonValue::Bool(true)),
-            Some(b'f') => self.literal(b"false", JsonValue::Bool(false)),
-            Some(b'"') => Ok(JsonValue::Str(self.string()?)),
-            Some(b'[') => self.array_value(depth),
-            Some(b'{') => self.object_value(depth),
+            Some(b'n') => self.literal(b"null", Node::Null),
+            Some(b't') => self.literal(b"true", Node::Bool(true)),
+            Some(b'f') => self.literal(b"false", Node::Bool(false)),
+            Some(b'"') => self.string(),
+            Some(b'[') => self.container(depth, b']'),
+            Some(b'{') => self.container(depth, b'}'),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(_) => Err(self.err(JsonErrorKind::UnexpectedChar)),
         }
     }
 
-    fn array_value(&mut self, depth: usize) -> Result<JsonValue, JsonParseError> {
-        self.expect(b'[')?;
+    /// An array (`close == b']'`) or an object (`close == b'}'`): a
+    /// placeholder node, the items, then the placeholder filled in with
+    /// the item count and the end index.
+    fn container(&mut self, depth: usize, close: u8) -> Result<(), JsonParseError> {
+        let object = close == b'}';
+        self.pos += 1; // the opening bracket `value` dispatched on
+        let at = self.doc.nodes.len();
+        self.doc.nodes.push(Node::Null);
+        let mut len = 0;
         self.skip_ws();
-        if self.peek() == Some(b']') {
+        if self.peek() == Some(close) {
             self.pos += 1;
-            return Ok(JsonValue::Array(Vec::new()));
-        }
-        let base = self.items.len();
-        loop {
-            self.skip_ws();
-            let item = self.value(depth + 1)?;
-            self.items.push(item);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Array(self.items.drain(base..).collect()));
+        } else {
+            loop {
+                self.skip_ws();
+                if object {
+                    self.string()?;
+                    self.skip_ws();
+                    self.expect(b':')?;
+                    self.skip_ws();
                 }
-                Some(_) => return Err(self.err(JsonErrorKind::UnexpectedChar)),
-                None => return Err(self.err(JsonErrorKind::UnexpectedEnd)),
+                self.value(depth + 1)?;
+                len += 1;
+                self.skip_ws();
+                match self.peek() {
+                    Some(b',') => self.pos += 1,
+                    Some(c) if c == close => {
+                        self.pos += 1;
+                        break;
+                    }
+                    Some(_) => return Err(self.err(JsonErrorKind::UnexpectedChar)),
+                    None => return Err(self.err(JsonErrorKind::UnexpectedEnd)),
+                }
             }
         }
+        let end = self.doc.nodes.len();
+        self.doc.nodes[at] = if object {
+            Node::Object { len, end }
+        } else {
+            Node::Array { len, end }
+        };
+        Ok(())
     }
 
-    fn object_value(&mut self, depth: usize) -> Result<JsonValue, JsonParseError> {
-        self.expect(b'{')?;
-        let mut pairs = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(JsonValue::Object(pairs));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value(depth + 1)?;
-            pairs.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Object(pairs));
-                }
-                Some(_) => return Err(self.err(JsonErrorKind::UnexpectedChar)),
-                None => return Err(self.err(JsonErrorKind::UnexpectedEnd)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, JsonParseError> {
+    /// A string literal, decoded onto the side buffer.
+    fn string(&mut self) -> Result<(), JsonParseError> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let start = self.doc.strings.len();
         loop {
-            let start = self.pos;
-            // Copy a run of plain bytes in one slice op; the input is
-            // &str, so non-escape runs are valid UTF-8 by construction.
+            let run = self.pos;
+            // Copy a run of plain bytes in one slice op. The delimiters
+            // are ASCII, so the run is whole characters of the &str input.
             while matches!(self.peek(), Some(c) if c != b'"' && c != b'\\' && c >= 0x20) {
                 self.pos += 1;
             }
-            if self.pos > start {
-                if let Ok(chunk) = std::str::from_utf8(&self.bytes[start..self.pos]) {
-                    out.push_str(chunk);
-                } else {
+            if self.pos > run {
+                match self.input.get(run..self.pos) {
+                    Some(chunk) => self.doc.strings.push_str(chunk),
                     // Unreachable for &str input; kept total anyway.
-                    return Err(self.err(JsonErrorKind::UnexpectedChar));
+                    None => return Err(self.err(JsonErrorKind::UnexpectedChar)),
                 }
             }
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    let end = self.doc.strings.len();
+                    self.doc.nodes.push(Node::Str { start, end });
+                    return Ok(());
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    self.escape(&mut out)?;
+                    self.escape()?;
                 }
                 Some(_) => return Err(self.err(JsonErrorKind::UnexpectedChar)),
                 None => return Err(self.err(JsonErrorKind::UnexpectedEnd)),
@@ -505,20 +762,20 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn escape(&mut self, out: &mut String) -> Result<(), JsonParseError> {
+    fn escape(&mut self) -> Result<(), JsonParseError> {
         let c = self
             .peek()
             .ok_or_else(|| self.err(JsonErrorKind::UnexpectedEnd))?;
         self.pos += 1;
-        match c {
-            b'"' => out.push('"'),
-            b'\\' => out.push('\\'),
-            b'/' => out.push('/'),
-            b'b' => out.push('\u{8}'),
-            b'f' => out.push('\u{c}'),
-            b'n' => out.push('\n'),
-            b'r' => out.push('\r'),
-            b't' => out.push('\t'),
+        let ch = match c {
+            b'"' => '"',
+            b'\\' => '\\',
+            b'/' => '/',
+            b'b' => '\u{8}',
+            b'f' => '\u{c}',
+            b'n' => '\n',
+            b'r' => '\r',
+            b't' => '\t',
             b'u' => {
                 let hi = self.hex4()?;
                 let code = if (0xD800..0xDC00).contains(&hi) {
@@ -542,13 +799,11 @@ impl<'a> Parser<'a> {
                 } else {
                     hi
                 };
-                match char::from_u32(code) {
-                    Some(ch) => out.push(ch),
-                    None => return Err(self.err(JsonErrorKind::BadEscape)),
-                }
+                char::from_u32(code).ok_or_else(|| self.err(JsonErrorKind::BadEscape))?
             }
             _ => return Err(self.err(JsonErrorKind::BadEscape)),
-        }
+        };
+        self.doc.strings.push(ch);
         Ok(())
     }
 
@@ -588,10 +843,11 @@ impl<'a> Parser<'a> {
         Some(n)
     }
 
-    fn number(&mut self) -> Result<JsonValue, JsonParseError> {
+    fn number(&mut self) -> Result<(), JsonParseError> {
         let start = self.pos;
         if let Some(n) = self.plain_uint() {
-            return Ok(JsonValue::UInt(n));
+            self.doc.nodes.push(Node::UInt(n));
+            return Ok(());
         }
         self.pos = start;
         let negative = self.peek() == Some(b'-');
@@ -634,27 +890,33 @@ impl<'a> Parser<'a> {
             }
         }
         // The token was scanned over ASCII digits/signs only, so the
-        // slice is valid UTF-8; fall back to an error rather than panic.
-        let token = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err(JsonErrorKind::BadNumber))?;
+        // slice is whole characters; fall back to an error rather than
+        // panic.
+        let token = self
+            .input
+            .get(start..self.pos)
+            .ok_or_else(|| self.err(JsonErrorKind::BadNumber))?;
         // Non-negative integers that fit in `u64` took the fast path, so
         // an integral token here is negative or overflowed; overflow falls
         // through to the float flavor.
         if integral && negative {
             if let Ok(n) = token.parse::<i64>() {
-                return Ok(JsonValue::Int(n));
+                self.doc.nodes.push(Node::Int(n));
+                return Ok(());
             }
         }
-        token
+        let x = token
             .parse::<f64>()
-            .map(JsonValue::Float)
-            .map_err(|_| self.err(JsonErrorKind::BadNumber))
+            .map_err(|_| self.err(JsonErrorKind::BadNumber))?;
+        self.doc.nodes.push(Node::Float(x));
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nocsyn_rng::Rng;
 
     #[test]
     fn scalars_render() {
@@ -822,5 +1084,125 @@ mod tests {
         assert_eq!(v.get("missing"), None);
         assert_eq!(JsonValue::Null.get("k"), None);
         assert_eq!(v.get("s").and_then(JsonValue::as_u64), None);
+    }
+    /// A random value: nested containers, repeated and escaped keys,
+    /// every number flavor.
+    fn random_value(rng: &mut Rng, depth: usize) -> JsonValue {
+        let leaf = depth >= 4 || rng.gen_bool(0.4);
+        match rng.gen_range(0..if leaf { 6 } else { 8u32 }) {
+            0 => JsonValue::Null,
+            1 => JsonValue::Bool(rng.gen_bool(0.5)),
+            2 => JsonValue::UInt(rng.next_u64() >> rng.gen_range(0..64u32)),
+            3 => JsonValue::Int(-((rng.next_u64() >> rng.gen_range(1..64u32)) as i64)),
+            4 => JsonValue::Float(rng.gen_f64() * 1e3 - 5e2),
+            5 => JsonValue::Str(random_key(rng)),
+            6 => JsonValue::array(
+                (0..rng.gen_range(0..5usize)).map(|_| random_value(rng, depth + 1)),
+            ),
+            _ => JsonValue::object(
+                (0..rng.gen_range(0..5usize))
+                    .map(|_| (random_key(rng), random_value(rng, depth + 1)))
+                    .collect::<Vec<_>>(),
+            ),
+        }
+    }
+
+    /// Short keys from a tiny pool, so objects repeat them; some need
+    /// escapes or are not ASCII.
+    fn random_key(rng: &mut Rng) -> String {
+        ["a", "b", "op", "k\"q", "tab\t", "é", "\u{1F600}", ""][rng.gen_range(0..8usize)]
+            .to_string()
+    }
+
+    /// Bytes the mutations draw from: JSON punctuation, digits, number
+    /// and literal letters, escapes.
+    const ALPHABET: &[u8] = br#"{}[],:" \/0123456789-+.eEnulltrufasbu"#;
+
+    #[test]
+    fn parse_matches_the_reference_parser() {
+        let edges = [
+            String::new(),
+            " \t\r\n ".to_string(),
+            "-0".to_string(),
+            "18446744073709551615".to_string(),
+            "18446744073709551616".to_string(),
+            "-9223372036854775808".to_string(),
+            "-9223372036854775809".to_string(),
+            "1e999".to_string(),
+            r#""\ud83d\ude00 \ud83d""#.to_string(),
+            format!(
+                "{}0{}",
+                "[".repeat(MAX_JSON_DEPTH),
+                "]".repeat(MAX_JSON_DEPTH)
+            ),
+            format!(
+                "{}0{}",
+                "[".repeat(MAX_JSON_DEPTH + 1),
+                "]".repeat(MAX_JSON_DEPTH + 1)
+            ),
+            "{\"a\":".repeat(MAX_JSON_DEPTH + 2),
+            "[".repeat(100_000),
+        ];
+        for text in &edges {
+            assert_eq!(parse(text), reference::parse(text), "input {text:?}");
+        }
+        let mut rng = Rng::seed_from_u64(0x0d0c);
+        for case in 0..20_000 {
+            let text = match case % 3 {
+                0 => random_value(&mut rng, 0).to_string(),
+                1 => {
+                    let base = random_value(&mut rng, 0).to_string();
+                    reference::mutate(&mut rng, &base, ALPHABET)
+                }
+                _ => reference::mutate(&mut rng, "", ALPHABET),
+            };
+            assert_eq!(parse(&text), reference::parse(&text), "input {text:?}");
+        }
+    }
+
+    /// Checks every accessor of `view` against the tree `value`.
+    fn assert_view_reads_like(view: ValueRef<'_>, value: &JsonValue) {
+        assert_eq!(view.as_str(), value.as_str());
+        assert_eq!(view.as_bool(), value.as_bool());
+        assert_eq!(view.as_u64(), value.as_u64());
+        assert_eq!(
+            view.as_array().map(|a| a.len()),
+            value.as_array().map(<[_]>::len)
+        );
+        assert_eq!(
+            view.as_object().map(|o| o.len()),
+            value.as_object().map(<[_]>::len)
+        );
+        for (item, want) in view
+            .as_array()
+            .into_iter()
+            .flatten()
+            .zip(value.as_array().unwrap_or(&[]))
+        {
+            assert_view_reads_like(item, want);
+        }
+        for ((key, item), (want_key, want)) in view
+            .as_object()
+            .into_iter()
+            .flatten()
+            .zip(value.as_object().unwrap_or(&[]))
+        {
+            assert_eq!(key, want_key);
+            assert_view_reads_like(item, want);
+            let first = view.get(key).map(|v| v.to_value());
+            assert_eq!(first.as_ref(), value.get(key));
+        }
+        assert!(view.get("missing").is_none());
+    }
+
+    #[test]
+    fn document_view_reads_like_the_tree() {
+        let mut rng = Rng::seed_from_u64(0x71e3);
+        for _ in 0..2_000 {
+            let text = random_value(&mut rng, 0).to_string();
+            let doc = Document::parse(&text).expect("rendered values parse");
+            let tree = parse(&text).expect("rendered values parse");
+            assert_view_reads_like(doc.root(), &tree);
+        }
     }
 }

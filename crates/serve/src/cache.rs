@@ -52,7 +52,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use nocsyn_model::json;
+use nocsyn_model::json::Document;
 use nocsyn_model::Digest;
 
 use crate::io::{DiskIo, RealDisk};
@@ -313,7 +313,7 @@ impl ResultCache {
                 .read(&path)
                 .ok()
                 .and_then(|bytes| String::from_utf8(bytes).ok())
-                .is_some_and(|text| json::parse(&text).is_ok());
+                .is_some_and(|text| Document::parse(&text).is_ok());
             if !well_formed {
                 self.quarantine(&dir, &path);
                 continue;
@@ -401,7 +401,7 @@ impl ResultCache {
             .ok()
             .and_then(|bytes| String::from_utf8(bytes).ok());
         match text {
-            Some(text) if json::parse(&text).is_ok() => Some(text),
+            Some(text) if Document::parse(&text).is_ok() => Some(text),
             _ => {
                 self.stats.disk_errors += 1;
                 None

@@ -12,7 +12,7 @@ use std::io::{self, BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-use nocsyn_model::json;
+use nocsyn_model::json::Document;
 use nocsyn_rng::Rng;
 
 /// A client-side failure with a stable kebab-case fingerprint — the
@@ -163,7 +163,7 @@ impl Client {
                 Ok(mut client) => match client.request(line) {
                     Err(e) => ClientError::ConnectionLost(e.to_string()),
                     Ok(reply) => {
-                        if json::parse(&reply).is_err() {
+                        if Document::parse(&reply).is_err() {
                             return Err(ClientError::ReplyMalformed(format!(
                                 "reply is not well-formed JSON: {reply}"
                             )));

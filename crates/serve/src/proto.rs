@@ -1,15 +1,18 @@
 //! The request half of the line protocol: strict parsing of one JSON
 //! object into a typed [`Request`].
 //!
-//! Parsing is *strict*: unknown operations, unknown fields, and
-//! wrong-typed fields are all rejected. Strictness is a cache-integrity
-//! property, not pedantry — a field this version ignored but a future
-//! version acts on would let two servers disagree about what a request
-//! means while computing the same fingerprint.
+//! Parsing is *strict*: unknown operations, unknown fields, repeated
+//! fields, and wrong-typed fields are all rejected. Strictness is a
+//! cache-integrity property, not pedantry — a field this version ignored
+//! but a future version acts on would let two servers disagree about what
+//! a request means while computing the same fingerprint, and so would a
+//! repeated field that one reader resolves to its first occurrence and
+//! another to its last.
 
+use std::collections::HashSet;
 use std::fmt;
 
-use nocsyn_model::json::{self, JsonValue};
+use nocsyn_model::json::{Document, Entries, ValueRef};
 
 /// A parsed protocol request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -93,19 +96,32 @@ const SYNTH_FIELDS: &[&str] = &[
 
 /// Parses one protocol line into a [`Request`].
 ///
+/// The frame is read through the flat JSON [`Document`] without building
+/// a tree. Checks run in a fixed order: `bad-json`, `not-an-object`, then
+/// a repeated field (`bad-field` naming the first key seen twice), and
+/// only then the operation and its fields.
+///
 /// # Errors
 ///
 /// [`RequestError`] with a stable fingerprint on any malformed frame;
 /// never panics on any input (the JSON layer is bounded and total).
 pub fn parse_request(line: &str) -> Result<Request, RequestError> {
-    let value = json::parse(line).map_err(|e| RequestError::new("bad-json", e.to_string()))?;
+    let doc = Document::parse(line).map_err(|e| RequestError::new("bad-json", e.to_string()))?;
+    let value = doc.root();
     let Some(pairs) = value.as_object() else {
         return Err(RequestError::new(
             "not-an-object",
             "request frame must be a JSON object",
         ));
     };
-    let Some(op) = value.get("op").and_then(JsonValue::as_str) else {
+    let mut seen = HashSet::with_capacity(pairs.len());
+    if let Some((key, _)) = pairs.clone().find(|&(key, _)| !seen.insert(key)) {
+        return Err(RequestError::new(
+            "bad-field",
+            format!("repeated field {key:?} in request"),
+        ));
+    }
+    let Some(op) = value.get("op").and_then(ValueRef::as_str) else {
         return Err(RequestError::new(
             "missing-op",
             "request object needs a string \"op\" field",
@@ -114,14 +130,14 @@ pub fn parse_request(line: &str) -> Result<Request, RequestError> {
     match op {
         "synth" => {
             for (key, _) in pairs {
-                if !SYNTH_FIELDS.contains(&key.as_str()) {
+                if !SYNTH_FIELDS.contains(&key) {
                     return Err(RequestError::new(
                         "bad-field",
                         format!("unknown field {key:?} in synth request"),
                     ));
                 }
             }
-            let Some(pattern) = value.get("pattern").and_then(JsonValue::as_str) else {
+            let Some(pattern) = value.get("pattern").and_then(ValueRef::as_str) else {
                 return Err(RequestError::new(
                     "missing-pattern",
                     "synth request needs a string \"pattern\" field",
@@ -139,7 +155,7 @@ pub fn parse_request(line: &str) -> Result<Request, RequestError> {
                     }
                 },
             };
-            let clusters = u64_field(&value, "clusters")?;
+            let clusters = u64_field(value, "clusters")?;
             if clusters.is_some() && mode.as_deref() != Some("decomposed") {
                 return Err(RequestError::new(
                     "bad-field",
@@ -148,10 +164,10 @@ pub fn parse_request(line: &str) -> Result<Request, RequestError> {
             }
             Ok(Request::Synth(SynthRequest {
                 pattern: pattern.to_string(),
-                seed: u64_field(&value, "seed")?,
-                restarts: u64_field(&value, "restarts")?,
-                max_degree: u64_field(&value, "max_degree")?,
-                deadline_ms: u64_field(&value, "deadline_ms")?,
+                seed: u64_field(value, "seed")?,
+                restarts: u64_field(value, "restarts")?,
+                max_degree: u64_field(value, "max_degree")?,
+                deadline_ms: u64_field(value, "deadline_ms")?,
                 mode,
                 clusters,
             }))
@@ -172,7 +188,7 @@ pub fn parse_request(line: &str) -> Result<Request, RequestError> {
 }
 
 /// Rejects any field besides `op` for payload-free operations.
-fn only_op(pairs: &[(String, JsonValue)], op: &str) -> Result<(), RequestError> {
+fn only_op(pairs: Entries<'_>, op: &str) -> Result<(), RequestError> {
     for (key, _) in pairs {
         if key != "op" {
             return Err(RequestError::new(
@@ -186,7 +202,7 @@ fn only_op(pairs: &[(String, JsonValue)], op: &str) -> Result<(), RequestError> 
 
 /// Reads an optional unsigned-integer field; present-but-wrong-typed is
 /// an error, absent is `None`.
-fn u64_field(value: &JsonValue, key: &str) -> Result<Option<u64>, RequestError> {
+fn u64_field(value: ValueRef<'_>, key: &str) -> Result<Option<u64>, RequestError> {
     match value.get(key) {
         None => Ok(None),
         Some(v) => v.as_u64().map(Some).ok_or_else(|| {
@@ -271,11 +287,43 @@ mod tests {
             ),
             (r#"{"op":"stats","extra":1}"#, "bad-field"),
             (r#"{"op":"status","extra":1}"#, "bad-field"),
+            // A repeated field is refused before anything is read from
+            // the frame, whichever occurrence a reader would pick.
+            (
+                r#"{"op":"synth","pattern":"p","seed":1,"seed":2}"#,
+                "bad-field",
+            ),
+            (
+                r#"{"op":"synth","pattern":"p","seed":1,"seed":1}"#,
+                "bad-field",
+            ),
+            (r#"{"op":"stats","op":"status"}"#, "bad-field"),
+            (r#"{"op":7,"op":"stats"}"#, "bad-field"),
+            (r#"{"op":"synth","pattern":"p","pattern":"q"}"#, "bad-field"),
+            (
+                r#"{"op":"synth","pattern":"p","bogus":1,"bogus":2}"#,
+                "bad-field",
+            ),
         ];
         for (input, want) in cases {
             let err = parse_request(input).expect_err(input);
             assert_eq!(err.fingerprint, *want, "input {input:?}");
             assert!(err.to_string().starts_with(want));
+        }
+    }
+    #[test]
+    fn repeated_fields_are_named_in_the_detail() {
+        for (input, key) in [
+            (r#"{"op":"synth","pattern":"p","seed":1,"seed":2}"#, "seed"),
+            (r#"{"op":"stats","op":"status"}"#, "op"),
+            (r#"{"op":"synth","a":1,"b":2,"b":3,"a":4}"#, "b"),
+        ] {
+            let err = parse_request(input).expect_err(input);
+            assert_eq!(err.fingerprint, "bad-field");
+            assert!(
+                err.detail.contains(&format!("repeated field {key:?}")),
+                "{input} -> {err}"
+            );
         }
     }
 }

@@ -378,7 +378,7 @@ impl Server {
                 return Reply::error("bad-field", &format!("unknown mode {other:?}"));
             }
         };
-        let mut builder = SynthesisRequest::builder(parsed.pattern.clone())
+        let mut builder = SynthesisRequest::builder(parsed.pattern)
             .config(config)
             .mode(mode);
         if let Some(r) = req.restarts {
@@ -457,7 +457,7 @@ impl Server {
                     // result carries its contention-freedom certificate,
                     // bound to the cache key, so a later disk load can be
                     // independently re-validated before it is served.
-                    let cert = result.certificate(&parsed.pattern, Some(fp)).to_json();
+                    let cert = result.certificate(request.pattern(), Some(fp)).to_json();
                     self.cache_insert(fp, report.clone(), Some(cert));
                     self.report_reply(&fp, CacheTier::Miss, "ok", &report)
                 } else {
