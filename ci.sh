@@ -41,6 +41,13 @@ trap 'rm -f "$j1" "$j4"' EXIT
 ./target/release/nocsyn synth examples_data/pipeline.txt --restarts 8 --dot --jobs 4 > "$j4"
 diff "$j1" "$j4"
 
+echo "==> generated-network gate: simulate --network generated --jobs 1 vs --jobs 4"
+# The generated network is synthesized through the same engine portfolio
+# as `synth`; the worker count must never reach the simulated network.
+./target/release/nocsyn simulate examples_data/pipeline.txt --network generated --json --jobs 1 > "$j1"
+./target/release/nocsyn simulate examples_data/pipeline.txt --network generated --json --jobs 4 > "$j4"
+diff "$j1" "$j4"
+
 echo "==> fault-determinism gate: degradation reports --jobs 1 vs --jobs 4"
 ./target/release/nocsyn faults examples_data/pipeline.txt --exhaustive --json --jobs 1 > "$j1"
 ./target/release/nocsyn faults examples_data/pipeline.txt --exhaustive --json --jobs 4 > "$j4"

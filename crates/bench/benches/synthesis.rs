@@ -6,12 +6,19 @@
 //!   lever — DESIGN.md ablation 1).
 
 use nocsyn_bench::timing::Runner;
-use nocsyn_synth::{synthesize, AppPattern, ColoringStrategy, SynthesisConfig};
+use nocsyn_synth::{
+    synthesize_attempt, AppPattern, ColoringStrategy, SynthesisConfig, SynthesisRequest,
+    SynthesisResult,
+};
 use nocsyn_workloads::{Benchmark, WorkloadParams};
 
-fn single_run_config(seed: u64) -> SynthesisConfig {
-    // One run (no restarts) isolates the algorithm's own cost.
-    SynthesisConfig::new().with_seed(seed).with_restarts(1)
+/// One attempt (no restart portfolio) isolates the algorithm's own cost.
+fn single_run(pattern: &AppPattern, config: SynthesisConfig) -> SynthesisResult {
+    let request = SynthesisRequest::builder(pattern.clone())
+        .config(config)
+        .build()
+        .unwrap();
+    synthesize_attempt(&request, 0, 0).unwrap()
 }
 
 fn bench_by_size(runner: &Runner) {
@@ -24,7 +31,7 @@ fn bench_by_size(runner: &Runner) {
             .expect("powers of two are valid for CG");
         let pattern = AppPattern::from_schedule(&schedule);
         runner.case(&format!("synthesize/cg/{n}"), || {
-            synthesize(&pattern, &single_run_config(1)).unwrap()
+            single_run(&pattern, SynthesisConfig::new().with_seed(1))
         });
     }
 }
@@ -39,7 +46,7 @@ fn bench_by_benchmark(runner: &Runner) {
             .expect("16 is valid for every benchmark");
         let pattern = AppPattern::from_schedule(&schedule);
         runner.case(&format!("synthesize/16procs/{}", benchmark.name()), || {
-            synthesize(&pattern, &single_run_config(2)).unwrap()
+            single_run(&pattern, SynthesisConfig::new().with_seed(2))
         });
     }
 }
@@ -57,7 +64,10 @@ fn bench_coloring_strategy(runner: &Runner) {
         ("exact", ColoringStrategy::Exact),
     ] {
         runner.case(&format!("synthesize/coloring-strategy/{name}"), || {
-            synthesize(&pattern, &single_run_config(3).with_coloring(strategy)).unwrap()
+            single_run(
+                &pattern,
+                SynthesisConfig::new().with_seed(3).with_coloring(strategy),
+            )
         });
     }
 }

@@ -14,8 +14,10 @@
 
 use std::time::Instant;
 
-use nocsyn_engine::par_map;
-use nocsyn_synth::{synthesize, AcceptanceRule, AppPattern, ColoringStrategy, SynthesisConfig};
+use nocsyn_engine::{par_map, Engine};
+use nocsyn_synth::{
+    AcceptanceRule, AppPattern, ColoringStrategy, SynthesisConfig, SynthesisRequest,
+};
 use nocsyn_workloads::{Benchmark, WorkloadParams};
 
 struct Variant {
@@ -72,8 +74,13 @@ fn main() {
             let sched = benchmark
                 .schedule(16, &WorkloadParams::paper_default(benchmark))
                 .expect("16 is valid for all benchmarks");
-            let pattern = AppPattern::from_schedule(&sched);
-            let result = synthesize(&pattern, &v.config).expect("synthesis succeeds");
+            let request = SynthesisRequest::builder(AppPattern::from_schedule(&sched))
+                .config(v.config.clone())
+                .build()
+                .expect("default restarts and flat mode always build");
+            // One engine worker: par_map already spreads the benchmarks.
+            let outcome = Engine::new().with_workers(1).synthesize(request);
+            let result = outcome.result.expect("synthesis succeeds");
             (
                 result.report.n_links,
                 result.report.n_switches,

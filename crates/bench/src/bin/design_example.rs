@@ -10,9 +10,10 @@
 use std::collections::BTreeSet;
 
 use nocsyn_coloring::fast_color;
+use nocsyn_engine::Engine;
 use nocsyn_floorplan::{mesh_baseline, place};
 use nocsyn_model::{Flow, ProcId};
-use nocsyn_synth::{synthesize, AppPattern, SynthesisConfig};
+use nocsyn_synth::{AppPattern, SynthesisRequest};
 use nocsyn_topo::verify_contention_free;
 use nocsyn_workloads::figure1;
 
@@ -68,8 +69,13 @@ fn main() {
     // Figure 5: full synthesis under max node degree 5.
     // ------------------------------------------------------------------
     let pattern = AppPattern::from_schedule(&sched);
-    let config = SynthesisConfig::new().with_max_degree(5).with_seed(0xF15);
-    let result = synthesize(&pattern, &config).expect("CG pattern synthesizes");
+    let request = SynthesisRequest::builder(pattern.clone())
+        .max_degree(5)
+        .seed(0xF15)
+        .build()
+        .expect("default restarts and flat mode always build");
+    let outcome = Engine::new().synthesize(request);
+    let result = outcome.result.expect("CG pattern synthesizes");
     println!("synthesis under max node degree 5:");
     println!("{}", result.report);
     println!("report (JSON): {}", result.report.to_json());

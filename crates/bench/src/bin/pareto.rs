@@ -1,9 +1,11 @@
 //! Multi-objective sweep (the paper's conclusion: "optimization over
 //! multiple objectives"): the resource trade-off curve across switch port
-//! budgets for each 16-node benchmark.
+//! budgets for each 16-node benchmark, through the same engine sweep as
+//! `nocsyn synth --pareto`.
 
 use nocsyn_bench::HarnessError;
-use nocsyn_synth::{degree_sweep, AppPattern, SynthesisConfig};
+use nocsyn_engine::{Engine, JobError};
+use nocsyn_synth::{AppPattern, SynthesisRequest};
 use nocsyn_workloads::{Benchmark, WorkloadParams};
 
 fn main() -> Result<(), HarnessError> {
@@ -12,14 +14,17 @@ fn main() -> Result<(), HarnessError> {
         let schedule = benchmark
             .schedule(16, &WorkloadParams::paper_default(benchmark))
             .expect("16 is valid for every benchmark");
-        let pattern = AppPattern::from_schedule(&schedule);
-        let config = SynthesisConfig::new()
-            .with_seed(0x9A_u64 ^ (benchmark as u64))
-            .with_restarts(8);
-        let points =
-            degree_sweep(&pattern, [4, 5, 6, 8, 12, 17], &config).map_err(HarnessError::Synth)?;
+        let request = SynthesisRequest::builder(AppPattern::from_schedule(&schedule))
+            .seed(0x9A_u64 ^ (benchmark as u64))
+            .restarts(8)
+            .build()
+            .expect("8 restarts and flat mode always build");
+        let sweep = Engine::new().pareto_sweep(&request).map_err(|e| match e {
+            JobError::Synth(e) => HarnessError::Synth(e),
+            JobError::Panicked { message } => panic!("sweep attempt panicked: {message}"),
+        })?;
         println!("  {}:", benchmark.name());
-        for p in points {
+        for (p, _) in sweep {
             println!(
                 "    degree ≤ {:>2}: {:>2} switches, {:>2} links{}",
                 p.max_degree,

@@ -4,7 +4,7 @@
 //! Usage: `perf [--json] [--seed S] [--iters N]`.
 //!
 //! Every future performance PR is judged against this harness (see
-//! EXPERIMENTS.md and BENCH_5.json). Two output channels with different
+//! EXPERIMENTS.md and BENCH_6.json). Two output channels with different
 //! contracts:
 //!
 //! * `--json` (stdout): **deterministic** counters only — link/switch
@@ -15,15 +15,18 @@
 //!   time and moves/sec, which vary run to run and stay out of the
 //!   byte-compared artifact.
 //!
-//! The portfolio is driven through `synthesize_attempt` rather than
-//! `synthesize` so the harness can sum `moves_tried` over *every* restart
-//! (the report of the winner alone undercounts the work performed), while
-//! still selecting the exact result the sequential loop would keep.
+//! The portfolio is driven attempt by attempt through
+//! `synthesize_attempt` rather than through the engine so the harness
+//! can sum the search counters over *every* restart (the report of the
+//! winner alone undercounts the work performed), while still selecting
+//! the result the engine would keep (`portfolio_rank`, ties on the
+//! attempt index).
 
 use std::time::{Duration, Instant};
 
+use nocsyn_engine::portfolio_rank;
 use nocsyn_model::json::JsonValue;
-use nocsyn_synth::{portfolio_rank, synthesize_attempt, AppPattern, SynthesisConfig};
+use nocsyn_synth::{synthesize_attempt, AppPattern, SynthesisRequest, SynthesisResult};
 use nocsyn_workloads::{Benchmark, WorkloadParams};
 
 /// One benchmark case of the harness.
@@ -103,7 +106,7 @@ fn parse_args() -> Options {
     opts
 }
 
-fn run_case(case: &Case, config: &SynthesisConfig, iters: usize) -> Outcome {
+fn run_case(case: &Case, seed: u64, iters: usize) -> Outcome {
     let sched = case
         .benchmark
         .schedule(
@@ -111,7 +114,10 @@ fn run_case(case: &Case, config: &SynthesisConfig, iters: usize) -> Outcome {
             &WorkloadParams::paper_default(case.benchmark).with_iterations(1),
         )
         .expect("harness process counts are valid");
-    let pattern = AppPattern::from_schedule(&sched);
+    let request = SynthesisRequest::builder(AppPattern::from_schedule(&sched))
+        .seed(seed)
+        .build()
+        .expect("default restarts and flat mode always build");
 
     let mut moves_tried = 0;
     let mut moves_accepted = 0;
@@ -121,9 +127,9 @@ fn run_case(case: &Case, config: &SynthesisConfig, iters: usize) -> Outcome {
     let mut best = None;
     let started = Instant::now();
     for _ in 0..iters {
-        for attempt in 0..config.restarts().max(1) {
-            let result = synthesize_attempt(&pattern, config, attempt)
-                .expect("benchmark patterns are valid");
+        for attempt in 0..request.restarts().get() {
+            let result =
+                synthesize_attempt(&request, attempt, 0).expect("benchmark patterns are valid");
             moves_tried += result.report.moves_tried;
             moves_accepted += result.report.moves_accepted;
             reroutes_tried += result.report.reroutes_tried;
@@ -132,7 +138,7 @@ fn run_case(case: &Case, config: &SynthesisConfig, iters: usize) -> Outcome {
             let rank = (portfolio_rank(&result), attempt);
             if best
                 .as_ref()
-                .is_none_or(|(best_rank, _): &(_, nocsyn_synth::SynthesisResult)| rank < *best_rank)
+                .is_none_or(|(best_rank, _): &(_, SynthesisResult)| rank < *best_rank)
             {
                 best = Some((rank, result));
             }
@@ -143,7 +149,7 @@ fn run_case(case: &Case, config: &SynthesisConfig, iters: usize) -> Outcome {
     Outcome {
         name: case.name,
         n_procs: case.n_procs,
-        flows: pattern.flows().len(),
+        flows: request.pattern().flows().len(),
         links: winner.report.n_links,
         switches: winner.report.n_switches,
         constraints_met: winner.report.constraints_met,
@@ -167,10 +173,9 @@ fn moves_per_sec(o: &Outcome) -> f64 {
 
 fn main() {
     let opts = parse_args();
-    let config = SynthesisConfig::new().with_seed(opts.seed);
     let outcomes: Vec<Outcome> = CASES
         .iter()
-        .map(|c| run_case(c, &config, opts.iters))
+        .map(|c| run_case(c, opts.seed, opts.iters))
         .collect();
 
     if opts.json {
@@ -193,7 +198,10 @@ fn main() {
             ("bench", JsonValue::from("perf")),
             ("seed", JsonValue::from(opts.seed)),
             ("iters", JsonValue::from(opts.iters)),
-            ("restarts", JsonValue::from(config.restarts())),
+            (
+                "restarts",
+                JsonValue::from(SynthesisRequest::DEFAULT_RESTARTS),
+            ),
             ("cases", cases),
         ]);
         println!("{doc}");

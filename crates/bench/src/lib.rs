@@ -16,10 +16,11 @@
 //! four comparison networks for a benchmark, floorplanning them, and
 //! running the closed-loop simulation with floorplan-derived link delays.
 
+use nocsyn_engine::{Engine, JobError, JobStatus};
 use nocsyn_floorplan::{mesh_baseline, place, AreaReport, Floorplan};
 use nocsyn_model::{Flow, PhaseSchedule};
 use nocsyn_sim::{AppDriver, ExecutionStats, RoutePolicy, SimConfig, SimError};
-use nocsyn_synth::{synthesize, AppPattern, SynthError, SynthesisConfig, SynthesisResult};
+use nocsyn_synth::{AppPattern, SynthError, SynthesisRequest, SynthesisResult};
 use nocsyn_topo::{regular, Network, RouteTable, TopoError};
 use nocsyn_workloads::Benchmark;
 
@@ -202,12 +203,20 @@ pub fn build_instance(
             (net, RoutePolicy::adaptive(vec![xy, yx]), None)
         }
         NetworkKind::Generated => {
-            let pattern = AppPattern::from_schedule(schedule);
-            let config = SynthesisConfig::new()
-                .with_max_degree(5)
-                .with_seed(seed)
-                .with_restarts(16);
-            let result = synthesize(&pattern, &config)?;
+            let request = SynthesisRequest::builder(AppPattern::from_schedule(schedule))
+                .max_degree(5)
+                .seed(seed)
+                .restarts(16)
+                .build()
+                .expect("16 restarts and flat mode always build");
+            // One worker: the harness binaries parallelize over rows.
+            let outcome = Engine::new().with_workers(1).synthesize(request);
+            if let JobStatus::Failed(JobError::Synth(e)) = outcome.status {
+                return Err(e.into());
+            }
+            let result = outcome
+                .result
+                .expect("no deadline: the portfolio completes unless an attempt panics");
             let routes = complete_routes(&result.network, &result.routes)?;
             (
                 result.network.clone(),

@@ -42,7 +42,6 @@ pub struct SynthesisConfig {
     indirect_routing: bool,
     max_rounds: usize,
     max_move_rounds: usize,
-    restarts: usize,
     max_pipe_width: Option<usize>,
 }
 
@@ -58,7 +57,6 @@ impl SynthesisConfig {
             indirect_routing: true,
             max_rounds: 10_000,
             max_move_rounds: 64,
-            restarts: 8,
             max_pipe_width: None,
         }
     }
@@ -125,21 +123,6 @@ impl SynthesisConfig {
         self
     }
 
-    /// Number of independent synthesis restarts (with derived seeds); the
-    /// best result — fewest links, then fewest switches — is kept. The
-    /// published algorithm is a single greedy run whose quality varies
-    /// strongly with the random split choices; restarting is the standard
-    /// stochastic-search remedy and stays within the paper's framework.
-    ///
-    /// A zero is clamped to one: at least one run always executes, so
-    /// `synthesize` can never come back empty-handed (this used to panic
-    /// deep in the restart loop instead).
-    #[must_use]
-    pub fn with_restarts(mut self, restarts: usize) -> Self {
-        self.restarts = restarts.max(1);
-        self
-    }
-
     /// Bounds the parallel links any single pipe may use (the paper's
     /// Section 3.3 finalization assumes pipes thin out to ≤ 2; this makes
     /// that a hard design constraint when wiring density demands it).
@@ -195,17 +178,13 @@ impl SynthesisConfig {
         self.max_move_rounds
     }
 
-    /// Independent restart count.
-    pub fn restarts(&self) -> usize {
-        self.restarts
-    }
-
     /// The configuration's canonical form for content-addressed caching.
     ///
-    /// Every field that influences the synthesis result appears as a
+    /// Every field that influences one synthesis attempt appears as a
     /// named field (including the seed — the whole flow is a pure
     /// function of `(pattern, config, seed)`, and this form is the
-    /// `(config, seed)` half of the cache key). Enum variants get stable
+    /// `(config, seed)` half of the cache key; the request adds the
+    /// restart count and the mode). Enum variants get stable
     /// lowercase labels; the annealing schedule's parameters are emitted
     /// only when the annealing rule is selected, so `greedy` can never
     /// collide with an `anneal` at some temperature.
@@ -227,8 +206,7 @@ impl SynthesisConfig {
             )
             .field("indirect_routing", self.indirect_routing)
             .field("max_rounds", self.max_rounds)
-            .field("max_move_rounds", self.max_move_rounds)
-            .field("restarts", self.restarts);
+            .field("max_move_rounds", self.max_move_rounds);
         match self.acceptance {
             AcceptanceRule::Greedy => form.push_field("acceptance", "greedy"),
             AcceptanceRule::Anneal {
@@ -278,8 +256,7 @@ mod tests {
             .with_coloring(ColoringStrategy::Exact)
             .with_indirect_routing(false)
             .with_max_rounds(3)
-            .with_max_move_rounds(5)
-            .with_restarts(2);
+            .with_max_move_rounds(5);
         assert_eq!(c.max_degree(), 7);
         assert_eq!(c.balance_tolerance(), 1);
         assert_eq!(c.seed(), 9);
@@ -287,15 +264,8 @@ mod tests {
         assert!(!c.indirect_routing());
         assert_eq!(c.max_rounds(), 3);
         assert_eq!(c.max_move_rounds(), 5);
-        assert_eq!(c.restarts(), 2);
         assert_eq!(c.max_pipe_width(), None);
         assert_eq!(c.with_max_pipe_width(2).max_pipe_width(), Some(2));
-    }
-
-    #[test]
-    fn zero_restarts_clamps_to_one() {
-        let c = SynthesisConfig::new().with_restarts(0);
-        assert_eq!(c.restarts(), 1);
     }
 
     #[test]
@@ -312,7 +282,6 @@ mod tests {
             base.clone().with_indirect_routing(false),
             base.clone().with_max_rounds(99),
             base.clone().with_max_move_rounds(3),
-            base.clone().with_restarts(2),
             base.clone().with_max_pipe_width(2),
         ];
         let mut digests = vec![d0];
@@ -328,8 +297,8 @@ mod tests {
 
     #[test]
     fn canonical_form_is_stable_for_equal_configs() {
-        let a = SynthesisConfig::new().with_seed(7).with_restarts(4);
-        let b = SynthesisConfig::new().with_restarts(4).with_seed(7);
+        let a = SynthesisConfig::new().with_seed(7).with_max_degree(4);
+        let b = SynthesisConfig::new().with_max_degree(4).with_seed(7);
         assert_eq!(a.canonical_form().digest(), b.canonical_form().digest());
         // Anneal parameters surface in the form.
         let t1 = SynthesisConfig::new().with_acceptance(AcceptanceRule::Anneal {

@@ -552,7 +552,7 @@ fn bridge_components(net: &mut Network) -> Result<usize, SynthError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::synthesize;
+    use crate::{synthesize_attempt, SynthesisRequest};
     use nocsyn_model::{Phase, PhaseSchedule};
 
     fn pattern16() -> AppPattern {
@@ -579,12 +579,17 @@ mod tests {
         AppPattern::from_schedule(&s)
     }
 
+    /// One attempt per cluster (the engine runs the full portfolio).
     fn synthesize_plan(plan: &ClusterPlan, config: &SynthesisConfig) -> Vec<SynthesisResult> {
         plan.clusters()
             .iter()
             .enumerate()
             .map(|(i, c)| {
-                synthesize(c.pattern(), &cluster_config(config, i)).expect("cluster synthesis")
+                let request = SynthesisRequest::builder(c.pattern().clone())
+                    .config(cluster_config(config, i))
+                    .build()
+                    .expect("request builds");
+                synthesize_attempt(&request, 0, 0).expect("cluster synthesis")
             })
             .collect()
     }
@@ -644,7 +649,7 @@ mod tests {
     fn stitched_network_is_globally_contention_free() {
         let pattern = pattern16();
         let plan = cluster_pattern(&pattern, 2).expect("plan");
-        let config = SynthesisConfig::new().with_seed(3).with_restarts(2);
+        let config = SynthesisConfig::new().with_seed(3);
         let parts = synthesize_plan(&plan, &config);
         let (result, summary) = stitch(&pattern, &plan, &parts, &config).expect("stitch");
         assert!(result.network.is_strongly_connected());
@@ -663,7 +668,7 @@ mod tests {
     #[test]
     fn stitch_is_deterministic() {
         let pattern = pattern16();
-        let config = SynthesisConfig::new().with_seed(5).with_restarts(2);
+        let config = SynthesisConfig::new().with_seed(5);
         let run = || {
             let plan = cluster_pattern(&pattern, 3).expect("plan");
             let parts = synthesize_plan(&plan, &config);
@@ -679,7 +684,7 @@ mod tests {
         let plan = cluster_pattern(&pattern, 1).expect("plan");
         assert_eq!(plan.clusters().len(), 1);
         assert!(plan.cut_flows().is_empty());
-        let config = SynthesisConfig::new().with_seed(1).with_restarts(1);
+        let config = SynthesisConfig::new().with_seed(1);
         let parts = synthesize_plan(&plan, &config);
         let (result, summary) = stitch(&pattern, &plan, &parts, &config).expect("stitch");
         assert!(result.report.contention_free);

@@ -1,6 +1,6 @@
 //! Human-readable synthesis explanations.
 //!
-//! `synthesize` returns a network and routes; this module reconstructs
+//! A synthesis result is a network and routes; this module reconstructs
 //! the *why* for review: which processors share each switch, which flows
 //! cross each pipe in which direction, and how the pipe's link count
 //! relates to the worst concurrent demand (the `Fast_Color` bound).
@@ -18,13 +18,14 @@ use crate::{AppPattern, SynthesisResult};
 ///
 /// ```
 /// use nocsyn_model::{Phase, PhaseSchedule};
-/// use nocsyn_synth::{explain, synthesize, AppPattern, SynthesisConfig};
+/// use nocsyn_synth::{explain, synthesize_attempt, AppPattern, SynthesisRequest};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let mut sched = PhaseSchedule::new(4);
 /// sched.push(Phase::from_flows([(0usize, 2usize), (1, 3)])?)?;
 /// let pattern = AppPattern::from_schedule(&sched);
-/// let result = synthesize(&pattern, &SynthesisConfig::new().with_restarts(2))?;
+/// let request = SynthesisRequest::builder(pattern.clone()).build()?;
+/// let result = synthesize_attempt(&request, 0, 0)?;
 /// let text = explain(&result, &pattern);
 /// assert!(text.contains("switches"));
 /// # Ok(())
@@ -111,7 +112,7 @@ pub fn explain(result: &SynthesisResult, pattern: &AppPattern) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{synthesize, SynthesisConfig};
+    use crate::{synthesize_attempt, SynthesisRequest};
     use nocsyn_model::{Phase, PhaseSchedule};
 
     fn result_and_pattern() -> (SynthesisResult, AppPattern) {
@@ -123,11 +124,12 @@ mod tests {
             .push(Phase::from_flows([(3usize, 0usize), (4, 1), (5, 2)]).unwrap())
             .unwrap();
         let pattern = AppPattern::from_schedule(&sched);
-        let config = SynthesisConfig::new()
-            .with_max_degree(4)
-            .with_seed(8)
-            .with_restarts(2);
-        (synthesize(&pattern, &config).unwrap(), pattern)
+        let request = SynthesisRequest::builder(pattern.clone())
+            .max_degree(4)
+            .seed(8)
+            .build()
+            .unwrap();
+        (synthesize_attempt(&request, 0, 0).unwrap(), pattern)
     }
 
     #[test]

@@ -11,7 +11,8 @@ use nocsyn_topo::{
 
 use crate::{AppPattern, Partitioning, PipeKey, SynthError, SynthesisConfig, SynthesisReport};
 
-/// The output of [`synthesize`](crate::synthesize): the materialized
+/// The output of one synthesis attempt
+/// ([`synthesize_attempt`](crate::synthesize_attempt)): the materialized
 /// network, its source-routing table, the per-processor switch placement,
 /// and the run report.
 #[derive(Debug, Clone)]
@@ -261,8 +262,18 @@ pub(crate) fn connect_components(net: &mut Network) -> Result<usize, SynthError>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{synthesize, AppPattern, ColoringStrategy};
+    use crate::{synthesize_attempt, AppPattern, ColoringStrategy, SynthesisRequest};
     use nocsyn_model::{Phase, PhaseSchedule};
+
+    /// One attempt of a request built on `config` (the engine runs the
+    /// full portfolio).
+    fn one_attempt(pattern: &AppPattern, config: &SynthesisConfig) -> SynthesisResult {
+        let request = SynthesisRequest::builder(pattern.clone())
+            .config(config.clone())
+            .build()
+            .unwrap();
+        synthesize_attempt(&request, 0, 0).unwrap()
+    }
 
     fn schedule8() -> PhaseSchedule {
         let mut s = PhaseSchedule::new(8);
@@ -279,7 +290,7 @@ mod tests {
     fn synthesized_network_is_valid_and_contention_free() {
         let pattern = AppPattern::from_schedule(&schedule8());
         let config = SynthesisConfig::new().with_max_degree(5).with_seed(1);
-        let result = synthesize(&pattern, &config).unwrap();
+        let result = one_attempt(&pattern, &config);
         assert!(result.network.is_strongly_connected());
         result.routes.validate(&result.network).unwrap();
         assert!(result.report.contention_free);
@@ -294,7 +305,7 @@ mod tests {
     fn placement_matches_network_attachment() {
         let pattern = AppPattern::from_schedule(&schedule8());
         let config = SynthesisConfig::new().with_seed(3);
-        let result = synthesize(&pattern, &config).unwrap();
+        let result = one_attempt(&pattern, &config);
         for proc in 0..8 {
             assert_eq!(
                 result.network.switch_of(ProcId(proc)).unwrap().index(),
@@ -306,20 +317,18 @@ mod tests {
     #[test]
     fn exact_strategy_never_needs_more_links_than_fast() {
         let pattern = AppPattern::from_schedule(&schedule8());
-        let fast = synthesize(
+        let fast = one_attempt(
             &pattern,
             &SynthesisConfig::new()
                 .with_seed(7)
                 .with_coloring(ColoringStrategy::Fast),
-        )
-        .unwrap();
-        let exact = synthesize(
+        );
+        let exact = one_attempt(
             &pattern,
             &SynthesisConfig::new()
                 .with_seed(7)
                 .with_coloring(ColoringStrategy::Exact),
-        )
-        .unwrap();
+        );
         // Both contention-free; the exact search sees true costs so its
         // result can only be at least as good on this seed's trajectory.
         assert!(fast.report.contention_free);
@@ -335,9 +344,8 @@ mod tests {
         let config = SynthesisConfig::new()
             .with_max_degree(5)
             .with_max_pipe_width(1)
-            .with_seed(4)
-            .with_restarts(2);
-        let result = synthesize(&pattern, &config).unwrap();
+            .with_seed(4);
+        let result = one_attempt(&pattern, &config);
         assert!(result.report.constraints_met);
         for a in result.network.switch_ids() {
             for b in result.network.switch_ids() {

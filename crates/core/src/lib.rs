@@ -4,11 +4,12 @@
 //! Patterns"** (HPCA 2003), Section 3.
 //!
 //! Given the communication pattern of a well-behaved application (an
-//! [`AppPattern`], extracted from a timed trace or a phase schedule), the
-//! [`synthesize`] entry point runs the paper's recursive-bisection
-//! algorithm:
+//! [`AppPattern`], extracted from a timed trace or a phase schedule) and a
+//! [`SynthesisRequest`], the [`synthesize_attempt`] entry point runs one
+//! attempt of the paper's recursive-bisection algorithm:
 //!
-//! 1. Start from a single "mega-switch" connecting every processor.
+//! 1. Start from a single "mega-switch" connecting every processor (or
+//!    from the request's warm-start placement).
 //! 2. While some switch violates the design constraints, split it: create a
 //!    new switch, move half of its processors over, and locally improve the
 //!    partition by greedy processor moves (bounded imbalance) and indirect
@@ -21,11 +22,18 @@
 //!    application's contention set with the network's conflict set empty
 //!    (Theorem 1).
 //!
+//! One attempt is single-threaded and pure. The restart portfolio — the
+//! request's `restarts()` attempts, the best one kept — and decomposed
+//! requests run in the `nocsyn-engine` crate.
+//!
+//! [`Network`]: nocsyn_topo::Network
+//! [`RouteTable`]: nocsyn_topo::RouteTable
+//!
 //! # Example
 //!
 //! ```
 //! use nocsyn_model::{Phase, PhaseSchedule};
-//! use nocsyn_synth::{synthesize, AppPattern, SynthesisConfig};
+//! use nocsyn_synth::{synthesize_attempt, AppPattern, SynthesisRequest};
 //! use nocsyn_topo::verify_contention_free;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -37,8 +45,11 @@
 //! sched.push(Phase::from_flows([(0usize, 4usize), (1, 5), (2, 6), (3, 7)])?)?;
 //!
 //! let pattern = AppPattern::from_schedule(&sched);
-//! let config = SynthesisConfig::new().with_max_degree(5).with_seed(7);
-//! let result = synthesize(&pattern, &config)?;
+//! let request = SynthesisRequest::builder(pattern.clone())
+//!     .max_degree(5)
+//!     .seed(7)
+//!     .build()?;
+//! let result = synthesize_attempt(&request, 0, 0)?;
 //!
 //! // The generated network satisfies the degree constraint and is
 //! // contention-free for the application (Theorem 1).
@@ -77,31 +88,27 @@ pub use decompose::{
 pub use error::SynthError;
 pub use explain::explain;
 pub use finalize::SynthesisResult;
-pub use pareto::{degree_sweep, pareto_filter, ParetoPoint};
+pub use pareto::{pareto_filter, ParetoPoint};
 pub use partition::{Partitioning, PipeKey};
 pub use pattern::AppPattern;
 pub use report::SynthesisReport;
 pub use request::{RequestBuildError, SynthesisMode, SynthesisRequest, SynthesisRequestBuilder};
 
-use nocsyn_topo::{Network, RouteTable};
-
 /// The derived seed of restart `attempt` under `config`: the base seed
-/// advanced by the golden-ratio (splitmix) increment per attempt. Exposed
-/// so external schedulers (the `nocsyn-engine` restart portfolio) can
-/// reproduce the exact per-attempt seed schedule of [`synthesize`].
-pub fn attempt_seed(config: &SynthesisConfig, attempt: usize) -> u64 {
+/// advanced by the golden-ratio (splitmix) increment per attempt.
+fn attempt_seed(config: &SynthesisConfig, attempt: usize) -> u64 {
     config
         .seed()
         .wrapping_add((attempt as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
-/// The derived seed of `retry` of restart `attempt`: retry 0 is exactly
-/// [`attempt_seed`] (a job with retries configured but none needed is
-/// bit-identical to one without), and each further retry advances a
-/// splitmix64 chain keyed on a *mixed* image of the attempt seed.
-/// Exposed so the `nocsyn-engine` retry policy reruns a faulted attempt
-/// under a fresh but *reproducible* seed — the retried result is still a
-/// pure function of `(pattern, config, attempt, retry)`.
+/// The derived seed of `retry` of restart `attempt`: retry 0 is the
+/// attempt's own seed (base seed plus `attempt` golden-ratio strides, so
+/// attempt 0 runs on the base seed itself), and each further retry
+/// advances a splitmix64 chain keyed on a *mixed* image of the attempt
+/// seed. Exposed so the `nocsyn-engine` retry policy can report the seed
+/// a rerun used — the retried result is still a pure function of
+/// `(request, attempt, retry)`.
 pub fn retry_seed(config: &SynthesisConfig, attempt: usize, retry: usize) -> u64 {
     let mut seed = attempt_seed(config, attempt);
     if retry == 0 {
@@ -119,94 +126,42 @@ pub fn retry_seed(config: &SynthesisConfig, attempt: usize, retry: usize) -> u64
     out
 }
 
-/// Runs restart `attempt` of the portfolio: one full deterministic pass of
-/// the Main Partitioning Algorithm plus finalization, seeded with
-/// [`attempt_seed`]. The result is a pure function of
-/// `(pattern, config, attempt)` — independent of which thread runs it or
-/// in what order attempts complete, which is what makes the parallel
-/// portfolio in `nocsyn-engine` bit-identical to the sequential loop.
+/// Runs `retry` of restart `attempt` of a flat request: one full
+/// deterministic pass of the Main Partitioning Algorithm plus
+/// finalization, seeded with [`retry_seed`], starting from the
+/// mega-switch or from the request's warm-start placement.
+///
+/// The result is a pure function of `(request, attempt, retry)` —
+/// independent of which thread runs it or in what order attempts
+/// complete, which is what makes the `nocsyn-engine` portfolio
+/// bit-identical for any worker count. The request's restart count,
+/// mode and deadline are the engine's business: it runs `restarts()`
+/// attempts, and expands a decomposed request into flat per-cluster
+/// requests before any attempt runs.
 ///
 /// # Errors
 ///
-/// Same conditions as [`synthesize`].
+/// Returns [`SynthError::EmptyPattern`] for a pattern with no processors
+/// or a warm start that does not cover them. A pattern whose constraints
+/// cannot be met (e.g. a degree bound smaller than what any topology
+/// needs) does not error: synthesis runs to its round limit and reports
+/// `constraints_met = false`.
 pub fn synthesize_attempt(
-    pattern: &AppPattern,
-    config: &SynthesisConfig,
-    attempt: usize,
-) -> Result<SynthesisResult, SynthError> {
-    let run_config = config.clone().with_seed(attempt_seed(config, attempt));
-    synthesize_once(pattern, &run_config)
-}
-
-/// Runs `retry` of restart `attempt` — [`synthesize_attempt`] reseeded
-/// with [`retry_seed`]. Retry 0 is identical to the plain attempt.
-///
-/// # Errors
-///
-/// Same conditions as [`synthesize`].
-pub fn synthesize_retry(
-    pattern: &AppPattern,
-    config: &SynthesisConfig,
+    request: &SynthesisRequest,
     attempt: usize,
     retry: usize,
 ) -> Result<SynthesisResult, SynthError> {
-    let run_config = config.clone().with_seed(retry_seed(config, attempt, retry));
-    synthesize_once(pattern, &run_config)
-}
-
-/// Portfolio selection rank of a result — lower is better: constraints
-/// met first, then fewest links, then fewest switches. Callers reducing
-/// over attempts must break rank ties on the *attempt index* (lowest
-/// wins) to reproduce [`synthesize`]'s first-best-kept semantics.
-pub fn portfolio_rank(r: &SynthesisResult) -> (bool, usize, usize) {
-    (
-        !r.report.constraints_met, // met first
-        r.report.n_links,
-        r.report.n_switches,
-    )
-}
-
-/// Runs the full design methodology on `pattern` under `config`, producing
-/// a concrete network, a route table, and a synthesis report.
-///
-/// Restarts run sequentially here; the `nocsyn-engine` portfolio fans the
-/// same attempt schedule ([`attempt_seed`]) across threads and reduces
-/// with the same rank ([`portfolio_rank`], ties on attempt index), so
-/// both paths select bit-identical results.
-///
-/// # Errors
-///
-/// Returns [`SynthError::EmptyPattern`] for a pattern with no processors.
-/// A pattern whose constraints cannot be met (e.g. a degree bound smaller
-/// than what any topology needs) does not error: synthesis runs to its
-/// round limit and reports `constraints_met = false`.
-pub fn synthesize(
-    pattern: &AppPattern,
-    config: &SynthesisConfig,
-) -> Result<SynthesisResult, SynthError> {
-    let mut best: Option<SynthesisResult> = None;
-    // `restarts()` is clamped to >= 1 by the builder, but stay panic-free
-    // even for configurations constructed by future code paths.
-    for attempt in 0..config.restarts().max(1) {
-        let result = synthesize_attempt(pattern, config, attempt)?;
-        if best
-            .as_ref()
-            .is_none_or(|b| portfolio_rank(&result) < portfolio_rank(b))
-        {
-            best = Some(result);
-        }
-    }
-    Ok(best.expect("at least one attempt always runs"))
-}
-
-/// One full pass of the Main Partitioning Algorithm plus finalization.
-fn synthesize_once(
-    pattern: &AppPattern,
-    config: &SynthesisConfig,
-) -> Result<SynthesisResult, SynthError> {
-    let mut partitioning = Partitioning::megaswitch(pattern)?;
-    partition::run(&mut partitioning, config);
-    let mut result = finalize::materialize(&partitioning, config)?;
+    let pattern = request.pattern();
+    let config = request
+        .config()
+        .clone()
+        .with_seed(retry_seed(request.config(), attempt, retry));
+    let mut partitioning = match request.warm_start() {
+        None => Partitioning::megaswitch(pattern)?,
+        Some(placement) => Partitioning::from_assignment(pattern, placement)?,
+    };
+    partition::run(&mut partitioning, &config);
+    let mut result = finalize::materialize(&partitioning, &config)?;
 
     // The paper's step 3: formal coloring may need more links than the
     // fast estimate, re-violating the degree constraint — in that case
@@ -217,56 +172,10 @@ fn synthesize_once(
     while !result.report.constraints_met && retries < 2 {
         let exact = config.clone().with_coloring(ColoringStrategy::Exact);
         partition::run(&mut partitioning, &exact);
-        result = finalize::materialize(&partitioning, config)?;
+        result = finalize::materialize(&partitioning, &config)?;
         retries += 1;
     }
     Ok(result)
-}
-
-/// Warm-started synthesis for run-time reconfiguration: starts from an
-/// existing processor placement (e.g. a previous
-/// [`SynthesisResult::placement`]) instead of the mega-switch, so the new
-/// network stays as close to the old one as the new pattern permits. Use
-/// [`NetworkDelta::between`] on the two networks to obtain the
-/// reconfiguration edit script.
-///
-/// Unlike [`synthesize`], this performs a single deterministic run (no
-/// restarts): the whole point is continuity with the starting placement.
-///
-/// [`NetworkDelta::between`]: nocsyn_topo::NetworkDelta::between
-///
-/// # Errors
-///
-/// [`SynthError::EmptyPattern`] if the pattern has no processors or the
-/// placement does not cover them.
-pub fn synthesize_incremental(
-    pattern: &AppPattern,
-    placement: &[usize],
-    config: &SynthesisConfig,
-) -> Result<SynthesisResult, SynthError> {
-    let mut partitioning = Partitioning::from_assignment(pattern, placement)?;
-    partition::run(&mut partitioning, config);
-    let mut result = finalize::materialize(&partitioning, config)?;
-    let mut retries = 0;
-    while !result.report.constraints_met && retries < 2 {
-        let exact = config.clone().with_coloring(ColoringStrategy::Exact);
-        partition::run(&mut partitioning, &exact);
-        result = finalize::materialize(&partitioning, config)?;
-        retries += 1;
-    }
-    Ok(result)
-}
-
-/// Convenience: synthesize and return only the `(network, routes)` pair.
-///
-/// # Errors
-///
-/// Same conditions as [`synthesize`].
-pub fn synthesize_network(
-    pattern: &AppPattern,
-    config: &SynthesisConfig,
-) -> Result<(Network, RouteTable), SynthError> {
-    synthesize(pattern, config).map(|r| (r.network, r.routes))
 }
 
 #[cfg(test)]

@@ -1,14 +1,14 @@
-//! Multi-objective exploration: sweep the design constraint and keep the
-//! Pareto frontier.
+//! Multi-objective exploration: the Pareto frontier of a constraint
+//! sweep.
 //!
 //! The paper's conclusion points at "optimization over multiple
 //! objectives" as the natural extension: a designer rarely wants one
 //! network, but the *trade-off curve* between switch cost, wiring and the
-//! port budget the floorplan can afford. [`degree_sweep`] synthesizes the
-//! same pattern under a range of degree constraints and returns the
-//! non-dominated results.
+//! port budget the floorplan can afford. The sweep itself (one request
+//! per degree bound) runs in the `nocsyn-engine` crate; this module holds
+//! the point type and the dominance filter.
 
-use crate::{synthesize, AppPattern, SynthError, SynthesisConfig, SynthesisResult};
+use crate::SynthesisResult;
 
 /// One point of a constraint sweep.
 #[derive(Debug)]
@@ -43,39 +43,9 @@ impl ParetoPoint {
     }
 }
 
-/// Synthesizes `pattern` once per degree bound in `degrees` and returns
-/// the Pareto-optimal points (sorted by degree bound).
-///
-/// Infeasible bounds are kept only if no feasible point exists at all (so
-/// the caller always gets something to inspect).
-///
-/// # Errors
-///
-/// Propagates the first [`SynthError`] (which, given a non-empty pattern,
-/// does not occur).
-pub fn degree_sweep(
-    pattern: &AppPattern,
-    degrees: impl IntoIterator<Item = usize>,
-    config: &SynthesisConfig,
-) -> Result<Vec<ParetoPoint>, SynthError> {
-    let mut points = Vec::new();
-    for degree in degrees {
-        let result = synthesize(pattern, &config.clone().with_max_degree(degree))?;
-        points.push(ParetoPoint {
-            max_degree: degree,
-            n_switches: result.report.n_switches,
-            n_links: result.report.n_links,
-            feasible: result.report.constraints_met,
-            result,
-        });
-    }
-    Ok(pareto_filter(points))
-}
-
 /// Keeps the non-dominated feasible points of a sweep, sorted by degree
 /// bound. If nothing is feasible every point survives, so the caller
-/// always gets something to inspect. Shared by [`degree_sweep`] and the
-/// engine-driven `--pareto` sweep in the CLI/serve layer.
+/// always gets something to inspect.
 pub fn pareto_filter(mut points: Vec<ParetoPoint>) -> Vec<ParetoPoint> {
     if points.iter().any(|p| p.feasible) {
         let dominated: Vec<bool> = points
@@ -97,6 +67,7 @@ pub fn pareto_filter(mut points: Vec<ParetoPoint>) -> Vec<ParetoPoint> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{synthesize_attempt, AppPattern, SynthesisRequest};
     use nocsyn_model::{Phase, PhaseSchedule};
 
     fn pattern8() -> AppPattern {
@@ -109,29 +80,12 @@ mod tests {
     }
 
     #[test]
-    fn sweep_returns_nondominated_feasible_points() {
-        let config = SynthesisConfig::new().with_seed(5).with_restarts(2);
-        let points = degree_sweep(&pattern8(), [3, 5, 9], &config).unwrap();
-        assert!(!points.is_empty());
-        assert!(points.iter().all(|p| p.feasible));
-        for a in &points {
-            for b in &points {
-                if !std::ptr::eq(a, b) {
-                    assert!(!a.dominates(b), "dominated point survived");
-                }
-            }
-        }
-        // Degree 9 admits the megaswitch (1 switch, 0 links) which
-        // dominates on switches/links; lower degrees survive only if they
-        // are not dominated on every axis — and degree 3's point has a
-        // smaller degree budget, so both may legitimately coexist.
-        assert!(points.iter().map(|p| p.max_degree).is_sorted());
-    }
-
-    #[test]
     fn dominance_relation() {
-        let config = SynthesisConfig::new().with_seed(1).with_restarts(1);
-        let r = synthesize(&pattern8(), &config).unwrap();
+        let request = SynthesisRequest::builder(pattern8())
+            .seed(1)
+            .build()
+            .unwrap();
+        let r = synthesize_attempt(&request, 0, 0).unwrap();
         let make = |d, s, l, f| ParetoPoint {
             max_degree: d,
             n_switches: s,
@@ -148,14 +102,33 @@ mod tests {
     }
 
     #[test]
-    fn infeasible_everywhere_returns_all_points() {
-        // Degree 0 is never satisfiable; all attempts are reported.
-        let config = SynthesisConfig::new()
-            .with_seed(2)
-            .with_restarts(1)
-            .with_max_rounds(20);
-        let points = degree_sweep(&pattern8(), [0], &config).unwrap();
-        assert_eq!(points.len(), 1);
-        assert!(!points[0].feasible);
+    fn filter_keeps_nondominated_points_sorted_by_degree() {
+        let request = SynthesisRequest::builder(pattern8())
+            .seed(2)
+            .build()
+            .unwrap();
+        let r = synthesize_attempt(&request, 0, 0).unwrap();
+        let make = |d, s, l, f| ParetoPoint {
+            max_degree: d,
+            n_switches: s,
+            n_links: l,
+            feasible: f,
+            result: r.clone(),
+        };
+        let degrees = |points: Vec<ParetoPoint>| -> Vec<usize> {
+            points.iter().map(|p| p.max_degree).collect()
+        };
+        // The (6, 3, 4) point is dominated by (5, 2, 3); the infeasible
+        // point is dominated by every feasible one.
+        let front = pareto_filter(vec![
+            make(8, 1, 0, true),
+            make(6, 3, 4, true),
+            make(4, 9, 9, false),
+            make(5, 2, 3, true),
+        ]);
+        assert_eq!(degrees(front), [5, 8]);
+        // With nothing feasible, every point survives.
+        let all = pareto_filter(vec![make(4, 1, 1, false), make(3, 1, 1, false)]);
+        assert_eq!(degrees(all), [3, 4]);
     }
 }

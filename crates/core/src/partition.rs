@@ -358,8 +358,8 @@ impl Partitioning {
     }
 
     /// Builds a partitioning from an explicit processor-to-switch
-    /// assignment with direct routing — the warm start used by
-    /// [`synthesize_incremental`](crate::synthesize_incremental).
+    /// assignment with direct routing — the start of an attempt whose
+    /// request carries a [warm start](crate::SynthesisRequest::warm_start).
     ///
     /// # Errors
     ///

@@ -1,22 +1,22 @@
-//! The unified synthesis entry point: one request object shared by the
-//! CLI, the engine batch API, and the serve daemon.
+//! The synthesis request: the one value every caller builds, shared by
+//! the CLI, the engine batch API, and the serve daemon.
 //!
-//! Before this type existed every caller re-assembled its own
-//! `(pattern, config, seed, restarts, deadline, ...)` tuple, and adding a
-//! second synthesis mode (decomposition) would have doubled that
-//! plumbing in four places. A [`SynthesisRequest`] bundles everything a
-//! synthesis job needs — the pattern, the [`SynthesisConfig`], the mode
-//! (flat or decomposed), an optional per-job deadline, and whether a
-//! certificate should be emitted — behind a validating builder.
+//! A [`SynthesisRequest`] bundles everything a synthesis job needs — the
+//! pattern, the [`SynthesisConfig`] of one attempt, the restart count of
+//! the portfolio, an optional warm-start placement, the mode (flat or
+//! decomposed) and an optional per-job deadline — behind a validating
+//! builder. [`crate::synthesize_attempt`] runs one attempt of a flat
+//! request; the `nocsyn-engine` crate runs the whole portfolio.
 //!
 //! The request's [`canonical_form`](SynthesisRequest::canonical_form) is
 //! the cache-key half of the serve daemon's content addressing: it
-//! extends the config's canonical form with the mode fields, so a flat
-//! and a decomposed job over the same config can never collide. The
-//! deadline and the certificate flag are deliberately *absent* from the
-//! form — neither changes the synthesized result.
+//! extends the config's canonical form with the restart count, the mode
+//! fields and (when set) the warm start, so a flat and a decomposed job
+//! over the same config can never collide. The deadline is deliberately
+//! *absent* from the form — it never changes a completed result.
 
 use std::fmt;
+use std::num::NonZeroUsize;
 use std::time::Duration;
 
 use nocsyn_model::CanonicalForm;
@@ -49,8 +49,8 @@ pub enum SynthesisMode {
 #[non_exhaustive]
 pub enum RequestBuildError {
     /// `restarts(0)` was requested. Zero restarts would mean "run no
-    /// synthesis at all"; the old config-level API silently clamped this
-    /// to one, hiding caller bugs. The request builder rejects it.
+    /// synthesis at all"; the builder rejects it rather than clamping,
+    /// which would hide caller bugs.
     ZeroRestarts,
     /// `Decomposed { clusters: Some(0) }` was requested; a decomposition
     /// into zero clusters is meaningless.
@@ -91,24 +91,29 @@ impl std::error::Error for RequestBuildError {}
 pub struct SynthesisRequest {
     pattern: AppPattern,
     config: SynthesisConfig,
+    restarts: NonZeroUsize,
+    warm_start: Option<Vec<usize>>,
     mode: SynthesisMode,
     deadline: Option<Duration>,
-    emit_certificate: bool,
 }
 
 impl SynthesisRequest {
+    /// Restart count of a request that does not set one.
+    pub const DEFAULT_RESTARTS: usize = 8;
+
     /// Starts building a request for `pattern` with paper-default
-    /// configuration, flat mode, no deadline and no certificate.
+    /// configuration, [`DEFAULT_RESTARTS`](Self::DEFAULT_RESTARTS)
+    /// restarts from the mega-switch, flat mode and no deadline.
     pub fn builder(pattern: AppPattern) -> SynthesisRequestBuilder {
         SynthesisRequestBuilder {
             pattern,
             config: SynthesisConfig::new(),
             seed: None,
-            restarts: None,
+            restarts: Self::DEFAULT_RESTARTS,
             max_degree: None,
+            warm_start: None,
             mode: SynthesisMode::Flat,
             deadline: None,
-            emit_certificate: false,
         }
     }
 
@@ -117,9 +122,27 @@ impl SynthesisRequest {
         &self.pattern
     }
 
-    /// The synthesis configuration.
+    /// The configuration of every attempt (each attempt reseeds it).
     pub fn config(&self) -> &SynthesisConfig {
         &self.config
+    }
+
+    /// Independent restarts in the portfolio, each with a derived seed;
+    /// the engine keeps the best result. The published algorithm is one
+    /// greedy run whose quality varies strongly with the random split
+    /// choices; restarting is the standard stochastic-search remedy and
+    /// stays within the paper's framework.
+    pub fn restarts(&self) -> NonZeroUsize {
+        self.restarts
+    }
+
+    /// The processor-to-switch placement every attempt starts from
+    /// instead of the mega-switch (run-time reconfiguration: e.g. a
+    /// previous [`SynthesisResult::placement`](crate::SynthesisResult)),
+    /// if one was set. Flat mode only: the clusters of a decomposed
+    /// request start from their own mega-switches.
+    pub fn warm_start(&self) -> Option<&[usize]> {
+        self.warm_start.as_deref()
     }
 
     /// The synthesis mode.
@@ -132,19 +155,13 @@ impl SynthesisRequest {
         self.deadline
     }
 
-    /// Whether the caller intends to emit a certificate for the result.
-    pub fn emit_certificate(&self) -> bool {
-        self.emit_certificate
-    }
-
     /// The request's RNG seed (shorthand for `config().seed()`).
     pub fn seed(&self) -> u64 {
         self.config.seed()
     }
 
-    /// Replaces the configuration wholesale. Used by admission control
-    /// (the serve daemon caps restarts per job *after* validation); the
-    /// config type's own invariants (`restarts >= 1`) still hold.
+    /// Replaces the configuration wholesale, keeping every other field.
+    /// Used to derive the rungs of a constraint sweep from one request.
     #[must_use]
     pub fn with_config(mut self, config: SynthesisConfig) -> Self {
         self.config = config;
@@ -152,16 +169,20 @@ impl SynthesisRequest {
     }
 
     /// The request's canonical form: the config's canonical form plus the
-    /// mode fields. This is what cache keys must digest — a flat and a
+    /// restart count, the mode fields and, only when one is set, the warm
+    /// start. This is what cache keys must digest — a flat and a
     /// decomposed request over the same config always differ here, and
     /// an explicit cluster count differs from `auto`.
     ///
-    /// The deadline and the certificate flag are excluded on purpose:
-    /// neither influences the synthesized bytes (see
+    /// The deadline is excluded on purpose: it bounds how long the search
+    /// runs, never what a completed search returns (see
     /// [`SynthesisConfig::canonical_form`] for the same contract at the
     /// config level).
     pub fn canonical_form(&self) -> CanonicalForm {
-        let mut form = self.config.canonical_form();
+        let mut form = self
+            .config
+            .canonical_form()
+            .field("restarts", self.restarts);
         match self.mode {
             SynthesisMode::Flat => form.push_field("mode", "flat"),
             SynthesisMode::Decomposed { clusters } => {
@@ -171,6 +192,10 @@ impl SynthesisRequest {
                     Some(k) => form.push_field("clusters", k),
                 }
             }
+        }
+        if let Some(placement) = &self.warm_start {
+            let homes: Vec<String> = placement.iter().map(usize::to_string).collect();
+            form.push_field("warm_start", homes.join(","));
         }
         form
     }
@@ -182,16 +207,16 @@ pub struct SynthesisRequestBuilder {
     pattern: AppPattern,
     config: SynthesisConfig,
     seed: Option<u64>,
-    restarts: Option<usize>,
+    restarts: usize,
     max_degree: Option<usize>,
+    warm_start: Option<Vec<usize>>,
     mode: SynthesisMode,
     deadline: Option<Duration>,
-    emit_certificate: bool,
 }
 
 impl SynthesisRequestBuilder {
-    /// Replaces the base configuration (later `seed`/`restarts`/
-    /// `max_degree` calls still override its fields).
+    /// Replaces the base configuration (later `seed`/`max_degree` calls
+    /// still override its fields).
     #[must_use]
     pub fn config(mut self, config: SynthesisConfig) -> Self {
         self.config = config;
@@ -205,13 +230,12 @@ impl SynthesisRequestBuilder {
         self
     }
 
-    /// Overrides the restart count. Zero is **rejected** at
+    /// Sets the restart count. Zero is **rejected** at
     /// [`build`](SynthesisRequestBuilder::build) with
-    /// [`RequestBuildError::ZeroRestarts`] — unlike
-    /// [`SynthesisConfig::with_restarts`], which clamps.
+    /// [`RequestBuildError::ZeroRestarts`].
     #[must_use]
     pub fn restarts(mut self, restarts: usize) -> Self {
-        self.restarts = Some(restarts);
+        self.restarts = restarts;
         self
     }
 
@@ -219,6 +243,17 @@ impl SynthesisRequestBuilder {
     #[must_use]
     pub fn max_degree(mut self, degree: usize) -> Self {
         self.max_degree = Some(degree);
+        self
+    }
+
+    /// Starts every attempt from `placement` (processor index → switch
+    /// index) instead of the mega-switch, so the new network stays as
+    /// close to the old one as the pattern permits. A placement that
+    /// does not cover the pattern's processors fails each attempt with
+    /// [`SynthError::EmptyPattern`](crate::SynthError::EmptyPattern).
+    #[must_use]
+    pub fn warm_start(mut self, placement: Vec<usize>) -> Self {
+        self.warm_start = Some(placement);
         self
     }
 
@@ -242,13 +277,6 @@ impl SynthesisRequestBuilder {
         self.deadline(Duration::from_millis(ms))
     }
 
-    /// Declares that the caller will emit a certificate for the result.
-    #[must_use]
-    pub fn emit_certificate(mut self, emit: bool) -> Self {
-        self.emit_certificate = emit;
-        self
-    }
-
     /// Validates and assembles the request.
     ///
     /// # Errors
@@ -257,9 +285,7 @@ impl SynthesisRequestBuilder {
     /// * [`RequestBuildError::ZeroClusters`] if the mode is
     ///   `Decomposed { clusters: Some(0) }`.
     pub fn build(self) -> Result<SynthesisRequest, RequestBuildError> {
-        if self.restarts == Some(0) {
-            return Err(RequestBuildError::ZeroRestarts);
-        }
+        let restarts = NonZeroUsize::new(self.restarts).ok_or(RequestBuildError::ZeroRestarts)?;
         if let SynthesisMode::Decomposed { clusters: Some(0) } = self.mode {
             return Err(RequestBuildError::ZeroClusters);
         }
@@ -267,18 +293,16 @@ impl SynthesisRequestBuilder {
         if let Some(seed) = self.seed {
             config = config.with_seed(seed);
         }
-        if let Some(restarts) = self.restarts {
-            config = config.with_restarts(restarts);
-        }
         if let Some(degree) = self.max_degree {
             config = config.with_max_degree(degree);
         }
         Ok(SynthesisRequest {
             pattern: self.pattern,
             config,
+            restarts,
+            warm_start: self.warm_start,
             mode: self.mode,
             deadline: self.deadline,
-            emit_certificate: self.emit_certificate,
         })
     }
 }
@@ -311,7 +335,7 @@ mod tests {
             .expect("valid");
         assert_eq!(a, b);
         assert_eq!(a.config().seed(), 9);
-        assert_eq!(a.config().restarts(), 3);
+        assert_eq!(a.restarts().get(), 3);
         assert_eq!(a.config().max_degree(), 4);
         assert_eq!(
             a.canonical_form().digest(),
@@ -328,9 +352,6 @@ mod tests {
             .expect_err("zero restarts must be rejected");
         assert_eq!(err, RequestBuildError::ZeroRestarts);
         assert_eq!(err.fingerprint(), "zero-restarts");
-        // The config-level clamp is unchanged: the *request* layer is
-        // where explicit zeroes become typed errors.
-        assert_eq!(SynthesisConfig::new().with_restarts(0).restarts(), 1);
     }
 
     #[test]
@@ -363,11 +384,10 @@ mod tests {
     }
 
     #[test]
-    fn deadline_and_cert_flag_do_not_change_the_canonical_form() {
+    fn deadline_does_not_change_the_canonical_form() {
         let plain = SynthesisRequest::builder(pattern4()).build().expect("ok");
         let decorated = SynthesisRequest::builder(pattern4())
             .deadline_ms(250)
-            .emit_certificate(true)
             .build()
             .expect("ok");
         assert_eq!(
@@ -375,7 +395,30 @@ mod tests {
             decorated.canonical_form().digest()
         );
         assert_eq!(decorated.deadline(), Some(Duration::from_millis(250)));
-        assert!(decorated.emit_certificate());
+    }
+
+    #[test]
+    fn restarts_and_warm_start_change_the_canonical_form() {
+        let cold = SynthesisRequest::builder(pattern4()).build().expect("ok");
+        assert_eq!(cold.restarts().get(), SynthesisRequest::DEFAULT_RESTARTS);
+        assert!(cold.canonical_form().render().contains("restarts=8\n"));
+        let fewer = SynthesisRequest::builder(pattern4())
+            .restarts(2)
+            .build()
+            .expect("ok");
+        let warm = SynthesisRequest::builder(pattern4())
+            .warm_start(vec![0, 0, 1, 1])
+            .build()
+            .expect("ok");
+        assert_eq!(warm.warm_start(), Some(&[0, 0, 1, 1][..]));
+        assert!(!cold.canonical_form().render().contains("warm_start"));
+        assert!(warm
+            .canonical_form()
+            .render()
+            .contains("warm_start=0,0,1,1\n"));
+        let d_cold = cold.canonical_form().digest();
+        assert_ne!(d_cold, fewer.canonical_form().digest());
+        assert_ne!(d_cold, warm.canonical_form().digest());
     }
 
     #[test]

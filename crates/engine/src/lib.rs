@@ -1,32 +1,33 @@
-//! `nocsyn-engine` — a parallel, deterministic execution engine over the
-//! synthesis methodology of `nocsyn-synth`.
+//! `nocsyn-engine` — the restart portfolio of the synthesis methodology
+//! of `nocsyn-synth`, run in parallel and deterministically.
 //!
-//! The paper's search is embarrassingly restartable: `synthesize` runs
-//! `restarts()` independent annealing attempts with splitmix-derived
-//! seeds and keeps the best. This crate farms that portfolio — and whole
-//! batches of synthesis jobs — across threads while keeping the *chosen
-//! result bit-identical for any worker count*:
+//! The paper's search is embarrassingly restartable: a request's
+//! `restarts()` independent attempts with splitmix-derived seeds, the
+//! best one kept. This crate is the only place that portfolio runs. It
+//! farms the attempts — and whole batches of synthesis jobs — across
+//! threads while keeping the *chosen result bit-identical for any worker
+//! count*; "sequential" is simply [`Engine::with_workers`]`(1)`:
 //!
 //! * every restart attempt is a pure function of
-//!   `(pattern, config, attempt)` (see `nocsyn_synth::synthesize_attempt`),
+//!   `(request, attempt, retry)` (see `nocsyn_synth::synthesize_attempt`),
 //!   so it does not matter which thread runs it;
 //! * the reduction is a stable argmin over
-//!   `(portfolio_rank(result), attempt)` — rank ties break on the lowest
-//!   attempt index, exactly reproducing the sequential loop's
-//!   first-best-kept choice.
+//!   `(`[`portfolio_rank`]`(result), attempt)` — rank ties break on the
+//!   lowest attempt index, so the first best attempt is kept.
 //!
 //! [`Engine::run`] takes a batch of [`Job`]s and returns one
-//! [`JobOutcome`] per job, in job order. Work is scheduled at restart
-//! granularity: the engine materializes the bounded queue of
-//! `(job, attempt)` units up front and its workers claim units through an
-//! atomic cursor, so restarts of one job and jobs of one batch share the
-//! same worker pool with dynamic load balancing.
+//! [`JobOutcome`] per job, in job order; [`Engine::synthesize`] runs one
+//! request and [`Engine::pareto_sweep`] one request per degree bound.
+//! Work is scheduled at restart granularity: the engine materializes the
+//! bounded queue of `(job, attempt)` units up front and its workers claim
+//! units through an atomic cursor, so restarts of one job and jobs of one
+//! batch share the same worker pool with dynamic load balancing.
 //!
 //! Every job carries a [`SynthesisRequest`], which may select the
 //! **decomposed** mode for large patterns: the engine clusters the flow
 //! graph (`nocsyn_synth::cluster_pattern`), schedules every cluster as an
-//! independent sub-job on the same unit queue (named `{job}/c{i}` in
-//! telemetry, under `nocsyn_synth::cluster_config` — reseeded, with one
+//! independent flat sub-request on the same unit queue (named `{job}/c{i}`
+//! in telemetry, under `nocsyn_synth::cluster_config` — reseeded, with one
 //! port of degree headroom reserved for stitching), stitches the
 //! per-cluster networks with dedicated exact-colored inter-cluster pipes
 //! and re-verifies Theorem 1 on the stitched whole
@@ -61,18 +62,18 @@
 //! ```
 //! use nocsyn_engine::Engine;
 //! use nocsyn_model::{Phase, PhaseSchedule};
-//! use nocsyn_synth::{synthesize, AppPattern, SynthesisConfig};
+//! use nocsyn_synth::{AppPattern, SynthesisRequest};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let mut sched = PhaseSchedule::new(4);
 //! sched.push(Phase::from_flows([(0usize, 1usize), (2, 3)])?)?;
 //! let pattern = AppPattern::from_schedule(&sched);
-//! let config = SynthesisConfig::new().with_seed(7).with_restarts(4);
+//! let request = SynthesisRequest::builder(pattern).seed(7).restarts(4).build()?;
 //!
-//! // Any worker count selects the same result as the sequential loop.
-//! let outcome = Engine::new().with_workers(4).synthesize(&pattern, &config, None);
-//! let parallel = outcome.result.expect("no deadline, so a result exists");
-//! let sequential = synthesize(&pattern, &config)?;
+//! // Any worker count selects the same result as one worker.
+//! let parallel = Engine::new().with_workers(4).synthesize(request.clone());
+//! let sequential = Engine::new().with_workers(1).synthesize(request);
+//! let (parallel, sequential) = (parallel.result.unwrap(), sequential.result.unwrap());
 //! assert_eq!(parallel.report, sequential.report);
 //! # Ok(())
 //! # }
@@ -96,10 +97,25 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use nocsyn_synth::{
-    auto_cluster_count, cluster_config, cluster_pattern, portfolio_rank, retry_seed, stitch,
-    synthesize_retry, AppPattern, ClusterPlan, DecompositionSummary, SynthError, SynthesisConfig,
-    SynthesisMode, SynthesisRequest, SynthesisResult,
+    auto_cluster_count, cluster_config, cluster_pattern, pareto_filter, retry_seed, stitch,
+    synthesize_attempt, ClusterPlan, DecompositionSummary, ParetoPoint, SynthError, SynthesisMode,
+    SynthesisRequest, SynthesisResult,
 };
+
+/// The degree bounds of a [`Engine::pareto_sweep`], besides the request's
+/// own. The top rung admits the 16-port mega-switch of a 16-node pattern.
+const PARETO_LADDER: [usize; 6] = [4, 5, 6, 8, 12, 16];
+
+/// Portfolio selection rank of a result — lower is better: constraints
+/// met first, then fewest links, then fewest switches. The engine breaks
+/// rank ties on the *attempt index* (lowest wins).
+pub fn portfolio_rank(r: &SynthesisResult) -> (bool, usize, usize) {
+    (
+        !r.report.constraints_met, // met first
+        r.report.n_links,
+        r.report.n_switches,
+    )
+}
 
 /// Bounded retry policy for failed or panicked attempts.
 ///
@@ -140,8 +156,9 @@ pub struct Job {
     /// Name carried through outcomes and telemetry. Decomposed jobs fan
     /// out into per-cluster sub-jobs named `{name}/c{i}` in telemetry.
     pub name: String,
-    /// What to synthesize: pattern, config (`restarts()` sets the
-    /// portfolio size), flat/decomposed mode, optional per-job deadline.
+    /// What to synthesize: pattern, config, restart count (the portfolio
+    /// size), optional warm start, flat/decomposed mode and optional
+    /// per-job deadline.
     pub request: SynthesisRequest,
     /// Bounded retry policy for this job's attempts.
     pub retry: RetryPolicy,
@@ -180,22 +197,23 @@ impl Job {
     }
 }
 
-/// One schedulable sub-job: a flat job is exactly one of these, a
-/// decomposed job fans out into one per cluster (with a derived
-/// per-cluster seed).
-#[derive(Debug)]
-struct ExecJob {
-    name: String,
-    pattern: AppPattern,
-    config: SynthesisConfig,
-    deadline: Option<Duration>,
-    retry: RetryPolicy,
-    injected_panics: BTreeSet<usize>,
-}
-
-impl ExecJob {
-    fn attempts(&self) -> usize {
-        self.config.restarts().max(1)
+/// The flat sub-job of cluster `index` of a decomposed job, named
+/// `{job}/c{index}`: the cluster's pattern under [`cluster_config`], with
+/// the parent's restart count, deadline, retry policy and injected panics.
+fn cluster_job(job: &Job, plan: &ClusterPlan, index: usize) -> Job {
+    let mut builder = SynthesisRequest::builder(plan.clusters()[index].pattern().clone())
+        .config(cluster_config(job.request.config(), index))
+        .restarts(job.request.restarts().get());
+    if let Some(deadline) = job.request.deadline() {
+        builder = builder.deadline(deadline);
+    }
+    Job {
+        name: format!("{}/c{index}", job.name),
+        request: builder
+            .build()
+            .expect("a flat request with the parent's non-zero restarts builds"),
+        retry: job.retry,
+        injected_panics: job.injected_panics.clone(),
     }
 }
 
@@ -552,24 +570,17 @@ impl Engine {
     /// atomic cursor, so a long job's portfolio and its batch neighbors
     /// share the pool. All workers are joined before this returns.
     pub fn run(&self, jobs: Vec<Job>) -> Vec<JobOutcome> {
-        // Expand: a flat job maps 1:1 onto one exec sub-job; a decomposed
-        // job fans out into one per cluster under `cluster_config` —
-        // reseeded so every cluster search is independent and
-        // reproducible for any worker count, with one port of degree
-        // headroom reserved for the stitch phase.
-        let mut execs: Vec<ExecJob> = Vec::new();
+        // Expand into flat exec jobs: a flat job runs as itself; a
+        // decomposed job fans out into one per cluster under
+        // `cluster_config` — reseeded so every cluster search is
+        // independent and reproducible for any worker count, with one port
+        // of degree headroom reserved for the stitch phase.
+        let mut execs: Vec<Job> = Vec::new();
         let mut reductions: Vec<Reduction> = Vec::with_capacity(jobs.len());
         for job in &jobs {
             match job.request.mode() {
                 SynthesisMode::Flat => {
-                    execs.push(ExecJob {
-                        name: job.name.clone(),
-                        pattern: job.request.pattern().clone(),
-                        config: job.request.config().clone(),
-                        deadline: job.request.deadline(),
-                        retry: job.retry,
-                        injected_panics: job.injected_panics.clone(),
-                    });
+                    execs.push(job.clone());
                     reductions.push(Reduction::Flat);
                 }
                 SynthesisMode::Decomposed { clusters } => {
@@ -578,15 +589,8 @@ impl Engine {
                     match cluster_pattern(pattern, k) {
                         Err(e) => reductions.push(Reduction::PlanFailed(e)),
                         Ok(plan) => {
-                            for (ci, cluster) in plan.clusters().iter().enumerate() {
-                                execs.push(ExecJob {
-                                    name: format!("{}/c{ci}", job.name),
-                                    pattern: cluster.pattern().clone(),
-                                    config: cluster_config(job.request.config(), ci),
-                                    deadline: job.request.deadline(),
-                                    retry: job.retry,
-                                    injected_panics: job.injected_panics.clone(),
-                                });
+                            for ci in 0..plan.clusters().len() {
+                                execs.push(cluster_job(job, &plan, ci));
                             }
                             reductions.push(Reduction::Decomposed(plan));
                         }
@@ -595,12 +599,14 @@ impl Engine {
             }
         }
 
+        // The attempt count of a flat exec job is its restart count.
+        let attempts = |exec: &Job| exec.request.restarts().get();
         let units: Vec<(usize, usize)> = execs
             .iter()
             .enumerate()
-            .flat_map(|(ei, exec)| (0..exec.attempts()).map(move |attempt| (ei, attempt)))
+            .flat_map(|(ei, exec)| (0..attempts(exec)).map(move |attempt| (ei, attempt)))
             .collect();
-        let states: Vec<JobState> = execs.iter().map(|e| JobState::new(e.attempts())).collect();
+        let states: Vec<JobState> = execs.iter().map(|e| JobState::new(attempts(e))).collect();
         let cursor = AtomicUsize::new(0);
         let sink = SinkGuard::new(self.sink.as_ref());
         if !units.is_empty() {
@@ -641,31 +647,78 @@ impl Engine {
             .collect()
     }
 
-    /// Convenience for a single unnamed flat job: the parallel equivalent
-    /// of `nocsyn_synth::synthesize`, with an optional deadline.
-    pub fn synthesize(
-        &self,
-        pattern: &AppPattern,
-        config: &SynthesisConfig,
-        deadline: Option<Duration>,
-    ) -> JobOutcome {
-        let mut builder = SynthesisRequest::builder(pattern.clone()).config(config.clone());
-        if let Some(deadline) = deadline {
-            builder = builder.deadline(deadline);
-        }
-        let request = builder
-            .build()
-            .expect("a flat request with no overrides always builds");
+    /// Runs one request as a batch of one job named `synth`.
+    pub fn synthesize(&self, request: SynthesisRequest) -> JobOutcome {
         self.run(vec![Job::new("synth", request)])
             .pop()
             .expect("one job in, one outcome out")
+    }
+
+    /// Sweeps the degree bound over `{4, 5, 6, 8, 12, 16}` plus the
+    /// request's own bound, one derived request per rung (everything but
+    /// the bound carries over, so a decomposed sweep stays decomposed),
+    /// and keeps the Pareto-optimal points ([`pareto_filter`]) in degree
+    /// order, each with the outcome it came from. The rungs run as one
+    /// batch named `pareto/d{degree}`.
+    ///
+    /// A rung left without a result by the request's deadline is dropped
+    /// rather than failing the sweep; without a deadline every rung
+    /// completes and the front is fully deterministic.
+    ///
+    /// # Errors
+    ///
+    /// The error of the lowest rung that failed.
+    pub fn pareto_sweep(
+        &self,
+        request: &SynthesisRequest,
+    ) -> Result<Vec<(ParetoPoint, JobOutcome)>, JobError> {
+        let mut degrees = PARETO_LADDER.to_vec();
+        degrees.push(request.config().max_degree());
+        degrees.sort_unstable();
+        degrees.dedup();
+        let jobs = degrees
+            .iter()
+            .map(|&degree| {
+                let rung = request
+                    .clone()
+                    .with_config(request.config().clone().with_max_degree(degree));
+                Job::new(format!("pareto/d{degree}"), rung)
+            })
+            .collect();
+        let mut points = Vec::new();
+        let mut outcomes = std::collections::BTreeMap::new();
+        for (degree, outcome) in degrees.into_iter().zip(self.run(jobs)) {
+            if let JobStatus::Failed(e) = outcome.status {
+                return Err(e);
+            }
+            let Some(result) = &outcome.result else {
+                continue;
+            };
+            points.push(ParetoPoint {
+                max_degree: degree,
+                n_switches: result.report.n_switches,
+                n_links: result.report.n_links,
+                feasible: result.report.constraints_met,
+                result: result.clone(),
+            });
+            outcomes.insert(degree, outcome);
+        }
+        Ok(pareto_filter(points)
+            .into_iter()
+            .map(|point| {
+                let outcome = outcomes
+                    .remove(&point.max_degree)
+                    .expect("every surviving point has its outcome");
+                (point, outcome)
+            })
+            .collect())
     }
 
     /// Worker loop: claim units until the queue drains.
     fn work(
         &self,
         sink: &SinkGuard<'_>,
-        execs: &[ExecJob],
+        execs: &[Job],
         states: &[JobState],
         units: &[(usize, usize)],
         cursor: &AtomicUsize,
@@ -681,7 +734,7 @@ impl Engine {
                 sink.emit(&EngineEvent::JobStarted {
                     job: job.name.clone(),
                     attempts: state.attempts_total,
-                    deadline_ms: job.deadline.map(|d| d.as_millis() as u64),
+                    deadline_ms: job.request.deadline().map(|d| d.as_millis() as u64),
                 });
                 Instant::now()
             });
@@ -697,14 +750,10 @@ impl Engine {
 
     /// Cancels the job once its deadline has passed (checked at unit
     /// granularity: an in-flight attempt is never interrupted).
-    fn check_deadline(
-        &self,
-        sink: &SinkGuard<'_>,
-        job: &ExecJob,
-        state: &JobState,
-        started: Instant,
-    ) {
-        let Some(deadline) = job.deadline else { return };
+    fn check_deadline(&self, sink: &SinkGuard<'_>, job: &Job, state: &JobState, started: Instant) {
+        let Some(deadline) = job.request.deadline() else {
+            return;
+        };
         if state.cancelled.load(Ordering::Acquire) || started.elapsed() < deadline {
             return;
         }
@@ -721,7 +770,7 @@ impl Engine {
     /// bounded retry budget — and merges a success into the stable argmin
     /// reduction. Exhausting the budget fails the job (first error wins)
     /// and cancels its remaining attempts; the batch carries on.
-    fn run_attempt(&self, sink: &SinkGuard<'_>, job: &ExecJob, state: &JobState, attempt: usize) {
+    fn run_attempt(&self, sink: &SinkGuard<'_>, job: &Job, state: &JobState, attempt: usize) {
         // Some after the first loop iteration; the loop always runs once.
         let mut last_error: Option<JobError> = None;
         for retry in 0..=job.retry.max_retries {
@@ -733,14 +782,14 @@ impl Engine {
                 if retry == 0 && job.injected_panics.contains(&attempt) {
                     panic!("injected panic (attempt {attempt})");
                 }
-                synthesize_retry(&job.pattern, &job.config, attempt, retry)
+                synthesize_attempt(&job.request, attempt, retry)
             }));
             match outcome {
                 Ok(Ok(result)) => {
                     sink.emit(&EngineEvent::RestartCompleted {
                         job: job.name.clone(),
                         attempt,
-                        seed: retry_seed(&job.config, attempt, retry),
+                        seed: retry_seed(job.request.config(), attempt, retry),
                         links: result.report.n_links,
                         switches: result.report.n_switches,
                         constraints_met: result.report.constraints_met,
@@ -782,7 +831,7 @@ impl Engine {
     }
 
     /// Last unit of a job: seal its elapsed time and emit `JobFinished`.
-    fn finish_job(&self, sink: &SinkGuard<'_>, job: &ExecJob, state: &JobState, started: Instant) {
+    fn finish_job(&self, sink: &SinkGuard<'_>, job: &Job, state: &JobState, started: Instant) {
         let elapsed = started.elapsed();
         *state.elapsed.lock().expect("engine lock never poisoned") = elapsed;
         let (links, switches) = {
@@ -807,7 +856,7 @@ impl Engine {
 mod tests {
     use super::*;
     use nocsyn_model::{Phase, PhaseSchedule};
-    use nocsyn_synth::synthesize;
+    use nocsyn_synth::{AppPattern, SynthesisConfig};
 
     fn pattern(n: usize) -> AppPattern {
         let mut sched = PhaseSchedule::new(n);
@@ -822,26 +871,36 @@ mod tests {
         AppPattern::from_schedule(&sched)
     }
 
+    const RESTARTS: usize = 6;
+
     fn config() -> SynthesisConfig {
-        SynthesisConfig::new().with_seed(0xE7A1).with_restarts(6)
+        SynthesisConfig::new().with_seed(0xE7A1)
     }
 
     fn request(pattern: AppPattern) -> SynthesisRequest {
         SynthesisRequest::builder(pattern)
             .config(config())
+            .restarts(RESTARTS)
             .build()
             .expect("flat request builds")
     }
 
+    /// The one-worker portfolio: what "sequential" means.
+    fn sequential(request: SynthesisRequest) -> SynthesisResult {
+        Engine::new()
+            .with_workers(1)
+            .synthesize(request)
+            .result
+            .expect("no deadline, so a result exists")
+    }
+
     #[test]
     fn matches_sequential_synthesize_for_any_worker_count() {
-        let pattern = pattern(8);
-        let config = config();
-        let sequential = synthesize(&pattern, &config).expect("synthesis succeeds");
-        for workers in [1usize, 2, 4, 8] {
+        let sequential = sequential(request(pattern(8)));
+        for workers in [2usize, 4, 8] {
             let outcome = Engine::new()
                 .with_workers(workers)
-                .synthesize(&pattern, &config, None);
+                .synthesize(request(pattern(8)));
             assert_eq!(outcome.status, JobStatus::Completed, "workers={workers}");
             assert_eq!(outcome.attempts_completed, 6);
             let result = outcome.result.expect("completed job has a result");
@@ -872,6 +931,7 @@ mod tests {
     fn zero_deadline_degrades_without_panicking() {
         let late = SynthesisRequest::builder(pattern(8))
             .config(config())
+            .restarts(RESTARTS)
             .deadline_ms(0)
             .build()
             .expect("request builds");
@@ -943,7 +1003,7 @@ mod tests {
         let outcome = Engine::new()
             .with_workers(2)
             .with_sink(sink.clone())
-            .synthesize(&pattern(8), &config(), None);
+            .synthesize(request(pattern(8)));
         assert_eq!(outcome.status, JobStatus::Completed);
         let events = sink.events();
         let mut restart_sum = 0usize;
@@ -975,6 +1035,7 @@ mod tests {
     fn decomposed_job_is_worker_invariant_and_contention_free() {
         let req = SynthesisRequest::builder(pattern(16))
             .config(config())
+            .restarts(RESTARTS)
             .mode(SynthesisMode::Decomposed { clusters: Some(2) })
             .build()
             .expect("request builds");
@@ -991,7 +1052,7 @@ mod tests {
             .expect("decomposed job carries a summary");
         assert_eq!(summary.clusters, 2);
         assert!(summary.cut_flows > 0);
-        assert_eq!(baseline.attempts_total, 2 * config().restarts());
+        assert_eq!(baseline.attempts_total, 2 * RESTARTS);
         assert_eq!(baseline.attempts_completed, baseline.attempts_total);
         let base = baseline
             .result
@@ -1094,7 +1155,7 @@ mod tests {
         }
         // The sibling is bit-identical to a panic-free sequential run.
         assert_eq!(outcomes[1].status, JobStatus::Completed);
-        let baseline = synthesize(&pattern(8), &config()).expect("synthesis succeeds");
+        let baseline = sequential(request(pattern(8)));
         let healthy = outcomes[1].result.as_ref().expect("healthy job succeeds");
         assert_eq!(healthy.report, baseline.report);
         assert_eq!(healthy.routes, baseline.routes);
@@ -1181,9 +1242,9 @@ mod tests {
         let outcome = Engine::new()
             .with_workers(2)
             .with_sink(sink.clone())
-            .synthesize(&pattern(8), &config(), None);
+            .synthesize(request(pattern(8)));
         assert_eq!(outcome.status, JobStatus::Completed);
-        let baseline = synthesize(&pattern(8), &config()).expect("synthesis succeeds");
+        let baseline = sequential(request(pattern(8)));
         assert_eq!(
             outcome.result.expect("completed job has a result").report,
             baseline.report
@@ -1193,5 +1254,94 @@ mod tests {
         let events = sink.inner.events();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].kind(), "sink_degraded");
+    }
+
+    #[test]
+    fn warm_start_request_runs_from_the_given_placement() {
+        let base = sequential(request(pattern(8)));
+        let warm = SynthesisRequest::builder(pattern(8))
+            .config(config())
+            .restarts(1)
+            .warm_start(base.placement.clone())
+            .build()
+            .expect("request builds");
+        let outcome = Engine::new().with_workers(2).synthesize(warm);
+        assert_eq!(outcome.status, JobStatus::Completed);
+        let again = outcome.result.expect("completed job has a result");
+        // Same pattern from a placement that already meets the
+        // constraint: nothing moves.
+        assert_eq!(again.placement, base.placement);
+        // A placement that does not cover the pattern fails the job.
+        let short = SynthesisRequest::builder(pattern(8))
+            .warm_start(vec![0; 3])
+            .build()
+            .expect("request builds");
+        let failed = Engine::new().synthesize(short);
+        match &failed.status {
+            JobStatus::Failed(e) => assert_eq!(e.fingerprint(), "empty-pattern"),
+            other => panic!("expected a failure, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn pareto_sweep_returns_nondominated_feasible_points() {
+        let req = SynthesisRequest::builder(pattern(8))
+            .seed(5)
+            .restarts(2)
+            .build()
+            .expect("request builds");
+        let sweep = Engine::new()
+            .with_workers(2)
+            .pareto_sweep(&req)
+            .expect("sweep succeeds");
+        assert!(!sweep.is_empty());
+        let points: Vec<&ParetoPoint> = sweep.iter().map(|(p, _)| p).collect();
+        assert!(points.iter().all(|p| p.feasible));
+        for a in &points {
+            for b in &points {
+                if !std::ptr::eq(*a, *b) {
+                    assert!(!a.dominates(b), "dominated point survived");
+                }
+            }
+        }
+        assert!(points.iter().map(|p| p.max_degree).is_sorted());
+        // Degree 8 admits the 8-port mega-switch (1 switch, 0 links).
+        let top = points.last().expect("non-empty front");
+        assert_eq!((top.n_switches, top.n_links), (1, 0));
+        // Each point travels with the outcome it came from, and a rung is
+        // the request with only its degree bound changed.
+        for (point, outcome) in &sweep {
+            let result = outcome.result.as_ref().expect("kept rungs have results");
+            assert_eq!(result.report, point.result.report);
+            let rung = req
+                .clone()
+                .with_config(req.config().clone().with_max_degree(point.max_degree));
+            assert_eq!(sequential(rung).report, result.report);
+        }
+    }
+
+    #[test]
+    fn pareto_sweep_keeps_every_rung_when_nothing_is_feasible() {
+        // 20 processors and no partitioning rounds: the mega-switch needs
+        // 20 ports, above every rung.
+        let req = SynthesisRequest::builder(pattern(20))
+            .config(SynthesisConfig::new().with_max_rounds(0))
+            .restarts(1)
+            .build()
+            .expect("request builds");
+        let sweep = Engine::new().pareto_sweep(&req).expect("sweep succeeds");
+        let degrees: Vec<usize> = sweep.iter().map(|(p, _)| p.max_degree).collect();
+        assert_eq!(degrees, [4, 5, 6, 8, 12, 16]);
+        assert!(sweep.iter().all(|(p, _)| !p.feasible));
+    }
+
+    #[test]
+    fn pareto_sweep_reports_a_failed_rung() {
+        let empty = AppPattern::from_schedule(&PhaseSchedule::new(0));
+        let req = SynthesisRequest::builder(empty).build().expect("builds");
+        let err = Engine::new()
+            .pareto_sweep(&req)
+            .expect_err("an empty pattern fails every rung");
+        assert_eq!(err.fingerprint(), "empty-pattern");
     }
 }

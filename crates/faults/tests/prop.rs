@@ -7,7 +7,7 @@
 use nocsyn_check::{check, check_assert, u64_in, usize_in};
 use nocsyn_faults::{repair_routes, route_is_affected, DegradationReport, FaultScenario};
 use nocsyn_model::Flow;
-use nocsyn_synth::{synthesize, AppPattern, SynthesisConfig};
+use nocsyn_synth::{synthesize_attempt, AppPattern, SynthesisRequest};
 use nocsyn_topo::{regular, Network, RouteTable};
 use nocsyn_workloads::{Benchmark, WorkloadParams};
 
@@ -89,8 +89,11 @@ fn check_fewer_cases() {
                 )
                 .unwrap();
             let pattern = AppPattern::from_schedule(&sched);
-            let config = SynthesisConfig::new().with_seed(seed).with_restarts(1);
-            let result = synthesize(&pattern, &config).unwrap();
+            let request = SynthesisRequest::builder(pattern)
+                .seed(seed)
+                .build()
+                .unwrap();
+            let result = synthesize_attempt(&request, 0, 0).unwrap();
             for scenario in FaultScenario::enumerate_single_link_faults(&result.network)
                 .into_iter()
                 .chain(FaultScenario::enumerate_single_switch_faults(

@@ -133,7 +133,7 @@ pub fn synthesis_request_target() -> FuzzTarget {
                     reordered.canonical_form().digest(),
                     "canonical form must be setter-order invariant"
                 );
-                assert_eq!(request.config().restarts(), knobs.restarts);
+                assert_eq!(request.restarts().get(), knobs.restarts);
                 assert_eq!(request.config().max_degree(), knobs.max_degree);
                 assert_eq!(request.mode(), knobs.mode);
                 CaseReport::accepted(ticks, request.canonical_form().len() as u64)

@@ -129,7 +129,8 @@ mod tests {
 
     fn request(mode: SynthesisMode) -> SynthesisRequest {
         SynthesisRequest::builder(pattern())
-            .config(SynthesisConfig::new().with_seed(5).with_restarts(2))
+            .config(SynthesisConfig::new().with_seed(5))
+            .restarts(2)
             .mode(mode)
             .build()
             .expect("request builds")

@@ -378,32 +378,32 @@ impl Server {
                 return Reply::error("bad-field", &format!("unknown mode {other:?}"));
             }
         };
+        // The restart cap is admission control on the *effective* job, so
+        // it also bounds the default-portfolio case, not just explicit
+        // oversized requests. It caps the builder input: a wire-level zero
+        // stays zero and is rejected below.
+        let mut restarts = req
+            .restarts
+            .map_or(SynthesisRequest::DEFAULT_RESTARTS, |r| {
+                usize::try_from(r).unwrap_or(usize::MAX)
+            });
+        if let Some(cap) = self.opts.max_restarts {
+            restarts = restarts.min(usize::try_from(cap).unwrap_or(usize::MAX).max(1));
+        }
         let mut builder = SynthesisRequest::builder(parsed.pattern)
             .config(config)
+            .restarts(restarts)
             .mode(mode);
-        if let Some(r) = req.restarts {
-            builder = builder.restarts(usize::try_from(r).unwrap_or(usize::MAX));
-        }
         if let Some(ms) = req.deadline_ms {
             builder = builder.deadline_ms(ms);
         }
         // Wire-level zero restarts / zero clusters surface as typed
         // rejections with the builder's stable fingerprints, not silent
         // clamps.
-        let mut request = match builder.build() {
+        let request = match builder.build() {
             Ok(r) => r,
             Err(e) => return Reply::error(e.fingerprint(), &e.to_string()),
         };
-        // The restart cap is admission control on the *effective* job, so
-        // it also bounds the default-portfolio case, not just explicit
-        // oversized requests.
-        if let Some(cap) = self.opts.max_restarts {
-            let cap = usize::try_from(cap).unwrap_or(usize::MAX).max(1);
-            if request.config().restarts() > cap {
-                let clamped = request.config().clone().with_restarts(cap);
-                request = request.with_config(clamped);
-            }
-        }
         let fp = job_fingerprint(parsed.kind, &parsed.canonical, &request);
 
         if let Some((report, tier)) = self.cache_lookup(&fp, &parsed.canonical) {
@@ -792,6 +792,13 @@ mod tests {
             .handle_line(&synth_line(",\"seed\":3").replace("\"restarts\":1", "\"restarts\":999"));
         assert_eq!(a.kind, ReplyKind::Report(CacheTier::Miss));
         assert_eq!(b.kind, ReplyKind::Report(CacheTier::Hit));
+        // The cap also bounds the default portfolio, and never turns a
+        // wire-level zero into a valid job.
+        let c = server.handle_line(&synth_line(",\"seed\":3").replace(",\"restarts\":1", ""));
+        assert_eq!(c.kind, ReplyKind::Report(CacheTier::Hit));
+        let z = server
+            .handle_line(&synth_line(",\"seed\":3").replace("\"restarts\":1", "\"restarts\":0"));
+        assert_eq!(z.kind, ReplyKind::Error("zero-restarts"));
     }
 
     #[test]

@@ -31,7 +31,7 @@ impl NetworkDelta {
     ///
     /// Switch indices are compared positionally, so the result is
     /// meaningful when both networks come from placement-stable synthesis
-    /// (see `synthesize_incremental` in `nocsyn-synth`).
+    /// (a `nocsyn-synth` request warm-started from the old placement).
     ///
     /// # Panics
     ///

@@ -45,7 +45,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Figures 5-6: full synthesis and floorplan.
     let pattern = AppPattern::from_schedule(&schedule);
-    let result = synthesize(&pattern, &SynthesisConfig::new().with_seed(0xC9))?;
+    let request = SynthesisRequest::builder(pattern.clone())
+        .seed(0xC9)
+        .build()?;
+    let result = Engine::new()
+        .synthesize(request)
+        .result
+        .expect("no deadline, so a result exists");
     println!("\n{}", result.report);
 
     let plan = place(&result.network, 7);

@@ -73,8 +73,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{pattern}");
 
     // Tight budget: 4-port switches.
-    let config = SynthesisConfig::new().with_max_degree(4).with_seed(0x50C);
-    let result = synthesize(&pattern, &config)?;
+    let request = SynthesisRequest::builder(pattern.clone())
+        .max_degree(4)
+        .seed(0x50C)
+        .build()?;
+    let outcome = Engine::new().synthesize(request);
+    let result = outcome.result.expect("no deadline, so a result exists");
     println!("\n{}", result.report);
     println!("{}", result.network);
 

@@ -20,7 +20,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("MG:     {p_mg}");
     println!("merged: {merged}");
 
-    let result = synthesize(&merged, &SynthesisConfig::new().with_seed(0xD0))?;
+    let request = SynthesisRequest::builder(merged).seed(0xD0).build()?;
+    let outcome = Engine::new().synthesize(request);
+    let result = outcome.result.expect("no deadline, so a result exists");
     println!("\n{}", result.report);
 
     // The shared network is contention-free for each application alone.

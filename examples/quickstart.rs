@@ -42,9 +42,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{pattern}");
 
     // 3. Synthesize a minimal low-contention network under a maximum
-    //    switch degree of 5 (the paper's running constraint).
-    let config = SynthesisConfig::new().with_max_degree(5).with_seed(42);
-    let result = synthesize(&pattern, &config)?;
+    //    switch degree of 5 (the paper's running constraint): one request,
+    //    run by the engine's restart portfolio (8 restarts by default).
+    let request = SynthesisRequest::builder(pattern.clone())
+        .max_degree(5)
+        .seed(42)
+        .build()?;
+    let outcome = Engine::new().synthesize(request);
+    let result = outcome.result.expect("no deadline, so a result exists");
     println!("\n{}", result.report);
     println!("\n{}", result.network);
 

@@ -15,10 +15,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (xbar, xbar_routes) = regular::crossbar(n)?;
     let (mesh, mesh_routes) = regular::mesh(4, 4)?;
     let (torus, torus_xy, torus_yx) = regular::torus_with_alternates(4, 4)?;
-    let generated = synthesize(
-        &AppPattern::from_schedule(&schedule),
-        &SynthesisConfig::new().with_seed(1),
-    )?;
+    let request = SynthesisRequest::builder(AppPattern::from_schedule(&schedule))
+        .seed(1)
+        .build()?;
+    let generated = Engine::new()
+        .synthesize(request)
+        .result
+        .expect("no deadline, so a result exists");
 
     let contenders: Vec<(&str, &nocsyn::topo::Network, RoutePolicy)> = vec![
         ("crossbar", &xbar, RoutePolicy::deterministic(xbar_routes)),

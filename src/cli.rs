@@ -20,7 +20,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use nocsyn_certify::{check_certificate, CheckOptions, Rejection};
-use nocsyn_engine::{par_map, Engine, EventSink, Job, JobStatus, JsonLinesSink, NullSink};
+use nocsyn_engine::{par_map, Engine, EventSink, JobOutcome, JobStatus, JsonLinesSink, NullSink};
 use nocsyn_faults::{DegradationReport, FaultScenario};
 use nocsyn_floorplan::{mesh_baseline, place};
 use nocsyn_fuzz::{CaseReport, FuzzConfig, FuzzTarget, Registry};
@@ -34,8 +34,7 @@ use nocsyn_serve::{
 };
 use nocsyn_sim::{AppDriver, RoutePolicy, SimConfig};
 use nocsyn_synth::{
-    explain, pareto_filter, synthesize, AppPattern, ParetoPoint, SynthesisConfig, SynthesisMode,
-    SynthesisRequest,
+    explain, AppPattern, SynthesisConfig, SynthesisMode, SynthesisRequest, SynthesisResult,
 };
 use nocsyn_topo::{
     build_certificate, regular, to_dot, verify_contention_free, Network, RouteTable,
@@ -96,7 +95,9 @@ OPTIONS (certify):
                        to that job fingerprint
 
 OPTIONS (simulate, verify, faults):
-    --network <kind>   generated | mesh | torus | crossbar [default generated]
+    --network <kind>   generated | mesh | torus | crossbar [default generated];
+                       generated runs the synth request (--max-degree,
+                       --restarts, --jobs, --deadline-ms, --decompose)
 
 OPTIONS (faults):
     --exhaustive         every single-link and single-switch fault scenario
@@ -524,20 +525,8 @@ fn cmd_synth(pattern: &AppPattern, raw: &str, opts: &Options) -> Result<String, 
         Arc::new(NullSink)
     };
     let engine = Engine::new().with_workers(opts.jobs).with_sink(sink);
-    let outcome = engine
-        .run(vec![Job::new("synth", request.clone())])
-        .pop()
-        .expect("one job in, one outcome out");
-    if let JobStatus::Failed(e) = &outcome.status {
-        return Err(e.to_string());
-    }
-    let Some(result) = &outcome.result else {
-        return Err(format!(
-            "deadline of {} ms expired before any of the {} restarts completed",
-            opts.deadline_ms.unwrap_or(0),
-            outcome.attempts_total
-        ));
-    };
+    let outcome = engine.synthesize(request.clone());
+    let result = outcome_result(&outcome, opts)?;
     if let Some(cert_path) = &opts.emit_cert {
         // Bind the certificate to the same job fingerprint the serve
         // cache would use for this request, so the file is
@@ -554,10 +543,15 @@ fn cmd_synth(pattern: &AppPattern, raw: &str, opts: &Options) -> Result<String, 
         // cache hit is byte-comparable against a direct CLI run.
         let base = synth_json_object(&request, &outcome);
         let body = if opts.pareto {
-            let sweep = pareto_sweep(&engine, &request, opts)?;
+            // Each rung differs from the request only in its degree bound,
+            // which the report object does not read.
+            let sweep = engine.pareto_sweep(&request).map_err(|e| e.to_string())?;
             let rendered: Vec<String> = sweep
                 .iter()
-                .map(|(p, report)| pareto_point_object(p, request.seed(), report))
+                .map(|(p, rung)| {
+                    let report = synth_json_object(&request, rung);
+                    pareto_point_object(p, request.seed(), &report)
+                })
                 .collect();
             with_pareto_array(&base, &rendered)
         } else {
@@ -601,7 +595,7 @@ fn cmd_synth(pattern: &AppPattern, raw: &str, opts: &Options) -> Result<String, 
         100.0 * area.link_area / mesh.link_area.max(1.0),
     );
     if opts.pareto {
-        let sweep = pareto_sweep(&engine, &request, opts)?;
+        let sweep = engine.pareto_sweep(&request).map_err(|e| e.to_string())?;
         let _ = writeln!(out, "\npareto front (constraint sweep):");
         for (p, _) in &sweep {
             let _ = writeln!(
@@ -620,59 +614,23 @@ fn cmd_synth(pattern: &AppPattern, raw: &str, opts: &Options) -> Result<String, 
     Ok(out)
 }
 
-/// Sweeps the degree constraint around the requested bound and keeps the
-/// Pareto-optimal points, pairing each surviving point with its full
-/// report object (rendered through the shared [`synth_json_object`] path
-/// so serve and CLI bytes agree). Each rung reuses the request verbatim
-/// except for the degree bound — decomposition mode, seed and restarts
-/// all carry over, so a decomposed sweep stays decomposed.
-fn pareto_sweep(
-    engine: &Engine,
-    request: &SynthesisRequest,
+/// The result an engine outcome selected, or the CLI's message for why
+/// there is none: the job's error, or a deadline that expired before any
+/// restart completed.
+fn outcome_result<'a>(
+    outcome: &'a JobOutcome,
     opts: &Options,
-) -> Result<Vec<(ParetoPoint, String)>, String> {
-    let mut degrees = vec![4usize, 5, 6, 8, 12, 16];
-    degrees.push(opts.max_degree);
-    degrees.sort_unstable();
-    degrees.dedup();
-    let mut points = Vec::new();
-    let mut reports = std::collections::BTreeMap::new();
-    for degree in degrees {
-        let swept = request
-            .clone()
-            .with_config(request.config().clone().with_max_degree(degree));
-        let outcome = engine
-            .run(vec![Job::new(format!("pareto/d{degree}"), swept.clone())])
-            .pop()
-            .expect("one job in, one outcome out");
-        if let JobStatus::Failed(e) = &outcome.status {
-            return Err(e.to_string());
-        }
-        let Some(result) = &outcome.result else {
-            // A deadline that starves a rung drops that point rather than
-            // failing the whole sweep; without a deadline every rung
-            // completes and the front is fully deterministic.
-            continue;
-        };
-        reports.insert(degree, synth_json_object(&swept, &outcome));
-        points.push(ParetoPoint {
-            max_degree: degree,
-            n_switches: result.report.n_switches,
-            n_links: result.report.n_links,
-            feasible: result.report.constraints_met,
-            result: result.clone(),
-        });
+) -> Result<&'a SynthesisResult, String> {
+    if let JobStatus::Failed(e) = &outcome.status {
+        return Err(e.to_string());
     }
-    let front = pareto_filter(points);
-    Ok(front
-        .into_iter()
-        .map(|p| {
-            let report = reports
-                .remove(&p.max_degree)
-                .expect("every surviving point was rendered");
-            (p, report)
-        })
-        .collect())
+    outcome.result.as_ref().ok_or_else(|| {
+        format!(
+            "deadline of {} ms expired before any of the {} restarts completed",
+            opts.deadline_ms.unwrap_or(0),
+            outcome.attempts_total
+        )
+    })
 }
 
 fn cmd_simulate(schedule: &PhaseSchedule, opts: &Options) -> Result<String, String> {
@@ -1239,12 +1197,13 @@ fn build_network_for(
             Ok((net, RoutePolicy::adaptive(vec![xy, yx])))
         }
         "generated" => {
-            let config = SynthesisConfig::new()
-                .with_max_degree(opts.max_degree)
-                .with_seed(opts.seed)
-                .with_restarts(opts.restarts);
-            let result = synthesize(pattern, &config).map_err(|e| e.to_string())?;
-            Ok((result.network, RoutePolicy::deterministic(result.routes)))
+            let request = synth_request(pattern, opts)?;
+            let outcome = Engine::new().with_workers(opts.jobs).synthesize(request);
+            let result = outcome_result(&outcome, opts)?;
+            Ok((
+                result.network.clone(),
+                RoutePolicy::deterministic(result.routes.clone()),
+            ))
         }
         other => Err(format!(
             "unknown network `{other}` (expected generated|mesh|torus|crossbar)"
@@ -1371,6 +1330,29 @@ mod tests {
         assert!(a.contains("\"network\":\"mesh\""), "{a}");
         assert!(a.contains("\"exec_cycles\":"), "{a}");
         assert!(a.contains("\"deadlock_kills\":"), "{a}");
+    }
+
+    #[test]
+    fn generated_network_is_the_synth_result_for_any_jobs() {
+        let path = write_pattern("sim-generated", PATTERN);
+        let knobs = args(&["--seed", "5", "--max-degree", "3", "--json"]);
+        let simulate = [
+            args(&["simulate", &path, "--network", "generated"]),
+            knobs.clone(),
+        ]
+        .concat();
+        let j1 = run(&[simulate.clone(), args(&["--jobs", "1"])].concat()).unwrap();
+        let j4 = run(&[simulate, args(&["--jobs", "4"])].concat()).unwrap();
+        assert_eq!(j1, j4);
+        // The simulated network is the one `synth` selects for the same
+        // request.
+        let synth = run(&[args(&["synth", &path]), knobs].concat()).unwrap();
+        let counts = |out: &str| {
+            let v = nocsyn_model::json::parse(out.trim()).expect("one JSON object");
+            let field = |k: &str| v.get(k).and_then(|x| x.as_u64());
+            (field("switches"), field("links"))
+        };
+        assert_eq!(counts(&j1), counts(&synth));
     }
 
     #[test]

@@ -11,10 +11,10 @@ pub mod cli;
 pub mod prelude {
     //! The curated single-import surface for typical programs:
     //! `use nocsyn::prelude::*;` covers characterizing an application,
-    //! synthesizing a network for it, verifying contention-freedom,
-    //! simulating it, and batching jobs through the engine. Specialized
-    //! items (Graphviz rendering, regular topologies, energy models,
-    //! fuzzing) stay behind their module paths.
+    //! synthesizing a network for it (a [`SynthesisRequest`] run by the
+    //! [`Engine`]), verifying contention-freedom, simulating it, and
+    //! batching jobs. Specialized items (Graphviz rendering, regular
+    //! topologies, energy models, fuzzing) stay behind their module paths.
     //!
     //! Where two crates export the same name (`Engine` exists in both the
     //! batch engine and the simulator core), the prelude carries the
@@ -29,8 +29,8 @@ pub mod prelude {
     };
     pub use nocsyn_sim::{AppDriver, RoutePolicy, SimConfig};
     pub use nocsyn_synth::{
-        synthesize, synthesize_network, AppPattern, ColoringStrategy, SynthesisConfig,
-        SynthesisMode, SynthesisRequest, SynthesisResult,
+        AppPattern, ColoringStrategy, SynthesisConfig, SynthesisMode, SynthesisRequest,
+        SynthesisResult,
     };
     pub use nocsyn_topo::{verify_contention_free, Network};
     pub use nocsyn_workloads::{Benchmark, WorkloadParams};

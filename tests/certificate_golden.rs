@@ -10,8 +10,10 @@
 
 use nocsyn::certify::{check_certificate, CheckOptions};
 use nocsyn::cli;
-use nocsyn::model::{format_schedule, sha256, Certificate, ParseLimits};
-use nocsyn::synth::{synthesize, AppPattern, SynthesisConfig};
+use nocsyn::engine::Engine;
+use nocsyn::model::{format_schedule, sha256, Certificate, ParseLimits, ParseOptions};
+use nocsyn::serve::{job_fingerprint, parse_pattern};
+use nocsyn::synth::{AppPattern, SynthesisRequest};
 use nocsyn::workloads::{Benchmark, WorkloadParams};
 
 /// `(name, sha256(rendered certificate), binding hex)`.
@@ -47,8 +49,15 @@ fn golden_certificate(benchmark: Benchmark, n: usize) -> (Certificate, String) {
         .schedule(n, &params)
         .expect("golden size is valid");
     let pattern = AppPattern::from_schedule(&schedule);
-    let config = SynthesisConfig::new().with_seed(0x51).with_restarts(2);
-    let result = synthesize(&pattern, &config).expect("synthesis succeeds");
+    let request = SynthesisRequest::builder(pattern.clone())
+        .seed(0x51)
+        .restarts(2)
+        .build()
+        .expect("request builds");
+    let result = Engine::new()
+        .synthesize(request)
+        .result
+        .expect("synthesis succeeds");
     (
         result.certificate(&pattern, None),
         format_schedule(&schedule),
@@ -132,4 +141,37 @@ fn decomposed_clus64_certificate_is_pinned_and_a_fixed_point() {
         .expect("decomposed certificate validates");
     assert!(summary.contention_free);
     assert_eq!(Some(summary.binding), cert.claimed_binding);
+}
+
+/// `job_fingerprint` of `examples_data/pipeline.txt` as a flat request:
+/// with default knobs, and with `restarts 2 seed 9` (the ci.sh certify
+/// command). The restart count reaches the key through the request's
+/// canonical form.
+#[test]
+fn flat_pipeline_job_fingerprints_are_pinned() {
+    let text = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/examples_data/pipeline.txt"
+    ))
+    .expect("example pattern");
+    let parsed = parse_pattern(&text, &ParseOptions::new()).expect("parses");
+    let key = |request: SynthesisRequest| {
+        job_fingerprint(parsed.kind, &parsed.canonical, &request).to_hex()
+    };
+    let default = SynthesisRequest::builder(parsed.pattern.clone())
+        .build()
+        .expect("builds");
+    assert_eq!(
+        key(default),
+        "6bc1563642ec95713e006ad38f184910267ac129070c5ff9943b027d06dc725b"
+    );
+    let tuned = SynthesisRequest::builder(parsed.pattern.clone())
+        .restarts(2)
+        .seed(9)
+        .build()
+        .expect("builds");
+    assert_eq!(
+        key(tuned),
+        "857aba71ebf851bc28a847dcaad5cf102cb20423849839d0a26af98fc338ee3f"
+    );
 }

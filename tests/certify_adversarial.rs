@@ -14,12 +14,27 @@
 //!   with its stable typed fingerprint.
 
 use nocsyn::certify::{check_certificate, CheckOptions};
+use nocsyn::engine::Engine;
 use nocsyn::model::{format_schedule, Certificate, Flow};
-use nocsyn::synth::{synthesize, AppPattern, SynthesisConfig};
+use nocsyn::synth::{AppPattern, SynthesisRequest, SynthesisResult};
 use nocsyn::topo::{build_certificate, regular, RouteTable};
 use nocsyn::workloads::{Benchmark, WorkloadParams};
 
 /// The golden workloads: benchmark, process count, light parameters.
+/// The engine's selected result for `pattern` at `seed` with `restarts`
+/// restarts.
+fn run_portfolio(pattern: &AppPattern, seed: u64, restarts: usize) -> SynthesisResult {
+    let request = SynthesisRequest::builder(pattern.clone())
+        .seed(seed)
+        .restarts(restarts)
+        .build()
+        .expect("non-zero restarts build");
+    Engine::new()
+        .synthesize(request)
+        .result
+        .expect("no deadline, so a result exists")
+}
+
 fn golden() -> Vec<(Benchmark, usize)> {
     vec![
         (Benchmark::Cg, 16),
@@ -76,8 +91,7 @@ fn golden_workloads_round_trip_on_every_network_family() {
         let (_, torus_routes) = regular::torus(rows, cols).expect("torus builds");
         certify(&pattern, &text, &restrict(&torus_routes, &pattern));
 
-        let config = SynthesisConfig::new().with_seed(0x51).with_restarts(2);
-        let result = synthesize(&pattern, &config).expect("synthesis succeeds");
+        let result = run_portfolio(&pattern, 0x51, 2);
         let cert = certify(&pattern, &text, &result.routes);
         // The synthesized network is the one the paper's methodology
         // guarantees: its certificate must prove freedom.
@@ -92,8 +106,7 @@ fn golden_workloads_round_trip_on_every_network_family() {
 #[test]
 fn synthesis_result_certificates_match_build_certificate() {
     let (pattern, text) = pattern_and_text(Benchmark::Mg, 8);
-    let config = SynthesisConfig::new().with_seed(0x52).with_restarts(2);
-    let result = synthesize(&pattern, &config).expect("synthesis succeeds");
+    let result = run_portfolio(&pattern, 0x52, 2);
     let via_result = result.certificate(&pattern, None);
     let via_builder = build_certificate(
         pattern.n_procs(),
@@ -110,8 +123,7 @@ fn synthesis_result_certificates_match_build_certificate() {
 /// A validated golden certificate to tamper with, plus its pattern text.
 fn golden_cert() -> (Certificate, String) {
     let (pattern, text) = pattern_and_text(Benchmark::Cg, 16);
-    let config = SynthesisConfig::new().with_seed(0x53).with_restarts(2);
-    let result = synthesize(&pattern, &config).expect("synthesis succeeds");
+    let result = run_portfolio(&pattern, 0x53, 2);
     let cert = certify(&pattern, &text, &result.routes);
     (cert, text)
 }
@@ -170,9 +182,8 @@ fn fingerprint_mismatch_is_rejected() {
 #[test]
 fn certificates_are_byte_deterministic_per_seed() {
     let (pattern, text) = pattern_and_text(Benchmark::Fft, 16);
-    let config = SynthesisConfig::new().with_seed(0x54).with_restarts(2);
-    let a = synthesize(&pattern, &config).expect("synthesis succeeds");
-    let b = synthesize(&pattern, &config).expect("synthesis succeeds");
+    let a = run_portfolio(&pattern, 0x54, 2);
+    let b = run_portfolio(&pattern, 0x54, 2);
     let cert_a = a.certificate(&pattern, None).to_json();
     let cert_b = b.certificate(&pattern, None).to_json();
     assert_eq!(

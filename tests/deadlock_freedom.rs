@@ -3,8 +3,9 @@
 //! *prove* static freedom for most generated route tables, and show the
 //! simulator's regressive recovery covers the rest.
 
+use nocsyn::engine::Engine;
 use nocsyn::sim::{AppDriver, RoutePolicy, SimConfig};
-use nocsyn::synth::{synthesize, AppPattern, SynthesisConfig};
+use nocsyn::synth::{AppPattern, SynthesisRequest, SynthesisResult};
 use nocsyn::topo::{is_deadlock_free, ChannelDependencyGraph};
 use nocsyn::workloads::{Benchmark, WorkloadParams};
 
@@ -15,17 +16,27 @@ fn light(benchmark: Benchmark) -> WorkloadParams {
         .with_compute(50)
 }
 
+/// The engine's selected result for `pattern` at `seed` with `restarts`
+/// restarts.
+fn run_portfolio(pattern: &AppPattern, seed: u64, restarts: usize) -> SynthesisResult {
+    let request = SynthesisRequest::builder(pattern.clone())
+        .seed(seed)
+        .restarts(restarts)
+        .build()
+        .expect("non-zero restarts build");
+    Engine::new()
+        .synthesize(request)
+        .result
+        .expect("no deadline, so a result exists")
+}
+
 #[test]
 fn synthesized_routes_are_statically_or_dynamically_deadlock_free() {
     for benchmark in Benchmark::ALL {
         let n = benchmark.paper_procs(false);
         let schedule = benchmark.schedule(n, &light(benchmark)).unwrap();
         let pattern = AppPattern::from_schedule(&schedule);
-        let result = synthesize(
-            &pattern,
-            &SynthesisConfig::new().with_seed(0xDF).with_restarts(2),
-        )
-        .unwrap();
+        let result = run_portfolio(&pattern, 0xDF, 2);
 
         if is_deadlock_free(&result.routes) {
             continue; // statically proven: nothing more to check

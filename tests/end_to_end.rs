@@ -1,9 +1,10 @@
 //! End-to-end integration: workload generation → contention model →
 //! synthesis → verification → floorplan → simulation, across crates.
 
+use nocsyn::engine::Engine;
 use nocsyn::floorplan::place;
 use nocsyn::sim::{AppDriver, RoutePolicy, SimConfig};
-use nocsyn::synth::{synthesize, AppPattern, SynthesisConfig};
+use nocsyn::synth::{AppPattern, SynthesisConfig, SynthesisRequest, SynthesisResult};
 use nocsyn::topo::verify_contention_free;
 use nocsyn::workloads::{Benchmark, WorkloadParams};
 
@@ -16,7 +17,17 @@ fn light(benchmark: Benchmark) -> WorkloadParams {
 }
 
 fn fast_config(seed: u64) -> SynthesisConfig {
-    SynthesisConfig::new().with_seed(seed).with_restarts(2)
+    SynthesisConfig::new().with_seed(seed)
+}
+
+/// The engine's best of two restarts under `config`.
+fn run_portfolio(pattern: &AppPattern, config: SynthesisConfig) -> SynthesisResult {
+    let request = SynthesisRequest::builder(pattern.clone())
+        .config(config)
+        .restarts(2)
+        .build()
+        .unwrap();
+    Engine::new().synthesize(request).result.unwrap()
 }
 
 #[test]
@@ -25,7 +36,7 @@ fn every_benchmark_synthesizes_and_simulates_small() {
         let n = benchmark.paper_procs(false);
         let schedule = benchmark.schedule(n, &light(benchmark)).unwrap();
         let pattern = AppPattern::from_schedule(&schedule);
-        let result = synthesize(&pattern, &fast_config(1)).unwrap();
+        let result = run_portfolio(&pattern, fast_config(1));
 
         // Structural validity.
         assert!(result.network.is_strongly_connected(), "{benchmark}");
@@ -56,7 +67,7 @@ fn generated_network_never_uses_more_switches_than_procs() {
     for benchmark in [Benchmark::Cg, Benchmark::Mg] {
         let n = benchmark.paper_procs(true);
         let schedule = benchmark.schedule(n, &light(benchmark)).unwrap();
-        let result = synthesize(&AppPattern::from_schedule(&schedule), &fast_config(3)).unwrap();
+        let result = run_portfolio(&AppPattern::from_schedule(&schedule), fast_config(3));
         assert!(result.network.n_switches() <= n);
         assert!(result.report.constraints_met);
     }
@@ -66,8 +77,8 @@ fn generated_network_never_uses_more_switches_than_procs() {
 fn synthesis_is_deterministic_per_seed_across_the_stack() {
     let schedule = Benchmark::Cg.schedule(8, &light(Benchmark::Cg)).unwrap();
     let pattern = AppPattern::from_schedule(&schedule);
-    let a = synthesize(&pattern, &fast_config(7)).unwrap();
-    let b = synthesize(&pattern, &fast_config(7)).unwrap();
+    let a = run_portfolio(&pattern, fast_config(7));
+    let b = run_portfolio(&pattern, fast_config(7));
     assert_eq!(a.network, b.network);
     assert_eq!(a.routes, b.routes);
     assert_eq!(a.placement, b.placement);
@@ -79,8 +90,8 @@ fn tighter_degree_constraints_cost_resources() {
     // switches needed.
     let schedule = Benchmark::Cg.schedule(16, &light(Benchmark::Cg)).unwrap();
     let pattern = AppPattern::from_schedule(&schedule);
-    let tight = synthesize(&pattern, &fast_config(5).with_max_degree(4)).unwrap();
-    let loose = synthesize(&pattern, &fast_config(5).with_max_degree(16)).unwrap();
+    let tight = run_portfolio(&pattern, fast_config(5).with_max_degree(4));
+    let loose = run_portfolio(&pattern, fast_config(5).with_max_degree(16));
     assert!(loose.network.n_switches() <= tight.network.n_switches());
     // With degree 16, the megaswitch itself satisfies the constraint.
     assert_eq!(loose.network.n_switches(), 1);

@@ -6,9 +6,7 @@ use std::sync::Arc;
 
 use nocsyn::engine::{CollectSink, Engine, EngineEvent, Job, JobError, JobStatus, RetryPolicy};
 use nocsyn::model::PhaseSchedule;
-use nocsyn::synth::{
-    synthesize, AppPattern, SynthesisConfig, SynthesisRequest, SynthesisRequestBuilder,
-};
+use nocsyn::synth::{AppPattern, SynthesisConfig, SynthesisRequest, SynthesisRequestBuilder};
 use nocsyn::workloads::{Benchmark, WorkloadParams};
 
 fn benchmark_builder(benchmark: Benchmark, n: usize, restarts: usize) -> SynthesisRequestBuilder {
@@ -33,8 +31,8 @@ fn benchmark_job(benchmark: Benchmark, n: usize, restarts: usize) -> Job {
 }
 
 /// A multi-benchmark batch: every outcome comes back in job order,
-/// completed, and equal to what the sequential `synthesize` loop selects
-/// for the same job.
+/// completed, and equal to what a one-worker engine selects for the same
+/// job on its own.
 #[test]
 fn batch_across_benchmarks_matches_sequential_per_job() {
     let jobs: Vec<Job> = [Benchmark::Cg, Benchmark::Mg, Benchmark::Fft]
@@ -43,7 +41,10 @@ fn batch_across_benchmarks_matches_sequential_per_job() {
         .collect();
     let expected: Vec<_> = jobs
         .iter()
-        .map(|j| synthesize(j.request.pattern(), j.request.config()).unwrap())
+        .map(|j| {
+            let outcome = Engine::new().with_workers(1).synthesize(j.request.clone());
+            outcome.result.expect("completed job has result")
+        })
         .collect();
 
     let outcomes = Engine::new().with_workers(4).run(jobs);

@@ -2,9 +2,10 @@
 //! characterized applications (the design point motivated by the paper's
 //! §4.2 sensitivity experiment).
 
+use nocsyn::engine::Engine;
 use nocsyn::floorplan::place;
 use nocsyn::sim::{AppDriver, RoutePolicy, SimConfig};
-use nocsyn::synth::{synthesize, AppPattern, SynthesisConfig};
+use nocsyn::synth::{AppPattern, SynthesisRequest, SynthesisResult};
 use nocsyn::topo::verify_contention_free;
 use nocsyn::workloads::{Benchmark, WorkloadParams};
 
@@ -15,6 +16,20 @@ fn light(benchmark: Benchmark) -> WorkloadParams {
         .with_compute(100)
 }
 
+/// The engine's selected result for `pattern` at `seed` with `restarts`
+/// restarts.
+fn run_portfolio(pattern: &AppPattern, seed: u64, restarts: usize) -> SynthesisResult {
+    let request = SynthesisRequest::builder(pattern.clone())
+        .seed(seed)
+        .restarts(restarts)
+        .build()
+        .expect("non-zero restarts build");
+    Engine::new()
+        .synthesize(request)
+        .result
+        .expect("no deadline, so a result exists")
+}
+
 #[test]
 fn merged_network_is_contention_free_for_each_member() {
     let cg = Benchmark::Cg.schedule(16, &light(Benchmark::Cg)).unwrap();
@@ -23,8 +38,7 @@ fn merged_network_is_contention_free_for_each_member() {
     let p_mg = AppPattern::from_schedule(&mg);
     let merged = AppPattern::merged([&p_cg, &p_mg]);
 
-    let config = SynthesisConfig::new().with_seed(0x3A).with_restarts(2);
-    let result = synthesize(&merged, &config).unwrap();
+    let result = run_portfolio(&merged, 0x3A, 2);
     assert!(result.network.is_strongly_connected());
     result.routes.validate(&result.network).unwrap();
 
@@ -59,11 +73,10 @@ fn merged_network_needs_no_more_than_sum_of_parts() {
     let mg = Benchmark::Mg.schedule(8, &light(Benchmark::Mg)).unwrap();
     let p_cg = AppPattern::from_schedule(&cg);
     let p_mg = AppPattern::from_schedule(&mg);
-    let config = SynthesisConfig::new().with_seed(0x3B).with_restarts(2);
 
-    let merged = synthesize(&AppPattern::merged([&p_cg, &p_mg]), &config).unwrap();
-    let solo_cg = synthesize(&p_cg, &config).unwrap();
-    let solo_mg = synthesize(&p_mg, &config).unwrap();
+    let merged = run_portfolio(&AppPattern::merged([&p_cg, &p_mg]), 0x3B, 2);
+    let solo_cg = run_portfolio(&p_cg, 0x3B, 2);
+    let solo_mg = run_portfolio(&p_mg, 0x3B, 2);
     assert!(
         merged.network.n_network_links()
             <= solo_cg.network.n_network_links() + solo_mg.network.n_network_links(),

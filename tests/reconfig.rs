@@ -3,9 +3,10 @@
 //! repair restores service after failures.
 
 use nocsyn::certify::{check_certificate, CheckOptions};
+use nocsyn::engine::Engine;
 use nocsyn::faults::{repair_routes, route_is_affected, DegradationReport, FaultScenario};
-use nocsyn::model::format_schedule;
-use nocsyn::synth::{synthesize, synthesize_incremental, AppPattern, SynthesisConfig};
+use nocsyn::model::{format_schedule, sha256};
+use nocsyn::synth::{AppPattern, SynthesisRequest, SynthesisResult};
 use nocsyn::topo::{build_certificate, verify_contention_free, NetworkDelta};
 use nocsyn::workloads::{Benchmark, WorkloadParams};
 
@@ -15,30 +16,72 @@ fn light(benchmark: Benchmark) -> WorkloadParams {
         .with_bytes(256)
 }
 
+/// The engine's best of two restarts, from the mega-switch.
+fn cold(pattern: &AppPattern, seed: u64) -> SynthesisResult {
+    run(SynthesisRequest::builder(pattern.clone())
+        .seed(seed)
+        .restarts(2))
+}
+
+/// One attempt started from `placement`: a warm-start reconfiguration
+/// keeps continuity with a single run rather than a portfolio.
+fn warm(pattern: &AppPattern, placement: &[usize], seed: u64) -> SynthesisResult {
+    run(SynthesisRequest::builder(pattern.clone())
+        .seed(seed)
+        .restarts(1)
+        .warm_start(placement.to_vec()))
+}
+
+fn run(builder: nocsyn::synth::SynthesisRequestBuilder) -> SynthesisResult {
+    let request = builder.build().expect("request builds");
+    Engine::new()
+        .synthesize(request)
+        .result
+        .expect("no deadline, so a result exists")
+}
+
+/// SHA-256 of the rendered certificate: pins network, placement and
+/// routes in one value.
+fn cert_sha(result: &SynthesisResult, pattern: &AppPattern) -> String {
+    sha256(result.certificate(pattern, None).to_json().as_bytes()).to_hex()
+}
+
 #[test]
 fn incremental_synthesis_is_valid_and_contention_free() {
     let cg = AppPattern::from_schedule(&Benchmark::Cg.schedule(16, &light(Benchmark::Cg)).unwrap());
     let mg = AppPattern::from_schedule(&Benchmark::Mg.schedule(16, &light(Benchmark::Mg)).unwrap());
-    let config = SynthesisConfig::new().with_seed(0x1E).with_restarts(2);
 
-    let base = synthesize(&cg, &config).unwrap();
-    let warm = synthesize_incremental(&mg, &base.placement, &config).unwrap();
+    let base = cold(&cg, 0x1E);
+    let warm = warm(&mg, &base.placement, 0x1E);
 
     assert!(warm.network.is_strongly_connected());
     warm.routes.validate(&warm.network).unwrap();
     let check = verify_contention_free(mg.contention(), &warm.routes);
     assert!(check.is_contention_free(), "{check}");
+    // Recorded from the single-run warm-start entry point the request's
+    // warm start replaced.
+    assert_eq!(
+        cert_sha(&base, &cg),
+        "21996c62f6d814bfebadb77333a09f2c6c17b49d369258b54928aa2d3387b6c6"
+    );
+    assert_eq!(
+        cert_sha(&warm, &mg),
+        "ea0f0a1b6600fa003f77aca540d75fa4d97c353b5d508bf5c16ce2c05290db2c"
+    );
 }
 
 #[test]
 fn warm_start_changes_less_than_cold_start() {
     let cg = AppPattern::from_schedule(&Benchmark::Cg.schedule(16, &light(Benchmark::Cg)).unwrap());
     let mg = AppPattern::from_schedule(&Benchmark::Mg.schedule(16, &light(Benchmark::Mg)).unwrap());
-    let config = SynthesisConfig::new().with_seed(0x1F).with_restarts(2);
 
-    let base = synthesize(&cg, &config).unwrap();
-    let warm = synthesize_incremental(&mg, &base.placement, &config).unwrap();
-    let cold = synthesize(&mg, &config).unwrap();
+    let base = cold(&cg, 0x1F);
+    let warm = warm(&mg, &base.placement, 0x1F);
+    let cold = cold(&mg, 0x1F);
+    assert_eq!(
+        cert_sha(&warm, &mg),
+        "544f0bc7e6269bebbf27d4e0df4e90acbefc6e643fdf3ae101488dd2213d012b"
+    );
 
     let warm_delta = NetworkDelta::between(&base.network, &warm.network);
     let cold_delta = NetworkDelta::between(&base.network, &cold.network);
@@ -70,8 +113,7 @@ fn repair_round_trip(benchmark: Benchmark, n: usize, seed: u64) {
     let schedule = benchmark.schedule(n, &light(benchmark)).unwrap();
     let pattern_text = format_schedule(&schedule);
     let pattern = AppPattern::from_schedule(&schedule);
-    let config = SynthesisConfig::new().with_seed(seed).with_restarts(2);
-    let result = synthesize(&pattern, &config).unwrap();
+    let result = cold(&pattern, seed);
     let check_opts = CheckOptions::new();
 
     for scenario in FaultScenario::enumerate_single_link_faults(&result.network) {
@@ -131,8 +173,7 @@ fn corrupted_repair_is_caught_by_the_checker() {
     let schedule = benchmark.schedule(8, &light(benchmark)).unwrap();
     let pattern_text = format_schedule(&schedule);
     let pattern = AppPattern::from_schedule(&schedule);
-    let config = SynthesisConfig::new().with_seed(0x23).with_restarts(2);
-    let result = synthesize(&pattern, &config).unwrap();
+    let result = cold(&pattern, 0x23);
 
     let mut cert = build_certificate(
         pattern.n_procs(),
@@ -177,9 +218,12 @@ fn mg8_single_link_failures_repair_and_reverify() {
 #[test]
 fn identity_reconfiguration_when_pattern_unchanged() {
     let cg = AppPattern::from_schedule(&Benchmark::Cg.schedule(8, &light(Benchmark::Cg)).unwrap());
-    let config = SynthesisConfig::new().with_seed(0x20).with_restarts(2);
-    let base = synthesize(&cg, &config).unwrap();
-    let again = synthesize_incremental(&cg, &base.placement, &config).unwrap();
+    let base = cold(&cg, 0x20);
+    let again = warm(&cg, &base.placement, 0x20);
+    assert_eq!(
+        cert_sha(&again, &cg),
+        "11e07b223a148f9051121a34b5687847dee5f0c003ad2b2e2e65daf5bb9aa60f"
+    );
     // Same pattern from the same placement: no processor moves at all,
     // and the constraint is already satisfied so no splits happen.
     let delta = NetworkDelta::between(&base.network, &again.network);

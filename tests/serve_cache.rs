@@ -16,11 +16,16 @@ use nocsyn::synth::{AppPattern, SynthesisConfig, SynthesisRequest};
 use nocsyn::workloads::{random_permutation_schedule, WorkloadParams};
 
 /// Wraps a config in a flat request, the shape `job_fingerprint` keys on.
-fn request_for(pattern: &AppPattern, config: &SynthesisConfig) -> SynthesisRequest {
+fn request_for(
+    pattern: &AppPattern,
+    config: &SynthesisConfig,
+    restarts: usize,
+) -> SynthesisRequest {
     SynthesisRequest::builder(pattern.clone())
         .config(config.clone())
+        .restarts(restarts)
         .build()
-        .expect("a flat request over a valid config builds")
+        .expect("a flat request with non-zero restarts builds")
 }
 
 fn synth_request(text: &str, seed: u64) -> String {
@@ -48,33 +53,37 @@ fn fingerprint_is_injective_on_distinct_jobs() {
     let opts = ParseOptions::new();
     let mut seen: std::collections::HashMap<String, String> = std::collections::HashMap::new();
     // A corpus that varies each fingerprint ingredient one at a time.
-    let mut jobs: Vec<(String, SynthesisConfig)> = Vec::new();
+    let default = SynthesisRequest::DEFAULT_RESTARTS;
+    let mut jobs: Vec<(String, SynthesisConfig, usize)> = Vec::new();
     for pat_seed in 0..4 {
-        jobs.push((pattern_text(6, 2, pat_seed), SynthesisConfig::new()));
+        jobs.push((
+            pattern_text(6, 2, pat_seed),
+            SynthesisConfig::new(),
+            default,
+        ));
     }
     for seed in [1, 2, 3] {
         jobs.push((
             pattern_text(6, 2, 0),
             SynthesisConfig::new().with_seed(seed),
+            default,
         ));
     }
     for degree in [3, 4, 6] {
         jobs.push((
             pattern_text(6, 2, 0),
             SynthesisConfig::new().with_max_degree(degree),
+            default,
         ));
     }
     for restarts in [1, 2] {
-        jobs.push((
-            pattern_text(6, 2, 0),
-            SynthesisConfig::new().with_restarts(restarts),
-        ));
+        jobs.push((pattern_text(6, 2, 0), SynthesisConfig::new(), restarts));
     }
-    for (text, config) in &jobs {
+    for (text, config, restarts) in &jobs {
         let parsed = parse_pattern(text, &opts).expect("generated patterns are valid");
-        let request = request_for(&parsed.pattern, config);
+        let request = request_for(&parsed.pattern, config, *restarts);
         let fp = job_fingerprint(parsed.kind, &parsed.canonical, &request).to_hex();
-        let description = format!("{text} + {:?}", config.canonical_form().render());
+        let description = format!("{text} + {:?}", request.canonical_form().render());
         if let Some(previous) = seen.insert(fp, description.clone()) {
             panic!("fingerprint collision between jobs:\n{previous}\n{description}");
         }
@@ -127,7 +136,7 @@ fn fingerprint_is_invariant_under_pattern_presentation() {
     let config = SynthesisConfig::new();
     let fp = |text: &str| {
         let parsed = parse_pattern(text, &opts).expect("valid pattern");
-        let request = request_for(&parsed.pattern, &config);
+        let request = request_for(&parsed.pattern, &config, SynthesisRequest::DEFAULT_RESTARTS);
         job_fingerprint(parsed.kind, &parsed.canonical, &request)
     };
     let plain = "procs 4\nphase\n  0 -> 1\n  2 -> 3\n";
@@ -166,11 +175,11 @@ fn disk_entries_with_bad_certificates_are_recertified_not_served() {
     let first = with_dir().handle_line(&request);
     assert!(matches!(first.kind, ReplyKind::Report(CacheTier::Miss)));
     let parsed = parse_pattern(&text, &ParseOptions::new()).expect("valid pattern");
-    let config = SynthesisConfig::new().with_seed(77).with_restarts(1);
+    let config = SynthesisConfig::new().with_seed(77);
     let fp = job_fingerprint(
         parsed.kind,
         &parsed.canonical,
-        &request_for(&parsed.pattern, &config),
+        &request_for(&parsed.pattern, &config, 1),
     )
     .to_hex();
     let cert_path = dir.join(format!("{fp}.cert.json"));
@@ -250,11 +259,11 @@ fn every_byte_truncation_is_quarantined_by_the_startup_scan() {
     assert!(matches!(first.kind, ReplyKind::Report(CacheTier::Miss)));
 
     let parsed = parse_pattern(&text, &ParseOptions::new()).expect("valid pattern");
-    let config = SynthesisConfig::new().with_seed(11).with_restarts(1);
+    let config = SynthesisConfig::new().with_seed(11);
     let fp = job_fingerprint(
         parsed.kind,
         &parsed.canonical,
-        &request_for(&parsed.pattern, &config),
+        &request_for(&parsed.pattern, &config, 1),
     )
     .to_hex();
     let report_path = dir.join(format!("{fp}.json"));
@@ -314,11 +323,11 @@ fn truncated_disk_entries_heal_byte_identically() {
         served.line
     };
     let parsed = parse_pattern(&text, &ParseOptions::new()).expect("valid pattern");
-    let config = SynthesisConfig::new().with_seed(23).with_restarts(1);
+    let config = SynthesisConfig::new().with_seed(23);
     let fp = job_fingerprint(
         parsed.kind,
         &parsed.canonical,
-        &request_for(&parsed.pattern, &config),
+        &request_for(&parsed.pattern, &config, 1),
     )
     .to_hex();
     let report_path = dir.join(format!("{fp}.json"));
@@ -400,9 +409,9 @@ fn cached_report_matches_fresh_synthesis_bytes() {
             // Direct run through the same engine API and renderer.
             let parsed =
                 parse_pattern(&text, &ParseOptions::new()).expect("generated patterns are valid");
-            let config = SynthesisConfig::new().with_seed(seed).with_restarts(2);
-            let request = request_for(&parsed.pattern, &config);
-            let outcome = Engine::new().synthesize(&parsed.pattern, &config, None);
+            let config = SynthesisConfig::new().with_seed(seed);
+            let request = request_for(&parsed.pattern, &config, 2);
+            let outcome = Engine::new().synthesize(request.clone());
             let direct = synth_json_object(&request, &outcome);
             let embedded = hit
                 .line

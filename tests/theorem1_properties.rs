@@ -5,12 +5,27 @@
 
 use nocsyn_check::{check_assert, check_assert_eq, check_assume, check_n, u64_in, usize_in};
 
+use nocsyn::engine::Engine;
 use nocsyn::model::SkewModel;
-use nocsyn::synth::{synthesize, AppPattern, SynthesisConfig};
+use nocsyn::synth::{AppPattern, SynthesisRequest, SynthesisResult};
 use nocsyn::topo::{verify_contention_free, ConflictSet};
 use nocsyn::workloads::{random_permutation_schedule, WorkloadParams};
 
 /// Synthesized networks satisfy C ∩ R = ∅ for any random pattern.
+/// The engine's selected result for `pattern` at `seed` with `restarts`
+/// restarts.
+fn run_portfolio(pattern: &AppPattern, seed: u64, restarts: usize) -> SynthesisResult {
+    let request = SynthesisRequest::builder(pattern.clone())
+        .seed(seed)
+        .restarts(restarts)
+        .build()
+        .expect("non-zero restarts build");
+    Engine::new()
+        .synthesize(request)
+        .result
+        .expect("no deadline, so a result exists")
+}
+
 #[test]
 fn synthesized_networks_are_contention_free() {
     check_n(
@@ -26,8 +41,7 @@ fn synthesized_networks_are_contention_free() {
             );
             check_assume!(!schedule.is_empty());
             let pattern = AppPattern::from_schedule(&schedule);
-            let config = SynthesisConfig::new().with_seed(seed).with_restarts(2);
-            let result = synthesize(&pattern, &config).unwrap();
+            let result = run_portfolio(&pattern, seed, 2);
 
             // Structure.
             check_assert!(result.network.is_strongly_connected());
@@ -56,11 +70,7 @@ fn placement_is_consistent() {
                 random_permutation_schedule(n_procs, 3, seed, &WorkloadParams::default());
             check_assume!(!schedule.is_empty());
             let pattern = AppPattern::from_schedule(&schedule);
-            let result = synthesize(
-                &pattern,
-                &SynthesisConfig::new().with_seed(seed).with_restarts(1),
-            )
-            .unwrap();
+            let result = run_portfolio(&pattern, seed, 1);
             for proc in 0..n_procs {
                 let home = result
                     .network
