@@ -112,6 +112,13 @@ if ./target/release/nocsyn certify examples_data/forged_unsorted_route.txt \
     exit 1
 fi
 grep -q 'cert-bad-field' "$j1"
+# A certificate in the previous schema is refused, not trusted.
+if ./target/release/nocsyn certify examples_data/pipeline.txt \
+    examples_data/pipeline.v1.cert.json > /dev/null 2> "$j1"; then
+    echo "nocsyn-cert-v1 certificate was accepted" >&2
+    exit 1
+fi
+grep -q 'cert-schema-unsupported' "$j1"
 
 echo "==> serve cache gate: same job twice -> miss then byte-identical hit"
 # The daemon in --drain mode is fully scriptable: two copies of the same
@@ -167,13 +174,15 @@ echo "==> decomposed certify gate: stitched result round-trips through the indep
 ./target/release/nocsyn certify examples_data/clus64.txt "$cert1" --json | grep -q '"valid":true'
 
 echo "==> warm-restart gate: a fresh process serves a decomposed job from the disk tier"
-# Three daemon processes share one cache dir. The first synthesizes the
+# Four daemon processes share one cache dir. The first synthesizes the
 # job and commits it with its certificate. The second starts over the warm
 # store (the startup scan), runs the checker on the decomposed
 # certificate and answers from disk, byte-identical apart from the cache
 # marker. Once the stored certificate's verdict is flipped, the third
 # process must refuse the entry, re-synthesize, and count one
-# certificate error.
+# certificate error. The fourth finds a certificate of the previous
+# schema over the stored one: it must refuse it the same way and commit
+# a certificate of the current schema.
 cdir="$(mktemp -d)"
 trap 'rm -f "$j1" "$j4" "$cert1" "$cert2" "$pat2"; rm -rf "$cdir"' EXIT
 pattern_json="$(awk 'BEGIN { ORS = "\\n" } { print }' examples_data/clus64.txt)"
@@ -195,6 +204,11 @@ cp "$j4" "$stored"
 printf '%s\n{"op":"stats"}\n' "$req" | ./target/release/nocsyn serve --drain --cache-dir "$cdir" > "$j4"
 head -n 1 "$j4" | grep -q '"cache":"miss"'
 tail -n 1 "$j4" | grep -q '"cert_errors":1'
+cp examples_data/pipeline.v1.cert.json "$stored"
+printf '%s\n{"op":"stats"}\n' "$req" | ./target/release/nocsyn serve --drain --cache-dir "$cdir" > "$j4"
+head -n 1 "$j4" | grep -q '"cache":"miss"'
+tail -n 1 "$j4" | grep -q '"cert_errors":1'
+grep -q '^{"schema":"nocsyn-cert-v2"' "$stored"
 
 echo "==> BENCH_8 gate: decomposition counters match the checked-in artifact"
 # Flat-vs-decomposed separation under one round budget: the harness

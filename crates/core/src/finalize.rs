@@ -34,13 +34,7 @@ impl SynthesisResult {
     /// certify`) can validate without any synthesis code. `job`
     /// optionally binds the certificate to a serve-cache key.
     pub fn certificate(&self, pattern: &AppPattern, job: Option<Digest>) -> Certificate {
-        build_certificate(
-            pattern.n_procs(),
-            pattern.cliques(),
-            pattern.contention(),
-            &self.routes,
-            job,
-        )
+        build_certificate(pattern.n_procs(), pattern.contention(), &self.routes, job)
     }
 }
 

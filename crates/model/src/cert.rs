@@ -1,328 +1,182 @@
-//! Contention-freedom certificates: the machine-checkable evidence object
-//! behind Theorem 1 verdicts.
+//! Contention-freedom certificates: the machine-checkable evidence behind
+//! Theorem 1 verdicts.
 //!
-//! A [`Certificate`] packages everything an *independent* checker needs to
-//! re-derive `C ∩ R = ∅` by set arithmetic alone: the maximum clique set
-//! `K`, the explicit contention obligations (pairs of `C` whose routes
-//! must be link-disjoint), the per-route resource sets (channel labels),
-//! the per-channel crossing flow sets, and — when verification failed — a
-//! concrete [`CertWitness`] per violated obligation. The whole payload is
-//! self-bound by a [`CanonicalForm`] digest (the `binding` field), so any
-//! tamper that does not recompute the digest is detected before any
-//! semantic check runs, and optionally bound to a synthesis job by the
-//! job-fingerprint digest of the serve cache.
+//! Theorem 1 asks for `C ∩ R = ∅`. The potential contention set `C`
+//! (Definition 4) is a function of the pattern, so a checker re-derives
+//! it instead of trusting a copy. The resource conflict set `R`
+//! (Definition 7) is a function of the routes. A [`Certificate`] therefore
+//! carries the routes, as each routed flow's channel labels, and the
+//! verdict they are claimed to prove. When the verdict is contention it
+//! also names every colliding pair of `C`, with the channels the two
+//! routes share ([`CertWitness`]). It may name the synthesis job it was
+//! emitted for (the serve cache's job-fingerprint digest).
 //!
-//! The schema is versioned (`nocsyn-cert-v1`), rendered deterministically
-//! (same certificate value ⇒ same bytes), and parsed under the same
-//! [`ParseLimits`] resource budget as pattern text — certificates cross
-//! trust boundaries (disk caches, remote replies), so parsing is total
-//! and bounded.
+//! # Format
+//!
+//! Schema `nocsyn-cert-v2` is one JSON object whose fields come in this
+//! order:
+//!
+//! * `schema`, `n_procs` and `contention_free`;
+//! * `routes`: flows strictly increasing, each route's `channels`
+//!   strictly increasing;
+//! * `witnesses`, only when there are any: pairs strictly increasing,
+//!   each `shared` list strictly increasing;
+//! * the optional `job`;
+//! * last, `binding`: the SHA-256 of every byte before the binding field,
+//!   from the opening brace through the comma before `"binding"`.
+//!
+//! A reader hashes the bytes it read, so it never re-renders, and any edit
+//! that does not recompute the digest is refused. The text may end in one
+//! newline, as `nocsyn synth --emit-cert` writes it.
+//!
+//! The binding detects corruption and stale edits; anyone can recompute
+//! it. Soundness rests on the checker, which re-derives `C` from the
+//! pattern and tests the routes against it, and on this parser, which
+//! refuses any layout but the one above. Parsing is total and bounded by
+//! the same [`ParseLimits`] as pattern text, because certificates cross
+//! trust boundaries (disk caches, remote replies).
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
+use std::iter::Peekable;
 
-use crate::json::{self, Document, Items, JsonValue, ValueRef};
+use crate::json::{self, Document, Entries, Quoted, ValueRef};
 use crate::text::ParseLimits;
-use crate::{CanonicalForm, Digest, Flow, FlowPair};
+use crate::{sha256, Digest, Flow, FlowPair};
 
 #[cfg(test)]
 mod reference;
 
 /// Schema tag accepted by this version of the certificate format.
-pub const CERT_SCHEMA: &str = "nocsyn-cert-v1";
+pub const CERT_SCHEMA: &str = "nocsyn-cert-v2";
 
-/// One violated obligation: a contention pair whose routes share channels.
+/// The binding field's key and the opening quote of its value.
+const BINDING_KEY: &str = "\"binding\":\"";
+
+/// One contending pair whose routes share channels.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CertWitness {
     /// The contention pair that collides.
     pub pair: FlowPair,
-    /// The shared channel labels (sorted, deduplicated).
+    /// The shared channel labels, strictly increasing.
     pub shared: Vec<String>,
 }
 
-/// A deterministic, self-bound contention-freedom certificate.
+/// A contention-freedom certificate (see the [module docs](self)).
 ///
-/// Field order in memory is irrelevant: rendering and the binding digest
-/// both normalize (sort) every collection, so two equal certificate
-/// values always produce identical bytes and identical digests.
+/// Rendering writes the collections in the order they hold: routes in
+/// flow order, channel labels and witnesses as given. The builder in
+/// `nocsyn-topo` emits them sorted, and the parser refuses any other
+/// order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Certificate {
     /// Process count of the pattern the certificate speaks about.
     pub n_procs: usize,
     /// The verdict the certificate claims to prove.
     pub contention_free: bool,
-    /// The maximum clique set `K` (each clique a set of flows).
-    pub cliques: Vec<Vec<Flow>>,
-    /// The `C ∩ R = ∅` obligations: contention pairs with both ends routed.
-    pub obligations: Vec<FlowPair>,
-    /// Per-route resource sets: sorted channel labels each flow crosses.
+    /// Per-route resource sets: the channel labels each routed flow
+    /// crosses.
     pub routes: BTreeMap<Flow, Vec<String>>,
-    /// Per-channel crossing flow sets (the inverse of `routes`).
-    pub crossings: BTreeMap<String, Vec<Flow>>,
-    /// Concrete collisions, non-empty iff `contention_free` is false.
+    /// Colliding pairs of `C`, in pair order; a faithful certificate has
+    /// some exactly when it claims contention.
     pub witnesses: Vec<CertWitness>,
     /// Hex digest of the synthesis job this certificate is bound to, if
     /// it was emitted for a cacheable job.
     pub job: Option<String>,
-    /// The binding digest claimed by the parsed text (`None` on freshly
-    /// built certificates; rendering always recomputes).
-    pub claimed_binding: Option<String>,
+    /// The binding of the text this certificate was parsed from, already
+    /// checked against those bytes; `None` on a certificate built in
+    /// memory. Rendering always computes a fresh one.
+    pub binding: Option<Digest>,
 }
 
-/// Appends a flow's binding key, `src>dst` in decimal.
-fn push_flow_key(out: &mut String, f: Flow) {
-    let mut digits = [0; 20];
-    out.push_str(json::decimal(f.src.index() as u64, &mut digits));
-    out.push('>');
-    out.push_str(json::decimal(f.dst.index() as u64, &mut digits));
+/// Appends `n` in decimal.
+fn push_decimal(out: &mut String, n: usize) {
+    out.push_str(json::decimal(n as u64, &mut [0; 20]));
 }
 
-/// Appends a pair's binding key, `a>b|c>d`.
-fn push_pair_key(out: &mut String, p: FlowPair) {
-    push_flow_key(out, p.first());
-    out.push('|');
-    push_flow_key(out, p.second());
+/// Appends a flow as its `[src,dst]` array.
+fn push_flow(out: &mut String, f: Flow) {
+    out.push('[');
+    push_decimal(out, f.src.index());
+    out.push(',');
+    push_decimal(out, f.dst.index());
+    out.push(']');
 }
 
-/// Appends `items` joined by `sep`.
-fn push_joined(out: &mut String, items: &[String], sep: char) {
-    for (i, item) in items.iter().enumerate() {
+/// Appends a label list as a JSON array of strings.
+fn push_labels(out: &mut String, labels: &[String]) {
+    out.push('[');
+    for (i, label) in labels.iter().enumerate() {
         if i > 0 {
-            out.push(sep);
+            out.push(',');
         }
-        out.push_str(item);
+        let _ = write!(out, "{}", Quoted(label));
     }
-}
-
-/// Binding keys rendered back to back into one buffer, then emitted in
-/// string order: the normalization of a binding field without one
-/// `String` allocation per key.
-#[derive(Default)]
-struct SortedKeys {
-    buf: String,
-    spans: Vec<(u128, usize, usize)>,
-}
-
-impl SortedKeys {
-    /// Adds the key `render` appends.
-    fn push(&mut self, render: impl FnOnce(&mut String)) {
-        let start = self.buf.len();
-        render(&mut self.buf);
-        let key = &self.buf.as_bytes()[start..];
-        // The first 16 bytes, zero-padded and big-endian, order keys the
-        // way the bytes do whenever they differ; only ties compare the
-        // full keys.
-        let mut head = [0; 16];
-        let n = key.len().min(16);
-        head[..n].copy_from_slice(&key[..n]);
-        self.spans
-            .push((u128::from_be_bytes(head), start, self.buf.len()));
-    }
-
-    /// Appends the keys in string order joined by `sep` to `out`, and
-    /// empties the set for reuse.
-    fn drain_sorted(&mut self, out: &mut String, sep: char) {
-        let bytes = self.buf.as_bytes();
-        self.spans.sort_unstable_by(|a, b| {
-            a.0.cmp(&b.0)
-                .then_with(|| bytes[a.1..a.2].cmp(&bytes[b.1..b.2]))
-        });
-        for (i, &(_, start, end)) in self.spans.iter().enumerate() {
-            if i > 0 {
-                out.push(sep);
-            }
-            out.push_str(&self.buf[start..end]);
-        }
-        self.buf.clear();
-        self.spans.clear();
-    }
-
-    /// The keys in string order joined by `sep`.
-    fn take_sorted(&mut self, sep: char) -> String {
-        let mut out = String::with_capacity(self.buf.len() + self.spans.len());
-        self.drain_sorted(&mut out, sep);
-        out
-    }
+    out.push(']');
 }
 
 impl Certificate {
-    /// The payload digest binding every semantic field together.
-    ///
-    /// Computed over a [`CanonicalForm`] whose fields are normalized
-    /// renderings of each collection, so it is independent of in-memory
-    /// ordering and of JSON whitespace. Clique members, cliques,
-    /// obligations and witnesses are sorted as *strings* (`"10>3"` sorts
-    /// before `"1>5"`); routes keep flow order and crossings label order.
-    pub fn binding(&self) -> Digest {
-        let mut keys = SortedKeys::default();
-        let mut members = SortedKeys::default();
-        for clique in &self.cliques {
-            for &f in clique {
-                members.push(|out| push_flow_key(out, f));
-            }
-            keys.push(|out| members.drain_sorted(out, ','));
-        }
-        let cliques = keys.take_sorted(';');
-        for &p in &self.obligations {
-            keys.push(|out| push_pair_key(out, p));
-        }
-        let obligations = keys.take_sorted(';');
-        for w in &self.witnesses {
-            keys.push(|out| {
-                push_pair_key(out, w.pair);
-                out.push(':');
-                push_joined(out, &w.shared, ',');
-            });
-        }
-        let witnesses = keys.take_sorted(';');
-        let mut routes = String::new();
-        for (i, (&f, chans)) in self.routes.iter().enumerate() {
-            if i > 0 {
-                routes.push(';');
-            }
-            push_flow_key(&mut routes, f);
-            routes.push(':');
-            push_joined(&mut routes, chans, ',');
-        }
-        let mut crossings = String::new();
-        for (i, (ch, flows)) in self.crossings.iter().enumerate() {
-            if i > 0 {
-                crossings.push(';');
-            }
-            crossings.push_str(ch);
-            crossings.push(':');
-            for (j, &f) in flows.iter().enumerate() {
-                if j > 0 {
-                    crossings.push(',');
-                }
-                push_flow_key(&mut crossings, f);
-            }
-        }
-        CanonicalForm::new()
-            .field("schema", CERT_SCHEMA)
-            .field("n_procs", self.n_procs)
-            .field("contention_free", self.contention_free)
-            .rendered_field("cliques", cliques)
-            .rendered_field("obligations", obligations)
-            .rendered_field("routes", routes)
-            .rendered_field("crossings", crossings)
-            .rendered_field("witnesses", witnesses)
-            .field("job", self.job.as_deref().unwrap_or("none"))
-            .digest()
-    }
-
-    /// Renders the certificate as a deterministic single-line JSON object
-    /// with a freshly computed `binding` digest.
+    /// Renders the certificate as one line of JSON in the schema's field
+    /// order, ending in a freshly computed `binding`.
     pub fn to_json(&self) -> String {
-        let flow_json = |f: &Flow| {
-            JsonValue::array([
-                JsonValue::from(f.src.index()),
-                JsonValue::from(f.dst.index()),
-            ])
-        };
-        let mut cliques: Vec<Vec<Flow>> = self
-            .cliques
-            .iter()
-            .map(|c| {
-                let mut c = c.clone();
-                c.sort();
-                c
-            })
-            .collect();
-        cliques.sort();
-        let mut obligations = self.obligations.clone();
-        obligations.sort();
-        let mut witnesses = self.witnesses.clone();
-        witnesses.sort_by_key(|w| w.pair);
-        let mut fields = vec![
-            ("schema", JsonValue::from(CERT_SCHEMA)),
-            ("n_procs", JsonValue::from(self.n_procs)),
-            ("contention_free", JsonValue::from(self.contention_free)),
-            (
-                "cliques",
-                JsonValue::array(
-                    cliques
-                        .iter()
-                        .map(|c| JsonValue::array(c.iter().map(flow_json))),
-                ),
-            ),
-            (
-                "obligations",
-                JsonValue::array(
-                    obligations
-                        .iter()
-                        .map(|p| JsonValue::array([flow_json(&p.first()), flow_json(&p.second())])),
-                ),
-            ),
-            (
-                "routes",
-                JsonValue::array(self.routes.iter().map(|(f, chans)| {
-                    JsonValue::object([
-                        ("flow", flow_json(f)),
-                        (
-                            "channels",
-                            JsonValue::array(chans.iter().map(|c| JsonValue::from(c.as_str()))),
-                        ),
-                    ])
-                })),
-            ),
-            (
-                "crossings",
-                JsonValue::array(self.crossings.iter().map(|(ch, flows)| {
-                    JsonValue::object([
-                        ("channel", JsonValue::from(ch.as_str())),
-                        ("flows", JsonValue::array(flows.iter().map(flow_json))),
-                    ])
-                })),
-            ),
-            (
-                "witnesses",
-                JsonValue::array(witnesses.iter().map(|w| {
-                    JsonValue::object([
-                        ("flow_a", flow_json(&w.pair.first())),
-                        ("flow_b", flow_json(&w.pair.second())),
-                        (
-                            "shared",
-                            JsonValue::array(w.shared.iter().map(|c| JsonValue::from(c.as_str()))),
-                        ),
-                    ])
-                })),
-            ),
-        ];
+        let mut out = String::with_capacity(160 + 40 * self.routes.len());
+        out.push_str("{\"schema\":\"");
+        out.push_str(CERT_SCHEMA);
+        out.push_str("\",\"n_procs\":");
+        push_decimal(&mut out, self.n_procs);
+        let _ = write!(out, ",\"contention_free\":{}", self.contention_free);
+        out.push_str(",\"routes\":[");
+        for (i, (&flow, chans)) in self.routes.iter().enumerate() {
+            out.push_str(if i == 0 { "{\"flow\":" } else { ",{\"flow\":" });
+            push_flow(&mut out, flow);
+            out.push_str(",\"channels\":");
+            push_labels(&mut out, chans);
+            out.push('}');
+        }
+        out.push(']');
+        if !self.witnesses.is_empty() {
+            out.push_str(",\"witnesses\":[");
+            for (i, w) in self.witnesses.iter().enumerate() {
+                out.push_str(if i == 0 {
+                    "{\"flow_a\":"
+                } else {
+                    ",{\"flow_a\":"
+                });
+                push_flow(&mut out, w.pair.first());
+                out.push_str(",\"flow_b\":");
+                push_flow(&mut out, w.pair.second());
+                out.push_str(",\"shared\":");
+                push_labels(&mut out, &w.shared);
+                out.push('}');
+            }
+            out.push(']');
+        }
         if let Some(job) = &self.job {
-            fields.push(("job", JsonValue::from(job.as_str())));
+            let _ = write!(out, ",\"job\":{}", Quoted(job));
         }
-        fields.push(("binding", JsonValue::from(self.binding().to_hex())));
-        JsonValue::object(fields).to_string()
-    }
-
-    /// Whether the binding digest claimed by the parsed text matches a
-    /// recomputation over the parsed payload. Freshly built certificates
-    /// (no claimed binding) verify trivially.
-    pub fn verify_binding(&self) -> bool {
-        match &self.claimed_binding {
-            None => true,
-            Some(claimed) => *claimed == self.binding().to_hex(),
-        }
+        out.push(',');
+        let binding = sha256(out.as_bytes());
+        let _ = write!(out, "{BINDING_KEY}{binding}\"}}");
+        out
     }
 
     /// Parses certificate text under the given resource limits.
     ///
     /// Total and bounded: any input — hostile, truncated, or garbage —
     /// yields a typed [`CertError`] with a stable fingerprint, never a
-    /// panic. Semantic validation (binding, obligations, disjointness)
-    /// is the checker's job; this only enforces shape and budgets.
-    ///
-    /// The whole text is parsed into a flat [`Document`] before any
-    /// field is read, so a JSON error always wins over a field error.
-    /// Fields are then read in schema order through the document's
-    /// borrowed view — the first occurrence of a repeated key wins — and
-    /// an array's length is known before its items are checked.
+    /// panic. The checks run in this order: input size, JSON syntax (the
+    /// whole text is parsed first), the schema tag, the binding, then the
+    /// fields in schema order. So a certificate of another schema is
+    /// `cert-schema-unsupported`, and any edit that leaves the JSON well
+    /// formed but does not recompute the binding is
+    /// `cert-binding-mismatch`. Whether the routes prove the verdict is
+    /// the checker's job; this enforces the layout and the budgets.
     ///
     /// # Errors
     ///
     /// [`CertError`] on oversized input, malformed JSON, an unsupported
-    /// schema tag, or a missing/ill-typed field.
+    /// schema tag, a binding that does not match the bytes, or a
+    /// missing, ill-typed, unordered or unexpected field.
     pub fn parse(text: &str, limits: &ParseLimits) -> Result<Certificate, CertError> {
         if text.len() > limits.max_input_bytes {
             return Err(CertError::LimitExceeded("input bytes"));
@@ -331,140 +185,129 @@ impl Certificate {
             fingerprint: e.fingerprint(),
             detail: e.to_string(),
         })?;
-        let value = doc.root();
-        if value.as_object().is_none() {
-            return Err(CertError::BadField("certificate"));
-        }
-        let schema = str_field(value, "schema")?;
+        let root = doc.root();
+        let mut fields = root
+            .as_object()
+            .ok_or(CertError::BadField("certificate"))?
+            .peekable();
+        let schema = field(&mut fields, "schema")?
+            .as_str()
+            .ok_or(CertError::BadField("schema"))?;
         if schema != CERT_SCHEMA {
             return Err(CertError::SchemaUnsupported);
         }
-        let n_procs = usize_field(value, "n_procs")?;
+        let binding = read_binding(text, root)?;
+
+        let n_procs = field(&mut fields, "n_procs")?
+            .as_u64()
+            .and_then(|n| usize::try_from(n).ok())
+            .ok_or(CertError::BadField("n_procs"))?;
         if n_procs == 0 || n_procs > limits.max_procs {
             return Err(CertError::LimitExceeded("n_procs"));
         }
-        let contention_free = value
-            .get("contention_free")
-            .ok_or(CertError::MissingField("contention_free"))?
+        let contention_free = field(&mut fields, "contention_free")?
             .as_bool()
             .ok_or(CertError::BadField("contention_free"))?;
-        // Every flow or channel mention costs input bytes, so the input
+        // Every flow or label mention costs input bytes, so the input
         // budget already bounds memory; the message budget additionally
         // bounds element counts the way pattern parsing does.
-        let mut mentions = Budget {
+        let mut budget = Budget {
             left: limits.max_messages,
         };
 
-        let items = array_field(value, "cliques")?;
-        let mut cliques = Vec::with_capacity(items.len());
-        for c in items {
-            let members = c.as_array().ok_or(CertError::BadField("cliques"))?;
-            let mut clique = Vec::with_capacity(members.len());
-            for m in members {
-                clique.push(parse_flow(m, n_procs, &mut mentions)?);
-            }
-            cliques.push(clique);
-        }
-
-        let items = array_field(value, "obligations")?;
-        let mut obligations = Vec::with_capacity(items.len());
-        for o in items {
-            let mut ends = o.as_array().ok_or(CertError::BadField("obligations"))?;
-            // The length is checked before either end is read.
-            let (2, Some(a), Some(b)) = (ends.len(), ends.next(), ends.next()) else {
-                return Err(CertError::BadField("obligations"));
-            };
-            let a = parse_flow(a, n_procs, &mut mentions)?;
-            let b = parse_flow(b, n_procs, &mut mentions)?;
-            obligations.push(FlowPair::new(a, b));
-        }
-
-        let mut routes = BTreeMap::new();
-        for r in array_field(value, "routes")? {
-            let flow = parse_flow(
-                r.get("flow").ok_or(CertError::MissingField("flow"))?,
-                n_procs,
-                &mut mentions,
-            )?;
-            let chans = parse_channels(r.get("channels"), "channels", &mut mentions)?;
-            // Emitted routes are sorted and duplicate-free, and the checker
-            // intersects them by merging, so any other order is refused
-            // rather than trusted.
-            if chans.windows(2).any(|w| w[0] >= w[1]) {
-                return Err(CertError::BadField("channels"));
-            }
-            if routes.insert(flow, chans).is_some() {
+        let items = field(&mut fields, "routes")?
+            .as_array()
+            .ok_or(CertError::BadField("routes"))?;
+        let mut routes = Vec::with_capacity(items.len());
+        for item in items {
+            let mut entries = object(item, "routes")?;
+            let flow = parse_flow(field(&mut entries, "flow")?, n_procs, &mut budget)?;
+            let chans = parse_labels(field(&mut entries, "channels")?, "channels", &mut budget)?;
+            if entries.next().is_some() || routes.last().is_some_and(|&(last, _)| last >= flow) {
                 return Err(CertError::BadField("routes"));
             }
+            routes.push((flow, chans));
         }
 
-        let mut crossings = BTreeMap::new();
-        for x in array_field(value, "crossings")? {
-            let ch = x
-                .get("channel")
-                .and_then(ValueRef::as_str)
-                .ok_or(CertError::BadField("crossings"))?;
-            check_channel(ch)?;
-            let items = x
-                .get("flows")
-                .and_then(ValueRef::as_array)
-                .ok_or(CertError::BadField("crossings"))?;
-            let mut flows = Vec::with_capacity(items.len());
-            for f in items {
-                flows.push(parse_flow(f, n_procs, &mut mentions)?);
+        let mut witnesses = Vec::new();
+        if let Some(items) = optional_field(&mut fields, "witnesses") {
+            let items = items
+                .as_array()
+                .filter(|items| items.len() > 0)
+                .ok_or(CertError::BadField("witnesses"))?;
+            witnesses.reserve(items.len());
+            for item in items {
+                let mut entries = object(item, "witnesses")?;
+                let a = parse_flow(field(&mut entries, "flow_a")?, n_procs, &mut budget)?;
+                let b = parse_flow(field(&mut entries, "flow_b")?, n_procs, &mut budget)?;
+                let shared = parse_labels(field(&mut entries, "shared")?, "shared", &mut budget)?;
+                let pair = FlowPair::new(a, b);
+                if entries.next().is_some()
+                    || a > b
+                    || shared.is_empty()
+                    || witnesses
+                        .last()
+                        .is_some_and(|w: &CertWitness| w.pair >= pair)
+                {
+                    return Err(CertError::BadField("witnesses"));
+                }
+                witnesses.push(CertWitness { pair, shared });
             }
-            if crossings.insert(ch.to_string(), flows).is_some() {
-                return Err(CertError::BadField("crossings"));
-            }
         }
 
-        let items = array_field(value, "witnesses")?;
-        let mut witnesses = Vec::with_capacity(items.len());
-        for w in items {
-            let a = parse_flow(
-                w.get("flow_a").ok_or(CertError::MissingField("flow_a"))?,
-                n_procs,
-                &mut mentions,
-            )?;
-            let b = parse_flow(
-                w.get("flow_b").ok_or(CertError::MissingField("flow_b"))?,
-                n_procs,
-                &mut mentions,
-            )?;
-            let shared = parse_channels(w.get("shared"), "shared", &mut mentions)?;
-            witnesses.push(CertWitness {
-                pair: FlowPair::new(a, b),
-                shared,
-            });
-        }
-
-        let job = match value.get("job") {
+        let job = match optional_field(&mut fields, "job") {
             None => None,
             Some(v) => {
-                let hex = v.as_str().ok_or(CertError::BadField("job"))?;
-                if Digest::from_hex(hex).is_none() {
-                    return Err(CertError::BadField("job"));
-                }
+                let hex = v
+                    .as_str()
+                    .filter(|hex| Digest::from_hex(hex).is_some())
+                    .ok_or(CertError::BadField("job"))?;
                 Some(hex.to_string())
             }
         };
-        let binding = str_field(value, "binding")?;
-        if Digest::from_hex(binding).is_none() {
-            return Err(CertError::BadField("binding"));
+        // Only the binding, read above as the last field, may remain.
+        if fields.count() != 1 {
+            return Err(CertError::BadField("certificate"));
         }
 
         Ok(Certificate {
             n_procs,
             contention_free,
-            cliques,
-            obligations,
-            routes,
-            crossings,
+            routes: routes.into_iter().collect(),
             witnesses,
             job,
-            claimed_binding: Some(binding.to_string()),
+            binding: Some(binding),
         })
     }
+}
+
+/// The binding `text` carries, once it is known to be the last field,
+/// laid out as [`Certificate::to_json`] writes it (lowercase hex, no
+/// whitespace, at most one trailing newline) and equal to the SHA-256 of
+/// every byte before it.
+fn read_binding(text: &str, root: ValueRef<'_>) -> Result<Digest, CertError> {
+    let (key, value) = root
+        .as_object()
+        .and_then(Iterator::last)
+        .ok_or(CertError::MissingField("binding"))?;
+    if key != "binding" {
+        return Err(CertError::MissingField("binding"));
+    }
+    let hex = value.as_str().ok_or(CertError::BadField("binding"))?;
+    let claimed = Digest::from_hex(hex)
+        .filter(|d| d.to_hex() == hex)
+        .ok_or(CertError::BadField("binding"))?;
+    let body = text.strip_suffix('\n').unwrap_or(text);
+    let prefix = body
+        .strip_suffix("\"}")
+        .and_then(|b| b.strip_suffix(hex))
+        .and_then(|b| b.strip_suffix(BINDING_KEY))
+        .filter(|prefix| prefix.ends_with(','))
+        .ok_or(CertError::BadField("binding"))?;
+    if sha256(prefix.as_bytes()) != claimed {
+        return Err(CertError::BindingMismatch);
+    }
+    Ok(claimed)
 }
 
 /// Remaining element-mention budget during parsing.
@@ -482,29 +325,24 @@ impl Budget {
     }
 }
 
-fn str_field<'d>(value: ValueRef<'d>, name: &'static str) -> Result<&'d str, CertError> {
-    value
-        .get(name)
-        .ok_or(CertError::MissingField(name))?
-        .as_str()
-        .ok_or(CertError::BadField(name))
+/// An object's fields, read in order.
+type Fields<'d> = Peekable<Entries<'d>>;
+
+/// The fields of `v`, which must be an object.
+fn object<'d>(v: ValueRef<'d>, name: &'static str) -> Result<Fields<'d>, CertError> {
+    Ok(v.as_object().ok_or(CertError::BadField(name))?.peekable())
 }
 
-fn usize_field(value: ValueRef<'_>, name: &'static str) -> Result<usize, CertError> {
-    let raw = value
-        .get(name)
-        .ok_or(CertError::MissingField(name))?
-        .as_u64()
-        .ok_or(CertError::BadField(name))?;
-    usize::try_from(raw).map_err(|_| CertError::BadField(name))
+/// The next field, which must be `name`.
+fn field<'d>(fields: &mut Fields<'d>, name: &'static str) -> Result<ValueRef<'d>, CertError> {
+    optional_field(fields, name).ok_or(CertError::MissingField(name))
 }
 
-fn array_field<'d>(value: ValueRef<'d>, name: &'static str) -> Result<Items<'d>, CertError> {
-    value
-        .get(name)
-        .ok_or(CertError::MissingField(name))?
-        .as_array()
-        .ok_or(CertError::BadField(name))
+/// The next field, if it is `name`.
+fn optional_field<'d>(fields: &mut Fields<'d>, name: &str) -> Option<ValueRef<'d>> {
+    fields
+        .next_if(|&(key, _)| key == name)
+        .map(|(_, value)| value)
 }
 
 /// One process id of a flow: an unsigned integer.
@@ -526,29 +364,34 @@ fn parse_flow(v: ValueRef<'_>, n_procs: usize, budget: &mut Budget) -> Result<Fl
     Ok(Flow::from_indices(src, dst))
 }
 
+/// A channel label: non-empty and at most 64 bytes.
 fn check_channel(label: &str) -> Result<(), CertError> {
-    if label.is_empty() || label.len() > 64 || label.contains([',', ';', ':']) {
+    if label.is_empty() || label.len() > 64 {
         return Err(CertError::BadField("channel"));
     }
     Ok(())
 }
 
-fn parse_channels(
-    v: Option<ValueRef<'_>>,
+/// A strictly increasing list of channel labels. Any other order is
+/// refused rather than trusted: the checker and the builder both rely on
+/// each list naming each channel once.
+fn parse_labels(
+    v: ValueRef<'_>,
     name: &'static str,
     budget: &mut Budget,
 ) -> Result<Vec<String>, CertError> {
-    let items = v
-        .and_then(ValueRef::as_array)
-        .ok_or(CertError::BadField(name))?;
-    let mut chans = Vec::with_capacity(items.len());
+    let items = v.as_array().ok_or(CertError::BadField(name))?;
+    let mut labels: Vec<String> = Vec::with_capacity(items.len());
     for item in items {
         budget.spend()?;
         let label = item.as_str().ok_or(CertError::BadField(name))?;
         check_channel(label)?;
-        chans.push(label.to_string());
+        if labels.last().is_some_and(|last| last.as_str() >= label) {
+            return Err(CertError::BadField(name));
+        }
+        labels.push(label.to_string());
     }
-    Ok(chans)
+    Ok(labels)
 }
 
 /// Why certificate text was rejected at the parsing boundary.
@@ -562,12 +405,15 @@ pub enum CertError {
         /// Human-readable position/cause.
         detail: String,
     },
-    /// A required field is absent.
+    /// A required field is absent, or not where the schema puts it.
     MissingField(&'static str),
-    /// A field is present but ill-typed or out of range.
+    /// A field is present but ill-typed, out of range or out of order, or
+    /// the object holds a field the schema does not.
     BadField(&'static str),
-    /// The schema tag is not `nocsyn-cert-v1`.
+    /// The schema tag is not `nocsyn-cert-v2`.
     SchemaUnsupported,
+    /// The binding is not the SHA-256 of the bytes before it.
+    BindingMismatch,
     /// A resource budget from [`ParseLimits`] was exceeded.
     LimitExceeded(&'static str),
 }
@@ -581,6 +427,7 @@ impl CertError {
             CertError::MissingField(_) => "cert-missing-field",
             CertError::BadField(_) => "cert-bad-field",
             CertError::SchemaUnsupported => "cert-schema-unsupported",
+            CertError::BindingMismatch => "cert-binding-mismatch",
             CertError::LimitExceeded(_) => "limit-exceeded",
         }
     }
@@ -595,6 +442,9 @@ impl fmt::Display for CertError {
             CertError::SchemaUnsupported => {
                 write!(f, "certificate schema is not `{CERT_SCHEMA}`")
             }
+            CertError::BindingMismatch => {
+                write!(f, "binding digest does not match the certificate bytes")
+            }
             CertError::LimitExceeded(what) => {
                 write!(f, "certificate exceeds the `{what}` budget")
             }
@@ -607,231 +457,221 @@ impl std::error::Error for CertError {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nocsyn_check::{check, check_assert_eq, u64_in, usize_in};
     use nocsyn_rng::Rng;
 
-    /// The binding as first specified: one `String` per key, sorted and
-    /// joined. The production binding must reproduce it bit for bit.
-    fn reference_binding(cert: &Certificate) -> Digest {
-        let flow_key = |f: &Flow| format!("{}>{}", f.src.index(), f.dst.index());
-        let pair_key = |p: &FlowPair| format!("{}|{}", flow_key(&p.first()), flow_key(&p.second()));
-        let mut cliques: Vec<String> = cert
-            .cliques
-            .iter()
-            .map(|c| {
-                let mut flows: Vec<String> = c.iter().map(flow_key).collect();
-                flows.sort();
-                flows.join(",")
-            })
-            .collect();
-        cliques.sort();
-        let mut obligations: Vec<String> = cert.obligations.iter().map(pair_key).collect();
-        obligations.sort();
-        let routes: Vec<String> = cert
-            .routes
-            .iter()
-            .map(|(f, chans)| format!("{}:{}", flow_key(f), chans.join(",")))
-            .collect();
-        let crossings: Vec<String> = cert
-            .crossings
-            .iter()
-            .map(|(ch, flows)| {
-                let keys: Vec<String> = flows.iter().map(flow_key).collect();
-                format!("{}:{}", ch, keys.join(","))
-            })
-            .collect();
-        let mut witnesses: Vec<String> = cert
-            .witnesses
-            .iter()
-            .map(|w| format!("{}:{}", pair_key(&w.pair), w.shared.join(",")))
-            .collect();
-        witnesses.sort();
-        CanonicalForm::new()
-            .field("schema", CERT_SCHEMA)
-            .field("n_procs", cert.n_procs)
-            .field("contention_free", cert.contention_free)
-            .field("cliques", cliques.join(";"))
-            .field("obligations", obligations.join(";"))
-            .field("routes", routes.join(";"))
-            .field("crossings", crossings.join(";"))
-            .field("witnesses", witnesses.join(";"))
-            .field("job", cert.job.as_deref().unwrap_or("none"))
-            .digest()
+    /// Replaces the binding of `text` with the digest of its (possibly
+    /// edited) prefix: a forgery a hostile writer can always produce.
+    fn rebind(text: &str) -> String {
+        let cut = text.rfind("\"binding\"").unwrap_or(text.len());
+        let prefix = &text[..cut];
+        format!("{prefix}{BINDING_KEY}{}\"}}", sha256(prefix.as_bytes()))
     }
 
-    /// A random certificate over 120 processors, so flow keys mix ids of
-    /// one, two and three decimal digits and string order differs from
-    /// numeric order. Half the flows come from a small pool, so members,
-    /// pairs and whole clique prefixes repeat; route lists need not be
-    /// sorted; and labels share prefixes longer than the 16-byte sort
-    /// head, so keys tie on their heads and must be ordered by the rest.
+    fn flow(s: usize, d: usize) -> Flow {
+        Flow::from_indices(s, d)
+    }
+
+    fn labels(names: &[&str]) -> Vec<String> {
+        names.iter().map(|s| s.to_string()).collect()
+    }
+
+    fn sample() -> Certificate {
+        Certificate {
+            n_procs: 4,
+            contention_free: true,
+            routes: [
+                (flow(0, 1), labels(&["L0+"])),
+                (flow(2, 3), labels(&["L1-"])),
+            ]
+            .into_iter()
+            .collect(),
+            witnesses: Vec::new(),
+            job: None,
+            binding: None,
+        }
+    }
+
+    /// A contended sample that uses every optional field.
+    fn contended() -> Certificate {
+        let mut cert = sample();
+        cert.contention_free = false;
+        cert.routes.insert(flow(0, 1), labels(&["L0+", "SH"]));
+        cert.routes.insert(flow(2, 3), labels(&["L1-", "SH"]));
+        cert.witnesses = vec![CertWitness {
+            pair: FlowPair::new(flow(0, 1), flow(2, 3)),
+            shared: labels(&["SH"]),
+        }];
+        cert.job = Some(crate::sha256(b"job").to_hex());
+        cert
+    }
+
+    /// A random canonical certificate over 120 processors, so flow ids
+    /// have one to three decimal digits, with labels that share long
+    /// prefixes.
     fn random_cert(seed: u64, size: usize) -> Certificate {
         let mut rng = Rng::seed_from_u64(seed);
-        let any_flow = |rng: &mut Rng| {
-            Flow::from_indices(rng.gen_range(0..120usize), rng.gen_range(0..120usize))
-        };
-        let pool: Vec<Flow> = (0..6).map(|_| any_flow(&mut rng)).collect();
-        let flow = |rng: &mut Rng| {
-            if rng.gen_bool(0.5) {
-                pool[rng.gen_range(0..pool.len())]
-            } else {
-                any_flow(rng)
-            }
-        };
+        let any_flow = |rng: &mut Rng| flow(rng.gen_range(0..120usize), rng.gen_range(0..120usize));
         let label = |rng: &mut Rng| {
             let stem = ["L", "S", "link-from-switch-"][rng.gen_range(0..3usize)];
             format!(
                 "{stem}{}{}",
                 rng.gen_range(0..120usize),
-                ["+", "-", ""][rng.gen_range(0..3usize)]
+                ["+", "-", "\"q\\"][rng.gen_range(0..3usize)]
             )
         };
-        let labels = |rng: &mut Rng, k: usize| (0..k).map(|_| label(rng)).collect::<Vec<_>>();
-        let mut cert = Certificate {
+        let label_set = |rng: &mut Rng, k: usize| {
+            let mut set: Vec<String> = (0..k).map(|_| label(rng)).collect();
+            set.sort();
+            set.dedup();
+            set
+        };
+        let mut routes = BTreeMap::new();
+        for _ in 0..rng.gen_range(0..=size) {
+            let k = rng.gen_range(0..4usize);
+            routes.insert(any_flow(&mut rng), label_set(&mut rng, k));
+        }
+        let mut pairs: Vec<FlowPair> = (0..rng.gen_range(0..=size / 2))
+            .map(|_| FlowPair::new(any_flow(&mut rng), any_flow(&mut rng)))
+            .collect();
+        pairs.sort();
+        pairs.dedup();
+        let witnesses: Vec<CertWitness> = pairs
+            .into_iter()
+            .map(|pair| {
+                let k = rng.gen_range(1..4usize);
+                CertWitness {
+                    pair,
+                    shared: label_set(&mut rng, k),
+                }
+            })
+            .collect();
+        Certificate {
             n_procs: 120,
-            contention_free: rng.gen_bool(0.5),
-            cliques: Vec::new(),
-            obligations: Vec::new(),
-            routes: BTreeMap::new(),
-            crossings: BTreeMap::new(),
-            witnesses: Vec::new(),
+            contention_free: witnesses.is_empty(),
+            routes,
+            witnesses,
             job: rng
                 .gen_bool(0.5)
                 .then(|| crate::sha256(&seed.to_le_bytes()).to_hex()),
-            claimed_binding: None,
-        };
-        for _ in 0..rng.gen_range(0..=size / 4 + 1) {
-            // Either a fresh clique or the previous one plus a member.
-            let mut clique: Vec<Flow> = match cert.cliques.last() {
-                Some(prev) if rng.gen_bool(0.5) => prev.clone(),
-                _ => (0..rng.gen_range(0..=size))
-                    .map(|_| flow(&mut rng))
-                    .collect(),
-            };
-            clique.push(flow(&mut rng));
-            cert.cliques.push(clique);
-        }
-        for _ in 0..rng.gen_range(0..=4 * size) {
-            cert.obligations
-                .push(FlowPair::new(flow(&mut rng), flow(&mut rng)));
-        }
-        for _ in 0..rng.gen_range(0..=size) {
-            let k = rng.gen_range(0..4usize);
-            cert.routes.insert(flow(&mut rng), labels(&mut rng, k));
-        }
-        for _ in 0..rng.gen_range(0..=size) {
-            let k = rng.gen_range(0..4usize);
-            let flows = (0..k).map(|_| flow(&mut rng)).collect();
-            cert.crossings.insert(label(&mut rng), flows);
-        }
-        for _ in 0..rng.gen_range(0..=size / 2) {
-            let k = rng.gen_range(0..3usize);
-            cert.witnesses.push(CertWitness {
-                pair: FlowPair::new(flow(&mut rng), flow(&mut rng)),
-                shared: labels(&mut rng, k),
-            });
-        }
-        cert
-    }
-
-    #[test]
-    fn binding_matches_the_reference_rendering() {
-        check(
-            "binding_matches_the_reference_rendering",
-            (u64_in(0..u64::MAX), usize_in(0..48)),
-            |&(seed, size)| {
-                let cert = random_cert(seed, size);
-                check_assert_eq!(cert.binding(), reference_binding(&cert));
-                Ok(())
-            },
-        );
-    }
-
-    #[test]
-    fn binding_keys_sort_as_strings() {
-        let mut cert = sample();
-        cert.obligations = vec![
-            FlowPair::new(Flow::from_indices(1, 5), Flow::from_indices(2, 3)),
-            FlowPair::new(Flow::from_indices(10, 3), Flow::from_indices(2, 3)),
-        ];
-        cert.cliques = vec![vec![Flow::from_indices(1, 5), Flow::from_indices(10, 3)]];
-        assert_eq!(cert.binding(), reference_binding(&cert));
-        let mut swapped = cert.clone();
-        swapped.obligations.reverse();
-        swapped.cliques[0].reverse();
-        assert_eq!(swapped.binding(), cert.binding());
-    }
-
-    fn sample() -> Certificate {
-        let f01 = Flow::from_indices(0, 1);
-        let f23 = Flow::from_indices(2, 3);
-        let mut routes = BTreeMap::new();
-        routes.insert(f01, vec!["L0+".to_string()]);
-        routes.insert(f23, vec!["L1-".to_string()]);
-        let mut crossings = BTreeMap::new();
-        crossings.insert("L0+".to_string(), vec![f01]);
-        crossings.insert("L1-".to_string(), vec![f23]);
-        Certificate {
-            n_procs: 4,
-            contention_free: true,
-            cliques: vec![vec![f01, f23]],
-            obligations: vec![FlowPair::new(f01, f23)],
-            routes,
-            crossings,
-            witnesses: Vec::new(),
-            job: None,
-            claimed_binding: None,
+            binding: None,
         }
     }
 
-    #[test]
-    fn round_trip_preserves_value_and_binding() {
-        let cert = sample();
+    /// `cert` as parsed back from its own rendering.
+    fn parsed(cert: &Certificate) -> Certificate {
         let text = cert.to_json();
-        let parsed = Certificate::parse(&text, &ParseLimits::default()).expect("round trip");
-        assert!(parsed.verify_binding());
-        assert_eq!(parsed.binding(), cert.binding());
-        assert_eq!(parsed.to_json(), text, "render is a fixed point");
-    }
-
-    #[test]
-    fn rendering_is_order_invariant() {
-        let mut shuffled = sample();
-        shuffled.cliques[0].reverse();
-        shuffled.obligations.reverse();
-        assert_eq!(shuffled.to_json(), sample().to_json());
-        assert_eq!(shuffled.binding(), sample().binding());
-    }
-
-    #[test]
-    fn any_payload_tamper_changes_the_binding() {
-        let base = sample().binding();
-        let mut a = sample();
-        a.contention_free = false;
-        let mut b = sample();
-        b.obligations.clear();
-        let mut c = sample();
-        c.routes
-            .insert(Flow::from_indices(1, 2), vec!["L9+".to_string()]);
-        let mut d = sample();
-        d.job = Some(crate::sha256(b"job").to_hex());
-        for (i, cert) in [a, b, c, d].iter().enumerate() {
-            assert_ne!(cert.binding(), base, "tamper {i} not caught");
+        let cut = text.rfind("\"binding\"").unwrap_or(0);
+        Certificate {
+            binding: Some(sha256(&text.as_bytes()[..cut])),
+            ..cert.clone()
         }
     }
 
     #[test]
-    fn textual_tamper_fails_binding_verification() {
-        let text = sample().to_json();
-        let tampered = text.replace("\"contention_free\":true", "\"contention_free\":false");
-        assert_ne!(text, tampered);
-        let parsed = Certificate::parse(&tampered, &ParseLimits::default()).expect("parses");
-        assert!(!parsed.verify_binding());
+    fn round_trip_is_a_fixed_point() {
+        for seed in 0..64 {
+            for cert in [sample(), contended(), random_cert(seed, 24)] {
+                let text = cert.to_json();
+                let back = Certificate::parse(&text, &ParseLimits::default()).expect("round trip");
+                assert_eq!(back, parsed(&cert));
+                assert_eq!(back.to_json(), text, "render is a fixed point");
+            }
+        }
+    }
+
+    #[test]
+    fn binding_is_the_sha256_of_the_bytes_before_it() {
+        for text in EMITTED
+            .iter()
+            .map(|t| t.to_string())
+            .chain([sample().to_json(), contended().to_json()])
+        {
+            let cert = Certificate::parse(&text, &ParseLimits::default()).expect("valid");
+            let cut = text.rfind("\"binding\"").expect("has a binding");
+            assert!(text[..cut].ends_with(','));
+            assert_eq!(cert.binding, Some(sha256(&text.as_bytes()[..cut])));
+            assert_eq!(
+                text.trim_end_matches('\n')[cut..],
+                format!("{BINDING_KEY}{}\"}}", sha256(&text.as_bytes()[..cut]))
+            );
+        }
+    }
+
+    #[test]
+    fn only_a_single_trailing_newline_is_accepted() {
+        let limits = ParseLimits::default();
+        let text = contended().to_json();
+        let want = Certificate::parse(&text, &limits).expect("valid");
+        assert_eq!(Certificate::parse(&format!("{text}\n"), &limits), Ok(want));
+        for tail in ["\n\n", "\r\n", " ", " \n", "\t"] {
+            let err = Certificate::parse(&format!("{text}{tail}"), &limits)
+                .expect_err("non-canonical tail");
+            assert_eq!(err, CertError::BadField("binding"), "{tail:?}");
+        }
+    }
+
+    /// Every single-byte substitution, deletion and insertion of an
+    /// emitted certificate is refused, except the one trailing newline
+    /// `--emit-cert` writes. Substitutions try every byte that keeps the
+    /// text UTF-8 on the small certificates, and a spread of bytes on
+    /// the emitted ones.
+    #[test]
+    fn every_single_byte_change_is_rejected() {
+        let limits = ParseLimits::default();
+        let cases: [(String, &[u8]); 3] = [
+            (sample().to_json(), &[]),
+            (contended().to_json(), &[]),
+            (
+                EMITTED[0].trim_end_matches('\n').to_string(),
+                b" \n\"0129afz,:[]{}\\-+",
+            ),
+        ];
+        let mut rejected = 0usize;
+        for (text, spread) in &cases {
+            let all: Vec<u8> = (0..0x80).collect();
+            let subs: &[u8] = if spread.is_empty() { &all } else { spread };
+            let bytes = text.as_bytes();
+            let mut reject = |edited: Vec<u8>| {
+                let Ok(edited) = String::from_utf8(edited) else {
+                    return;
+                };
+                if edited != *text {
+                    assert!(
+                        Certificate::parse(&edited, &limits).is_err(),
+                        "accepted {edited:?}"
+                    );
+                    rejected += 1;
+                }
+            };
+            for at in 0..=bytes.len() {
+                if at < bytes.len() {
+                    for &b in subs {
+                        let mut edited = bytes.to_vec();
+                        edited[at] = b;
+                        reject(edited);
+                    }
+                    let mut edited = bytes.to_vec();
+                    edited.remove(at);
+                    reject(edited);
+                }
+                for b in [b' ', b'\n', b'0', b',', b'"'] {
+                    if at == bytes.len() && b == b'\n' {
+                        continue;
+                    }
+                    let mut edited = bytes.to_vec();
+                    edited.insert(at, b);
+                    reject(edited);
+                }
+            }
+        }
+        assert!(rejected > 80_000, "{rejected}");
     }
 
     #[test]
     fn parse_rejections_have_stable_fingerprints() {
         let limits = ParseLimits::default();
+        let text = sample().to_json();
+        let hex = &text[text.len() - 66..text.len() - 2];
         let cases: Vec<(String, &str)> = vec![
             ("{".to_string(), "json-unexpected-end"),
             ("[]".to_string(), "cert-bad-field"),
@@ -841,17 +681,16 @@ mod tests {
                 "cert-schema-unsupported",
             ),
             (
-                sample().to_json().replace("nocsyn-cert-v1", "other-v9"),
+                include_str!("../../../examples_data/pipeline.v1.cert.json").to_string(),
                 "cert-schema-unsupported",
             ),
+            (text.replace("[2,3]", "[2,99]"), "cert-binding-mismatch"),
+            (rebind(&text.replace("[2,3]", "[2,99]")), "cert-bad-field"),
             (
-                sample().to_json().replace("[2,3]", "[2,99]"),
-                "cert-bad-field",
-            ),
-            (
-                sample().to_json().replace("\"n_procs\":4", "\"n_procs\":0"),
+                rebind(&text.replace("\"n_procs\":4", "\"n_procs\":0")),
                 "limit-exceeded",
             ),
+            (text.replace(hex, "zz"), "cert-bad-field"),
         ];
         for (text, want) in cases {
             let err = Certificate::parse(&text, &limits).expect_err("must reject");
@@ -860,23 +699,132 @@ mod tests {
         }
     }
 
+    /// Freshly bound forgeries of the layout: each breaks one rule the
+    /// checker and the builder rely on.
+    #[test]
+    fn layout_rules_are_enforced_under_a_fresh_binding() {
+        let limits = ParseLimits::default();
+        let free = sample().to_json();
+        let busy = contended().to_json();
+        let rows: Vec<(&str, String, CertError)> = vec![
+            (
+                "unsorted channels",
+                free.replace(r#"["L0+"]"#, r#"["L9+","L0+"]"#),
+                CertError::BadField("channels"),
+            ),
+            (
+                "repeated channel",
+                free.replace(r#"["L0+"]"#, r#"["L0+","L0+"]"#),
+                CertError::BadField("channels"),
+            ),
+            (
+                "empty label",
+                free.replace(r#"["L0+"]"#, r#"[""]"#),
+                CertError::BadField("channel"),
+            ),
+            (
+                "overlong label",
+                free.replace(r#"["L0+"]"#, &format!("[\"{}\"]", "x".repeat(65))),
+                CertError::BadField("channel"),
+            ),
+            (
+                "repeated route flow",
+                free.replace("[2,3]", "[0,1]"),
+                CertError::BadField("routes"),
+            ),
+            (
+                "unsorted route flows",
+                free.replace("[2,3]", "[0,0]"),
+                CertError::BadField("routes"),
+            ),
+            (
+                "extra route field",
+                free.replace(r#""channels":["L0+"]"#, r#""channels":["L0+"],"x":1"#),
+                CertError::BadField("routes"),
+            ),
+            (
+                "empty witness list",
+                free.replace(r#"}],"#, r#"}],"witnesses":[],"#),
+                CertError::BadField("witnesses"),
+            ),
+            (
+                "witness ends reversed",
+                busy.replace(
+                    r#""flow_a":[0,1],"flow_b":[2,3]"#,
+                    r#""flow_a":[2,3],"flow_b":[0,1]"#,
+                ),
+                CertError::BadField("witnesses"),
+            ),
+            (
+                "empty shared list",
+                busy.replace(r#""shared":["SH"]"#, r#""shared":[]"#),
+                CertError::BadField("witnesses"),
+            ),
+            (
+                "repeated witness",
+                busy.replace(
+                    r#""shared":["SH"]}"#,
+                    r#""shared":["SH"]},{"flow_a":[0,1],"flow_b":[2,3],"shared":["SH"]}"#,
+                ),
+                CertError::BadField("witnesses"),
+            ),
+            (
+                "unknown top-level field",
+                free.replace(r#"}],"#, r#"}],"note":"x","#),
+                CertError::BadField("certificate"),
+            ),
+            (
+                "fields out of order",
+                free.replace(
+                    r#""n_procs":4,"contention_free":true"#,
+                    r#""contention_free":true,"n_procs":4"#,
+                ),
+                CertError::MissingField("n_procs"),
+            ),
+            (
+                "repeated field",
+                free.replace(
+                    r#""contention_free":true"#,
+                    r#""contention_free":true,"contention_free":false"#,
+                ),
+                CertError::MissingField("routes"),
+            ),
+            (
+                "job is not a digest",
+                busy.replace("\"job\":\"", "\"job\":\"x"),
+                CertError::BadField("job"),
+            ),
+        ];
+        for (name, forged, want) in rows {
+            let forged = rebind(&forged);
+            assert_eq!(Certificate::parse(&forged, &limits), Err(want), "{name}");
+            assert_same_parse(&forged, &limits);
+        }
+        // A binding that is not last, or not laid out canonically.
+        let hex = &free[free.len() - 66..free.len() - 2];
+        let upper = free.replace(hex, &hex.to_uppercase());
+        let spaced = free.replace(BINDING_KEY, "\"binding\": \"");
+        let trailing = free.replace("\"}", "\",\"z\":1}");
+        for (forged, want) in [
+            (upper, CertError::BadField("binding")),
+            (spaced, CertError::BadField("binding")),
+            (trailing, CertError::MissingField("binding")),
+        ] {
+            assert_eq!(Certificate::parse(&forged, &limits), Err(want), "{forged}");
+        }
+    }
+
     #[test]
     fn input_and_element_budgets_are_enforced() {
         let limits = ParseLimits::default().with_max_input_bytes(16);
         let err = Certificate::parse(&sample().to_json(), &limits).expect_err("too big");
         assert_eq!(err.fingerprint(), "limit-exceeded");
-        let limits = ParseLimits::default().with_max_messages(1);
+        let limits = ParseLimits::default().with_max_messages(3);
         let err = Certificate::parse(&sample().to_json(), &limits).expect_err("too many");
-        assert_eq!(err.fingerprint(), "limit-exceeded");
-    }
-
-    #[test]
-    fn parse_never_accepts_bad_digest_fields() {
-        let text = sample().to_json();
-        let hex = sample().binding().to_hex();
-        let bad = text.replace(&hex, "zz");
-        let err = Certificate::parse(&bad, &ParseLimits::default()).expect_err("bad binding");
-        assert_eq!(err.fingerprint(), "cert-bad-field");
+        assert_eq!(err, CertError::LimitExceeded("elements"));
+        let limits = ParseLimits::default().with_max_procs(3);
+        let err = Certificate::parse(&sample().to_json(), &limits).expect_err("too wide");
+        assert_eq!(err, CertError::LimitExceeded("n_procs"));
     }
 
     /// Certificates the synthesis emits: `nocsyn synth
@@ -910,7 +858,7 @@ mod tests {
     fn flat_parse_matches_the_tree_reference_on_emitted_certificates() {
         for text in EMITTED {
             let cert = Certificate::parse(text, &ParseLimits::default()).expect("emitted");
-            assert!(cert.verify_binding());
+            assert_eq!(format!("{}\n", cert.to_json()), text);
             for pick in 0..4 {
                 assert_same_parse(text, &limits_for(text, pick));
             }
@@ -923,27 +871,32 @@ mod tests {
         }
     }
 
+    /// Byte mutations of emitted and random certificates, half of them
+    /// re-bound so the field checks behind the binding are reached too.
     #[test]
     fn flat_parse_matches_the_tree_reference_on_mutations() {
         let mut rng = Rng::seed_from_u64(0x5eed_ce27);
         let small: Vec<String> = (0..32).map(|seed| random_cert(seed, 6).to_json()).collect();
+        let (free, busy) = (sample().to_json(), contended().to_json());
         let mut cases = 0;
-        // The decomposed certificate is 24 KB, so it gets fewer of the
-        // 20,000 cases than the small ones.
         for (base, n) in [
             (EMITTED[1], 1_500),
             (EMITTED[0], 6_000),
-            (sample().to_json().as_str(), 4_000),
+            (free.as_str(), 2_000),
+            (busy.as_str(), 2_000),
         ]
         .into_iter()
         .chain(small.iter().map(|s| (s.as_str(), 300)))
         {
-            for _ in 0..n {
-                let text = crate::json::reference::mutate(
+            for i in 0..n {
+                let mut text = crate::json::reference::mutate(
                     &mut rng,
                     base,
                     br#"{}[],:" \0123456789-.eEntrufals"#,
                 );
+                if i % 2 == 1 {
+                    text = rebind(&text);
+                }
                 assert_same_parse(&text, &limits_for(&text, rng.gen_range(0..16usize)));
                 cases += 1;
             }
@@ -952,43 +905,26 @@ mod tests {
     }
 
     #[test]
-    fn parse_precedence_is_the_whole_document_first() {
+    fn parse_precedence_is_json_then_schema_then_binding() {
         let limits = ParseLimits::default();
         let text = sample().to_json();
         // A bad schema before malformed JSON: the JSON error wins.
         let err =
             Certificate::parse(r#"{"schema":"nope","n_procs":"#, &limits).expect_err("malformed");
         assert_eq!(err.fingerprint(), "json-unexpected-end");
-        // A three-ended obligation whose second end is out of range: the
-        // obligation's length is checked before its ends.
-        let three = text.replace(
-            r#""obligations":[[[0,1],[2,3]]]"#,
-            r#""obligations":[[[0,1],[2,99],[2,3]]]"#,
-        );
-        assert_ne!(three, text);
+        // Another schema wins over a binding that does not match.
+        let older = text.replace(CERT_SCHEMA, "nocsyn-cert-v1");
         assert_eq!(
-            Certificate::parse(&three, &limits),
-            Err(CertError::BadField("obligations"))
+            Certificate::parse(&older, &limits),
+            Err(CertError::SchemaUnsupported)
         );
-        // A repeated top-level key: the first occurrence wins, whether a
-        // later one differs or is ill-typed.
-        let repeated = text.replacen(
-            r#""contention_free":true"#,
-            r#""contention_free":false,"contention_free":true"#,
-            1,
-        );
-        let cert = Certificate::parse(&repeated, &limits).expect("first occurrence wins");
-        assert!(!cert.contention_free);
-        assert!(!cert.verify_binding());
-        let late = format!(
-            r#"{},"n_procs":"x","binding":"zz"}}"#,
-            &text[..text.len() - 1]
-        );
+        // A stale binding wins over a field error behind it.
+        let stale = text.replace("[2,3]", "[2,99]");
         assert_eq!(
-            Certificate::parse(&late, &limits),
-            Certificate::parse(&text, &limits)
+            Certificate::parse(&stale, &limits),
+            Err(CertError::BindingMismatch)
         );
-        for t in [&three, &repeated, &late] {
+        for t in [&older, &stale] {
             assert_same_parse(t, &limits);
         }
     }

@@ -1,15 +1,13 @@
-//! The certificate parser as first written: it walks a [`JsonValue`]
-//! tree built by the reference JSON parser. Kept only as the
-//! differential-test reference for the flat-document
-//! [`Certificate::parse`], which must return the same `Result` — error
-//! details included — on every input.
-
-use std::collections::BTreeMap;
+//! A second certificate reader that walks a [`JsonValue`] tree built by
+//! the reference JSON parser, written from the format description rather
+//! than from the flat reader. Kept only as the differential-test
+//! reference for [`Certificate::parse`], which must return the same
+//! `Result` — error details included — on every input.
 
 use super::{check_channel, Budget, CertError, CertWitness, Certificate, CERT_SCHEMA};
 use crate::json::{self, JsonValue};
 use crate::text::ParseLimits;
-use crate::{Digest, Flow, FlowPair};
+use crate::{sha256, Digest, Flow, FlowPair};
 
 /// Parses certificate text into a tree first, then reads its fields.
 pub(crate) fn parse(text: &str, limits: &ParseLimits) -> Result<Certificate, CertError> {
@@ -20,162 +18,140 @@ pub(crate) fn parse(text: &str, limits: &ParseLimits) -> Result<Certificate, Cer
         fingerprint: e.fingerprint(),
         detail: e.to_string(),
     })?;
-    if value.as_object().is_none() {
-        return Err(CertError::BadField("certificate"));
-    }
-    let schema = str_field(&value, "schema")?;
+    let fields = value
+        .as_object()
+        .ok_or(CertError::BadField("certificate"))?;
+    let mut at = 0;
+    let schema = take(fields, &mut at, "schema")
+        .ok_or(CertError::MissingField("schema"))?
+        .as_str()
+        .ok_or(CertError::BadField("schema"))?;
     if schema != CERT_SCHEMA {
         return Err(CertError::SchemaUnsupported);
     }
-    let n_procs = usize_field(&value, "n_procs")?;
+
+    // The binding: the last field, a lowercase digest written exactly as
+    // the renderer writes it, over every byte before its key.
+    let (key, last) = fields.last().ok_or(CertError::MissingField("binding"))?;
+    if key != "binding" {
+        return Err(CertError::MissingField("binding"));
+    }
+    let hex = last.as_str().ok_or(CertError::BadField("binding"))?;
+    let claimed = match Digest::from_hex(hex) {
+        Some(d) if d.to_hex() == hex => d,
+        _ => return Err(CertError::BadField("binding")),
+    };
+    let body = text.strip_suffix('\n').unwrap_or(text);
+    let suffix = format!("\"binding\":\"{hex}\"}}");
+    let Some(prefix) = body.strip_suffix(suffix.as_str()) else {
+        return Err(CertError::BadField("binding"));
+    };
+    if !prefix.ends_with(',') {
+        return Err(CertError::BadField("binding"));
+    }
+    if sha256(prefix.as_bytes()) != claimed {
+        return Err(CertError::BindingMismatch);
+    }
+
+    let n_procs = take(fields, &mut at, "n_procs")
+        .ok_or(CertError::MissingField("n_procs"))?
+        .as_u64()
+        .and_then(|n| usize::try_from(n).ok())
+        .ok_or(CertError::BadField("n_procs"))?;
     if n_procs == 0 || n_procs > limits.max_procs {
         return Err(CertError::LimitExceeded("n_procs"));
     }
-    let contention_free = value
-        .get("contention_free")
+    let contention_free = take(fields, &mut at, "contention_free")
         .ok_or(CertError::MissingField("contention_free"))?
         .as_bool()
         .ok_or(CertError::BadField("contention_free"))?;
-    // Every flow or channel mention costs input bytes, so the input
-    // budget already bounds memory; the message budget additionally
-    // bounds element counts the way pattern parsing does.
-    let mut mentions = Budget {
+    let mut budget = Budget {
         left: limits.max_messages,
     };
 
-    let items = array_field(&value, "cliques")?;
-    let mut cliques = Vec::with_capacity(items.len());
-    for c in items {
-        let members = c.as_array().ok_or(CertError::BadField("cliques"))?;
-        let mut clique = Vec::with_capacity(members.len());
-        for m in members {
-            clique.push(parse_flow(m, n_procs, &mut mentions)?);
-        }
-        cliques.push(clique);
-    }
-
-    let items = array_field(&value, "obligations")?;
-    let mut obligations = Vec::with_capacity(items.len());
-    for o in items {
-        let ends = o.as_array().ok_or(CertError::BadField("obligations"))?;
-        if ends.len() != 2 {
-            return Err(CertError::BadField("obligations"));
-        }
-        let a = parse_flow(&ends[0], n_procs, &mut mentions)?;
-        let b = parse_flow(&ends[1], n_procs, &mut mentions)?;
-        obligations.push(FlowPair::new(a, b));
-    }
-
-    let mut routes = BTreeMap::new();
-    for r in array_field(&value, "routes")? {
+    let mut routes = std::collections::BTreeMap::new();
+    let items = take(fields, &mut at, "routes")
+        .ok_or(CertError::MissingField("routes"))?
+        .as_array()
+        .ok_or(CertError::BadField("routes"))?;
+    let mut previous: Option<Flow> = None;
+    for item in items {
+        let entries = item.as_object().ok_or(CertError::BadField("routes"))?;
+        let mut i = 0;
         let flow = parse_flow(
-            r.get("flow").ok_or(CertError::MissingField("flow"))?,
+            take(entries, &mut i, "flow").ok_or(CertError::MissingField("flow"))?,
             n_procs,
-            &mut mentions,
+            &mut budget,
         )?;
-        let chans = parse_channels(r.get("channels"), "channels", &mut mentions)?;
-        // Emitted routes are sorted and duplicate-free, and the checker
-        // intersects them by merging, so any other order is refused
-        // rather than trusted.
-        if chans.windows(2).any(|w| w[0] >= w[1]) {
-            return Err(CertError::BadField("channels"));
-        }
-        if routes.insert(flow, chans).is_some() {
+        let chans = parse_labels(
+            take(entries, &mut i, "channels").ok_or(CertError::MissingField("channels"))?,
+            "channels",
+            &mut budget,
+        )?;
+        if i != entries.len() || previous.is_some_and(|p| p >= flow) {
             return Err(CertError::BadField("routes"));
         }
+        previous = Some(flow);
+        routes.insert(flow, chans);
     }
 
-    let mut crossings = BTreeMap::new();
-    for x in array_field(&value, "crossings")? {
-        let ch = x
-            .get("channel")
-            .and_then(|v| v.as_str())
-            .ok_or(CertError::BadField("crossings"))?;
-        check_channel(ch)?;
-        let items = x
-            .get("flows")
-            .and_then(|v| v.as_array())
-            .ok_or(CertError::BadField("crossings"))?;
-        let mut flows = Vec::with_capacity(items.len());
-        for f in items {
-            flows.push(parse_flow(f, n_procs, &mut mentions)?);
-        }
-        if crossings.insert(ch.to_string(), flows).is_some() {
-            return Err(CertError::BadField("crossings"));
-        }
-    }
-
-    let items = array_field(&value, "witnesses")?;
-    let mut witnesses = Vec::with_capacity(items.len());
-    for w in items {
-        let a = parse_flow(
-            w.get("flow_a").ok_or(CertError::MissingField("flow_a"))?,
-            n_procs,
-            &mut mentions,
-        )?;
-        let b = parse_flow(
-            w.get("flow_b").ok_or(CertError::MissingField("flow_b"))?,
-            n_procs,
-            &mut mentions,
-        )?;
-        let shared = parse_channels(w.get("shared"), "shared", &mut mentions)?;
-        witnesses.push(CertWitness {
-            pair: FlowPair::new(a, b),
-            shared,
-        });
-    }
-
-    let job = match value.get("job") {
-        None => None,
-        Some(v) => {
-            let hex = v.as_str().ok_or(CertError::BadField("job"))?;
-            if Digest::from_hex(hex).is_none() {
-                return Err(CertError::BadField("job"));
+    let mut witnesses: Vec<CertWitness> = Vec::new();
+    if let Some(items) = take(fields, &mut at, "witnesses") {
+        let items = match items.as_array() {
+            Some(items) if !items.is_empty() => items,
+            _ => return Err(CertError::BadField("witnesses")),
+        };
+        for item in items {
+            let entries = item.as_object().ok_or(CertError::BadField("witnesses"))?;
+            let mut i = 0;
+            let end = |name: &'static str, i: &mut usize| {
+                take(entries, i, name).ok_or(CertError::MissingField(name))
+            };
+            let a = parse_flow(end("flow_a", &mut i)?, n_procs, &mut budget)?;
+            let b = parse_flow(end("flow_b", &mut i)?, n_procs, &mut budget)?;
+            let shared = parse_labels(end("shared", &mut i)?, "shared", &mut budget)?;
+            let pair = FlowPair::new(a, b);
+            let ordered = witnesses.last().is_none_or(|w| w.pair < pair);
+            if i != entries.len() || a > b || shared.is_empty() || !ordered {
+                return Err(CertError::BadField("witnesses"));
             }
-            Some(hex.to_string())
+            witnesses.push(CertWitness { pair, shared });
         }
+    }
+
+    let job = match take(fields, &mut at, "job") {
+        None => None,
+        Some(v) => match v.as_str() {
+            Some(hex) if Digest::from_hex(hex).is_some() => Some(hex.to_string()),
+            _ => return Err(CertError::BadField("job")),
+        },
     };
-    let binding = str_field(&value, "binding")?;
-    if Digest::from_hex(binding).is_none() {
-        return Err(CertError::BadField("binding"));
+    if at + 1 != fields.len() {
+        return Err(CertError::BadField("certificate"));
     }
 
     Ok(Certificate {
         n_procs,
         contention_free,
-        cliques,
-        obligations,
         routes,
-        crossings,
         witnesses,
         job,
-        claimed_binding: Some(binding.to_string()),
+        binding: Some(claimed),
     })
 }
 
-fn str_field<'a>(value: &'a JsonValue, name: &'static str) -> Result<&'a str, CertError> {
-    value
-        .get(name)
-        .ok_or(CertError::MissingField(name))?
-        .as_str()
-        .ok_or(CertError::BadField(name))
-}
-
-fn usize_field(value: &JsonValue, name: &'static str) -> Result<usize, CertError> {
-    let raw = value
-        .get(name)
-        .ok_or(CertError::MissingField(name))?
-        .as_u64()
-        .ok_or(CertError::BadField(name))?;
-    usize::try_from(raw).map_err(|_| CertError::BadField(name))
-}
-
-fn array_field<'a>(value: &'a JsonValue, name: &'static str) -> Result<&'a [JsonValue], CertError> {
-    value
-        .get(name)
-        .ok_or(CertError::MissingField(name))?
-        .as_array()
-        .ok_or(CertError::BadField(name))
+/// The field at `*at` if its key is `name` (advancing past it).
+fn take<'a>(
+    fields: &'a [(String, JsonValue)],
+    at: &mut usize,
+    name: &str,
+) -> Option<&'a JsonValue> {
+    let (key, value) = fields.get(*at)?;
+    if key != name {
+        return None;
+    }
+    *at += 1;
+    Some(value)
 }
 
 fn parse_flow(v: &JsonValue, n_procs: usize, budget: &mut Budget) -> Result<Flow, CertError> {
@@ -184,34 +160,33 @@ fn parse_flow(v: &JsonValue, n_procs: usize, budget: &mut Budget) -> Result<Flow
     if ends.len() != 2 {
         return Err(CertError::BadField("flow"));
     }
-    let src = ends[0]
-        .as_u64()
-        .and_then(|n| usize::try_from(n).ok())
-        .ok_or(CertError::BadField("flow"))?;
-    let dst = ends[1]
-        .as_u64()
-        .and_then(|n| usize::try_from(n).ok())
-        .ok_or(CertError::BadField("flow"))?;
+    let end = |v: &JsonValue| {
+        v.as_u64()
+            .and_then(|n| usize::try_from(n).ok())
+            .ok_or(CertError::BadField("flow"))
+    };
+    let (src, dst) = (end(&ends[0])?, end(&ends[1])?);
     if src >= n_procs || dst >= n_procs {
         return Err(CertError::BadField("flow"));
     }
     Ok(Flow::from_indices(src, dst))
 }
 
-fn parse_channels(
-    v: Option<&JsonValue>,
+fn parse_labels(
+    v: &JsonValue,
     name: &'static str,
     budget: &mut Budget,
 ) -> Result<Vec<String>, CertError> {
-    let items = v
-        .and_then(|v| v.as_array())
-        .ok_or(CertError::BadField(name))?;
-    let mut chans = Vec::with_capacity(items.len());
+    let items = v.as_array().ok_or(CertError::BadField(name))?;
+    let mut labels: Vec<String> = Vec::new();
     for item in items {
         budget.spend()?;
         let label = item.as_str().ok_or(CertError::BadField(name))?;
         check_channel(label)?;
-        chans.push(label.to_string());
+        labels.push(label.to_string());
+        if labels.windows(2).last().is_some_and(|w| w[0] >= w[1]) {
+            return Err(CertError::BadField(name));
+        }
     }
-    Ok(chans)
+    Ok(labels)
 }

@@ -209,9 +209,20 @@ fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     f.write_str("\"")
 }
 
+/// A string that displays as its JSON literal, quotes included: lets
+/// writers that build JSON text directly escape values the way
+/// [`JsonValue`] does.
+pub(crate) struct Quoted<'a>(pub(crate) &'a str);
+
+impl fmt::Display for Quoted<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write_escaped(f, self.0)
+    }
+}
+
 /// The decimal digits of `n`, rendered into the tail of `buf` (the
-/// formatting machinery is slow for the millions of small integers a
-/// large certificate holds).
+/// formatting machinery is slow for the many small integers a document
+/// of flows holds).
 pub(crate) fn decimal(mut n: u64, buf: &mut [u8; 20]) -> &str {
     let mut at = buf.len();
     loop {

@@ -86,7 +86,7 @@ pub use routeset::{ResourceInterner, ResourceOnes, RouteSet};
 pub use skew::SkewModel;
 pub use text::{
     format_schedule, format_trace, parse_schedule, parse_trace, ParseErrorKind, ParseLimits,
-    ParseOptions, ParseScheduleError,
+    ParseOptions, ParseScheduleError, Pattern,
 };
 pub use time::{Time, TimeInterval};
 pub use trace::Trace;

@@ -190,6 +190,55 @@ impl ParseOptions {
     pub fn parse_trace(&self, input: &str) -> Result<crate::Trace, ParseScheduleError> {
         parse_trace_impl(input, &self.limits)
     }
+
+    /// Parses pattern text of either format under these options: any
+    /// non-comment line starting with `msg ` makes it a trace, anything
+    /// else is a phase schedule. This is the one autodetection rule; the
+    /// CLI, the serve daemon and the certificate checker all read
+    /// patterns through it.
+    ///
+    /// ```
+    /// use nocsyn_model::{ParseOptions, Pattern};
+    /// let opts = ParseOptions::new();
+    /// let trace = opts.parse_pattern("procs 2\nmsg 0 -> 1 start=0 finish=9\n").unwrap();
+    /// assert!(matches!(trace, Pattern::Trace(_)));
+    /// let schedule = opts.parse_pattern("procs 2\n# msg 0 -> 1\nphase\n  0 -> 1\n").unwrap();
+    /// assert!(matches!(schedule, Pattern::Schedule(_)));
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// The chosen parser's [`ParseScheduleError`]. Never panics.
+    pub fn parse_pattern(&self, input: &str) -> Result<Pattern, ParseScheduleError> {
+        let is_trace = input
+            .lines()
+            .map(|l| l.split('#').next().unwrap_or("").trim())
+            .any(|l| l.starts_with("msg "));
+        if is_trace {
+            self.parse_trace(input).map(Pattern::Trace)
+        } else {
+            self.parse_schedule(input).map(Pattern::Schedule)
+        }
+    }
+}
+
+/// Pattern text parsed by [`ParseOptions::parse_pattern`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Pattern {
+    /// A phase schedule.
+    Schedule(PhaseSchedule),
+    /// A timed trace.
+    Trace(crate::Trace),
+}
+
+impl Pattern {
+    /// Process count of the pattern.
+    pub fn n_procs(&self) -> usize {
+        match self {
+            Pattern::Schedule(s) => s.n_procs(),
+            Pattern::Trace(t) => t.n_procs(),
+        }
+    }
 }
 
 /// A parse failure, with its 1-based line number.

@@ -8,11 +8,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use nocsyn_certify::{check_certificate, CheckOptions};
+use nocsyn_certify::{check_certificate_for, CheckOptions};
 use nocsyn_engine::{Engine, EngineEvent, EventSink, Job, JobStatus, NullSink};
 use nocsyn_model::json::JsonValue;
 use nocsyn_model::{
     canonical_schedule, canonical_trace, Digest, ParseLimits, ParseOptions, ParseScheduleError,
+    Pattern,
 };
 use nocsyn_synth::{AppPattern, SynthesisConfig, SynthesisMode, SynthesisRequest};
 
@@ -130,8 +131,9 @@ impl PatternKind {
     }
 }
 
-/// A pattern accepted at the ingress boundary: the characterized
-/// [`AppPattern`] plus the canonical text that identifies it.
+/// A pattern accepted at the ingress boundary: the parse, the
+/// characterized [`AppPattern`], and the canonical text that identifies
+/// it.
 #[derive(Debug, Clone)]
 pub struct ParsedPattern {
     /// The synthesis input.
@@ -142,36 +144,38 @@ pub struct ParsedPattern {
     /// the cache key. Any two texts that parse to the same value have
     /// the same canonical rendering.
     pub canonical: String,
+    /// The schedule or trace the text parsed to; a disk hit's certificate
+    /// is checked against it, so the text is parsed once per request.
+    pub source: Pattern,
 }
 
-/// Parses pattern text under `opts`, autodetecting trace vs schedule by
-/// the same rule as the CLI (any non-comment line starting with `msg `
-/// makes it a trace).
+/// Parses pattern text under `opts` with [`ParseOptions::parse_pattern`]
+/// (any non-comment line starting with `msg ` makes it a trace).
 ///
 /// # Errors
 ///
 /// The bounded parser's [`ParseScheduleError`] on any syntactic,
 /// semantic, or resource-limit problem. Never panics.
 pub fn parse_pattern(text: &str, opts: &ParseOptions) -> Result<ParsedPattern, ParseScheduleError> {
-    let is_trace = text
-        .lines()
-        .map(|l| l.split('#').next().unwrap_or("").trim())
-        .any(|l| l.starts_with("msg "));
-    if is_trace {
-        let trace = opts.parse_trace(text)?;
-        Ok(ParsedPattern {
-            pattern: AppPattern::from_trace(&trace),
-            kind: PatternKind::Trace,
-            canonical: canonical_trace(&trace),
-        })
-    } else {
-        let schedule = opts.parse_schedule(text)?;
-        Ok(ParsedPattern {
-            pattern: AppPattern::from_schedule(&schedule),
-            kind: PatternKind::Schedule,
-            canonical: canonical_schedule(&schedule),
-        })
-    }
+    let source = opts.parse_pattern(text)?;
+    let (pattern, kind, canonical) = match &source {
+        Pattern::Trace(trace) => (
+            AppPattern::from_trace(trace),
+            PatternKind::Trace,
+            canonical_trace(trace),
+        ),
+        Pattern::Schedule(schedule) => (
+            AppPattern::from_schedule(schedule),
+            PatternKind::Schedule,
+            canonical_schedule(schedule),
+        ),
+    };
+    Ok(ParsedPattern {
+        pattern,
+        kind,
+        canonical,
+        source,
+    })
 }
 
 /// The content fingerprint of one synthesis job: the order-invariant
@@ -406,7 +410,7 @@ impl Server {
         };
         let fp = job_fingerprint(parsed.kind, &parsed.canonical, &request);
 
-        if let Some((report, tier)) = self.cache_lookup(&fp, &parsed.canonical) {
+        if let Some((report, tier)) = self.cache_lookup(&fp, &parsed.source) {
             return self.report_reply(&fp, tier, "ok", &report);
         }
 
@@ -531,15 +535,15 @@ impl Server {
 
     /// Cache lookup with the certificate gate on the untrusted disk
     /// tier: a disk entry is served only if its companion certificate
-    /// validates against the canonical pattern *and* is bound to exactly
+    /// validates against the request's pattern *and* is bound to exactly
     /// this cache key.
-    fn cache_lookup(&self, fp: &Digest, canonical: &str) -> Option<(String, CacheTier)> {
+    fn cache_lookup(&self, fp: &Digest, pattern: &Pattern) -> Option<(String, CacheTier)> {
         let check = CheckOptions::new().with_limits(self.opts.limits.clone());
         self.cache
             .lock()
             .expect("cache lock never poisoned")
             .lookup_certified(fp, |cert| {
-                check_certificate(canonical, cert, Some(fp), &check).is_ok()
+                check_certificate_for(pattern, cert, Some(fp), &check).is_ok()
             })
     }
 

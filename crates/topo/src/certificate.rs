@@ -1,95 +1,66 @@
 //! Certificate emission: extracting the Theorem-1 evidence object from a
 //! routed network.
 //!
-//! [`build_certificate`] is the one place the per-route resource sets,
-//! per-channel crossing flow sets, obligations, and contention witnesses
-//! of a [`Certificate`](nocsyn_model::Certificate) are derived from real
-//! routes. The emitted certificate agrees with
-//! [`verify_contention_free`](crate::verify_contention_free) by
-//! construction: its witness list is exactly the report's witness list,
-//! rendered into channel labels.
+//! [`build_certificate`] is the one place the per-route resource sets
+//! and contention witnesses of a [`Certificate`](nocsyn_model::Certificate)
+//! are derived from real routes. Its verdict and witnesses are
+//! [`verify_contention_free`]'s, rendered into channel labels, so the
+//! certificate agrees with the verifier by construction.
 
-use std::collections::BTreeMap;
+use nocsyn_model::{CertWitness, Certificate, ContentionSet, Digest, FlowPair};
 
-use nocsyn_model::{CertWitness, Certificate, CliqueSet, ContentionSet, Digest, Flow};
+use crate::{verify_contention_free, Channel, RouteTable};
 
-use crate::RouteTable;
+/// Channel labels, sorted as strings and without repeats: the order the
+/// certificate schema requires.
+fn labels(channels: impl IntoIterator<Item = Channel>) -> Vec<String> {
+    let mut labels: Vec<String> = channels.into_iter().map(|ch| ch.to_string()).collect();
+    labels.sort_unstable();
+    labels.dedup();
+    labels
+}
 
 /// Builds the contention-freedom certificate for `routes` against an
-/// application with clique set `cliques` and potential contention set
+/// application with `n_procs` processes and potential contention set
 /// `contention`.
 ///
-/// Obligations are the contention pairs with *both* ends routed — the
-/// same restriction [`verify_contention_free`](crate::verify_contention_free)
-/// applies — and a witness is recorded for every obligation whose resource
-/// sets intersect, so `contention_free` matches the verifier's verdict on
-/// the same inputs. `job` optionally binds the certificate to a serve
-/// cache key (the job-fingerprint digest).
+/// A witness is recorded for every contention pair with both ends routed
+/// whose resource sets intersect — the pairs
+/// [`verify_contention_free`] reports — so `contention_free` is the
+/// verifier's verdict on the same inputs. `job` optionally binds the
+/// certificate to a serve cache key (the job-fingerprint digest).
 pub fn build_certificate(
     n_procs: usize,
-    cliques: &CliqueSet,
     contention: &ContentionSet,
     routes: &RouteTable,
     job: Option<Digest>,
 ) -> Certificate {
-    let mut route_map: BTreeMap<Flow, Vec<String>> = BTreeMap::new();
-    for (flow, route) in routes.iter() {
-        let chans: Vec<String> = route
-            .channel_set()
-            .iter()
-            .map(|ch| ch.to_string())
-            .collect();
-        let mut chans = chans;
-        chans.sort();
-        chans.dedup();
-        route_map.insert(flow, chans);
-    }
-
-    let mut crossings: BTreeMap<String, Vec<Flow>> = BTreeMap::new();
-    for (flow, chans) in &route_map {
-        for ch in chans {
-            // Flows arrive in BTreeMap order, so each crossing list is
-            // already sorted and duplicate-free.
-            crossings.entry(ch.clone()).or_default().push(*flow);
-        }
-    }
-
-    let mut obligations = Vec::new();
-    let mut witnesses = Vec::new();
-    for pair in contention.iter() {
-        let (Some(ra), Some(rb)) = (route_map.get(&pair.first()), route_map.get(&pair.second()))
-        else {
-            continue;
-        };
-        obligations.push(pair);
-        let shared: Vec<String> = ra
-            .iter()
-            .filter(|ch| rb.binary_search(ch).is_ok())
-            .cloned()
-            .collect();
-        if !shared.is_empty() {
-            witnesses.push(CertWitness { pair, shared });
-        }
-    }
-
+    let witnesses: Vec<CertWitness> = verify_contention_free(contention, routes)
+        .witnesses()
+        .iter()
+        .map(|w| CertWitness {
+            pair: FlowPair::new(w.flow_a, w.flow_b),
+            shared: labels(w.shared.iter().copied()),
+        })
+        .collect();
     Certificate {
         n_procs,
         contention_free: witnesses.is_empty(),
-        cliques: cliques.iter().map(|c| c.iter().collect()).collect(),
-        obligations,
-        routes: route_map,
-        crossings,
+        routes: routes
+            .iter()
+            .map(|(flow, route)| (flow, labels(route.iter())))
+            .collect(),
         witnesses,
         job: job.map(|d| d.to_hex()),
-        claimed_binding: None,
+        binding: None,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{regular, verify_contention_free};
-    use nocsyn_model::{Message, ProcId, Trace};
+    use crate::regular;
+    use nocsyn_model::{Message, ParseLimits, ProcId, Trace};
 
     fn concurrent_trace(flows: &[(usize, usize)], n: usize) -> Trace {
         let mut t = Trace::new(n);
@@ -110,48 +81,33 @@ mod tests {
             let (_, routes) = regular::mesh(2, 2).unwrap();
             let contention = t.contention_set();
             let report = verify_contention_free(&contention, &routes);
-            let cert = build_certificate(4, &t.maximum_clique_set(), &contention, &routes, None);
+            let cert = build_certificate(4, &contention, &routes, None);
             assert_eq!(cert.contention_free, report.is_contention_free());
             assert_eq!(cert.witnesses.len(), report.len());
-            assert!(cert.verify_binding());
+            let text = cert.to_json();
+            let back = Certificate::parse(&text, &ParseLimits::default()).expect("parses");
+            assert_eq!(back.to_json(), text);
         }
     }
 
     #[test]
-    fn crossings_invert_routes_exactly() {
+    fn route_labels_are_sorted_and_cover_every_routed_flow() {
         let t = concurrent_trace(&[(0, 3), (1, 2)], 4);
         let (_, routes) = regular::torus(2, 2).unwrap();
-        let cert = build_certificate(
-            4,
-            &t.maximum_clique_set(),
-            &t.contention_set(),
-            &routes,
-            None,
-        );
-        let mut rebuilt: BTreeMap<String, Vec<Flow>> = BTreeMap::new();
+        let cert = build_certificate(4, &t.contention_set(), &routes, None);
+        assert_eq!(cert.routes.len(), routes.len());
         for (flow, chans) in &cert.routes {
-            for ch in chans {
-                rebuilt.entry(ch.clone()).or_default().push(*flow);
-            }
-        }
-        assert_eq!(rebuilt, cert.crossings);
-        // Only routed flows appear, and their resource sets are sorted.
-        for chans in cert.routes.values() {
             assert!(chans.windows(2).all(|w| w[0] < w[1]));
+            let route = routes.route(*flow).expect("routed");
+            assert_eq!(chans.len(), route.channel_set().len());
         }
     }
 
     #[test]
-    fn unrouted_contention_pairs_produce_no_obligation() {
+    fn unrouted_contention_pairs_produce_no_witness() {
         let t = concurrent_trace(&[(0, 3), (1, 3)], 4);
-        let cert = build_certificate(
-            4,
-            &t.maximum_clique_set(),
-            &t.contention_set(),
-            &RouteTable::new(),
-            None,
-        );
-        assert!(cert.obligations.is_empty());
+        let cert = build_certificate(4, &t.contention_set(), &RouteTable::new(), None);
+        assert!(cert.witnesses.is_empty());
         assert!(cert.contention_free);
     }
 }

@@ -19,15 +19,13 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use nocsyn_certify::{check_certificate, CheckOptions, Rejection};
+use nocsyn_certify::{check_certificate, check_certificate_for, CheckOptions, Rejection};
 use nocsyn_engine::{par_map, Engine, EventSink, JobOutcome, JobStatus, JsonLinesSink, NullSink};
 use nocsyn_faults::{DegradationReport, FaultScenario};
 use nocsyn_floorplan::{mesh_baseline, place};
 use nocsyn_fuzz::{CaseReport, FuzzConfig, FuzzTarget, Registry};
 use nocsyn_model::json::JsonValue;
-use nocsyn_model::{
-    parse_schedule, parse_trace, Digest, Flow, ParseLimits, ParseOptions, PhaseSchedule, Trace,
-};
+use nocsyn_model::{Digest, Flow, ParseLimits, ParseOptions, Pattern, PhaseSchedule, Trace};
 use nocsyn_serve::{
     job_fingerprint, pareto_point_object, parse_pattern, run_chaos, synth_json_object,
     with_pareto_array, ChaosConfig, Client, RetryPolicy, ServeOptions, Server,
@@ -409,52 +407,37 @@ pub fn run(args: &[String]) -> Result<String, String> {
     let input = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let parsed = parse_input(path, &input)?;
 
-    match (command.as_str(), parsed) {
-        ("info", Input::Schedule(s)) => cmd_info(&AppPattern::from_schedule(&s), s.len(), &opts),
-        ("info", Input::Trace(t)) => cmd_info(&AppPattern::from_trace(&t), t.len(), &opts),
-        ("synth", Input::Schedule(s)) => cmd_synth(&AppPattern::from_schedule(&s), &input, &opts),
-        ("synth", Input::Trace(t)) => cmd_synth(&AppPattern::from_trace(&t), &input, &opts),
-        ("simulate", Input::Schedule(s)) => cmd_simulate(&s, &opts),
-        ("simulate", Input::Trace(t)) => cmd_replay(&t, &opts),
-        ("verify", Input::Schedule(s)) => {
-            cmd_verify_pattern(&AppPattern::from_schedule(&s), &s, &opts)
+    match (command.as_str(), &parsed) {
+        ("info", Pattern::Schedule(s)) => cmd_info(&AppPattern::from_schedule(s), s.len(), &opts),
+        ("info", Pattern::Trace(t)) => cmd_info(&AppPattern::from_trace(t), t.len(), &opts),
+        ("synth", Pattern::Schedule(s)) => cmd_synth(&AppPattern::from_schedule(s), &input, &opts),
+        ("synth", Pattern::Trace(t)) => cmd_synth(&AppPattern::from_trace(t), &input, &opts),
+        ("simulate", Pattern::Schedule(s)) => cmd_simulate(s, &opts),
+        ("simulate", Pattern::Trace(t)) => cmd_replay(t, &opts),
+        ("verify", Pattern::Schedule(s)) => {
+            cmd_verify_pattern(&AppPattern::from_schedule(s), s, &opts)
         }
-        ("verify", Input::Trace(t)) => {
-            let stand_in = schedule_stand_in(&t);
-            cmd_verify_pattern(&AppPattern::from_trace(&t), &stand_in, &opts)
+        ("verify", Pattern::Trace(t)) => {
+            let stand_in = schedule_stand_in(t);
+            cmd_verify_pattern(&AppPattern::from_trace(t), &stand_in, &opts)
         }
-        ("faults", Input::Schedule(s)) => {
-            cmd_faults(&AppPattern::from_schedule(&s), &s, &input, &opts)
+        ("faults", Pattern::Schedule(s)) => {
+            cmd_faults(&AppPattern::from_schedule(s), s, &parsed, &opts)
         }
-        ("faults", Input::Trace(t)) => {
-            let stand_in = schedule_stand_in(&t);
-            cmd_faults(&AppPattern::from_trace(&t), &stand_in, &input, &opts)
+        ("faults", Pattern::Trace(t)) => {
+            let stand_in = schedule_stand_in(t);
+            cmd_faults(&AppPattern::from_trace(t), &stand_in, &parsed, &opts)
         }
         (other, _) => Err(format!("unknown command `{other}`")),
     }
 }
 
-/// A parsed input file: a phase schedule or a timed trace (detected by
-/// the presence of `msg` lines).
-enum Input {
-    Schedule(PhaseSchedule),
-    Trace(Trace),
-}
-
-fn parse_input(path: &str, input: &str) -> Result<Input, String> {
-    let is_trace = input
-        .lines()
-        .map(|l| l.split('#').next().unwrap_or("").trim())
-        .any(|l| l.starts_with("msg "));
-    if is_trace {
-        Ok(Input::Trace(
-            parse_trace(input).map_err(|e| format!("{path}: {e}"))?,
-        ))
-    } else {
-        Ok(Input::Schedule(
-            parse_schedule(input).map_err(|e| format!("{path}: {e}"))?,
-        ))
-    }
+/// Parses an input file as a phase schedule or a timed trace, under the
+/// default limits.
+fn parse_input(path: &str, input: &str) -> Result<Pattern, String> {
+    ParseOptions::new()
+        .parse_pattern(input)
+        .map_err(|e| format!("{path}: {e}"))
 }
 
 /// An empty schedule with the trace's process count, for code paths that
@@ -722,7 +705,7 @@ fn sim_stats_json(
 fn cmd_faults(
     pattern: &AppPattern,
     schedule: &PhaseSchedule,
-    raw: &str,
+    parsed: &Pattern,
     opts: &Options,
 ) -> Result<String, String> {
     let (net, policy) = build_network_for(pattern, schedule, opts)?;
@@ -764,12 +747,11 @@ fn cmd_faults(
         for report in &reports {
             let cert = build_certificate(
                 pattern.n_procs(),
-                pattern.cliques(),
                 pattern.contention(),
                 report.repaired_routes(),
                 None,
             );
-            let delta = match check_certificate(raw, &cert.to_json(), None, &check_opts) {
+            let delta = match check_certificate_for(parsed, &cert.to_json(), None, &check_opts) {
                 Ok(summary) => JsonValue::object([
                     ("valid", JsonValue::from(true)),
                     ("contention_free", JsonValue::from(summary.contention_free)),
@@ -855,10 +837,8 @@ fn cmd_certify(args: &[String]) -> Result<String, String> {
                     ("valid", JsonValue::from(true)),
                     ("contention_free", JsonValue::from(summary.contention_free)),
                     ("binding", JsonValue::from(summary.binding)),
-                    ("obligations", JsonValue::from(summary.n_obligations)),
                     ("routes", JsonValue::from(summary.n_routes)),
                     ("flows", JsonValue::from(summary.n_flows)),
-                    ("cliques", JsonValue::from(summary.n_cliques)),
                     ("witnesses", JsonValue::from(summary.n_witnesses)),
                 ]);
                 Ok(format!("{obj}\n"))
@@ -873,12 +853,8 @@ fn cmd_certify(args: &[String]) -> Result<String, String> {
                 let _ = writeln!(out, "binding: {}", summary.binding);
                 let _ = writeln!(
                     out,
-                    "obligations: {} checked over {}/{} routed flows; {} cliques, {} witnesses",
-                    summary.n_obligations,
-                    summary.n_routes,
-                    summary.n_flows,
-                    summary.n_cliques,
-                    summary.n_witnesses
+                    "routes: {}/{} flows routed; {} witnesses",
+                    summary.n_routes, summary.n_flows, summary.n_witnesses
                 );
                 Ok(out)
             }
@@ -945,11 +921,11 @@ fn dispatch_probe(input: &[u8]) -> CaseReport {
         return CaseReport::rejected(ticks, "options-rejected");
     }
     match parse_input("<fuzz>", body) {
-        Ok(Input::Schedule(s)) => {
+        Ok(Pattern::Schedule(s)) => {
             let pattern = AppPattern::from_schedule(&s);
             CaseReport::accepted(ticks, pattern.flows().len() as u64)
         }
-        Ok(Input::Trace(t)) => {
+        Ok(Pattern::Trace(t)) => {
             let pattern = AppPattern::from_trace(&t);
             CaseReport::accepted(ticks, pattern.flows().len() as u64)
         }

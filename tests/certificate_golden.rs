@@ -1,12 +1,12 @@
 //! Golden pins for certificate bytes and binding digests.
 //!
 //! The rendered certificate and its `binding` digest are a contract: the
-//! serve cache stores them, `nocsyn certify` re-derives them, and a
+//! serve cache stores them, `nocsyn certify` hashes them, and a
 //! certificate written by one build must validate under the next. These
 //! pins record the SHA-256 of the rendered bytes and the binding hex for
 //! the fixed-seed golden workloads (CG16, MG8, FFT16) and for the
 //! decomposed `examples_data/clus64.txt` run at seed 65, so any change to
-//! rendering, normalization or the binding framing shows up here first.
+//! rendering, field order or the binding shows up here first.
 
 use nocsyn::certify::{check_certificate, CheckOptions};
 use nocsyn::cli;
@@ -22,25 +22,25 @@ type Pin = (&'static str, &'static str, &'static str);
 const GOLDEN: [Pin; 3] = [
     (
         "CG16",
-        "2bc6f1baafe54b7ec9828022d63ef4c00d112701113a3ca7360b57a13665f52c",
-        "c4fd6c0c0d7c4238124fde4462818ac55c69df443bb6ee9674de02f8ff704813",
+        "5e9029f1432a44883ea33be57fce62838e9cd0682c548a6ec2c36563fd3c0735",
+        "8d3302c24dd213e7c3ad394280258051f8f2aa7c9de75aecfff34f84e1393ad0",
     ),
     (
         "MG8",
-        "457557fd4c67b8bca48a74ea1f991bc7d36e1515c7607bea6a989be16d5402c3",
-        "c042f506bebd7e2ad008333ebcde6a65cdefe42fda40d9d63e79c34591834fae",
+        "3c5670cb5a0f442ce86267621a0674a0323ed26918e81a70848276eaf5bfed14",
+        "566643f0833c77289bb7d8330ebb04078ee67b7a3c211c41bdbebb004ebe636c",
     ),
     (
         "FFT16",
-        "d920ebe0a323e2a91a540b9f5830508efb87288d0b887a5e433e76a3d4916aa7",
-        "8b83a0652e4930b6f239fd9b62c391eb9c420114668c4d2d36f16c04ee7b5779",
+        "c3c8e7431e0f12fc61cc425ddad06588b57d32e6ac004dbaac399c9315ac2d7e",
+        "5ceb271f2872d8b097d96de665d6597a5d0a86a1d9b9f88749008840d6ff7440",
     ),
 ];
 
 const CLUS64: Pin = (
     "clus64",
-    "874ea64381d0f520fd4a557a97827abf74e514bad14aee1c9ac042fb5678850d",
-    "3ac1d0e6628748c14ba1dc535ad5b6cf76f61dbc85eb617621c5c798c0df4806",
+    "9349fa99d58d3b4dff075ddbe49d378d3cd0322959a1a4160f66c6eadc22cb7c",
+    "35d7cbfca2c65ac0f64dc8410828f25d7a5beeb0635179133ee6202e02f1efbe",
 );
 
 fn golden_certificate(benchmark: Benchmark, n: usize) -> (Certificate, String) {
@@ -64,14 +64,18 @@ fn golden_certificate(benchmark: Benchmark, n: usize) -> (Certificate, String) {
     )
 }
 
-fn assert_pinned(pin: &Pin, rendered: &str, binding: &str) {
+/// Checks `rendered` against `pin` and returns its parse.
+fn assert_pinned(pin: &Pin, rendered: &str) -> Certificate {
     let (name, want_sha, want_binding) = pin;
+    let cert = Certificate::parse(rendered, &ParseLimits::default()).expect("parses");
     let got_sha = sha256(rendered.as_bytes()).to_hex();
+    let binding = cert.binding.map(|d| d.to_hex()).unwrap_or_default();
     assert_eq!(
-        (got_sha.as_str(), binding),
+        (got_sha.as_str(), binding.as_str()),
         (*want_sha, *want_binding),
         "{name}: certificate bytes or binding moved"
     );
+    cert
 }
 
 #[test]
@@ -84,10 +88,11 @@ fn golden_workload_certificates_are_pinned() {
     for (pin, (benchmark, n)) in GOLDEN.iter().zip(workloads) {
         let (cert, text) = golden_certificate(benchmark, n);
         let rendered = cert.to_json();
-        assert_pinned(pin, &rendered, &cert.binding().to_hex());
+        let parsed = assert_pinned(pin, &rendered);
         let summary = check_certificate(&text, &rendered, None, &CheckOptions::new())
             .expect("golden certificate validates");
-        assert_eq!(summary.binding, cert.binding().to_hex());
+        assert_eq!(summary.binding, pin.2);
+        assert_eq!(parsed.to_json(), rendered);
     }
 }
 
@@ -124,9 +129,7 @@ fn clus64_certificate_text() -> String {
 fn decomposed_clus64_certificate_is_pinned_and_a_fixed_point() {
     let text = clus64_certificate_text();
     let rendered = text.strip_suffix('\n').expect("emitted with a newline");
-    let cert = Certificate::parse(rendered, &ParseLimits::default()).expect("parses");
-    assert!(cert.verify_binding());
-    assert_pinned(&CLUS64, rendered, &cert.binding().to_hex());
+    let cert = assert_pinned(&CLUS64, rendered);
     assert_eq!(
         cert.to_json(),
         rendered,
@@ -140,7 +143,7 @@ fn decomposed_clus64_certificate_is_pinned_and_a_fixed_point() {
     let summary = check_certificate(&pattern, rendered, None, &CheckOptions::new())
         .expect("decomposed certificate validates");
     assert!(summary.contention_free);
-    assert_eq!(Some(summary.binding), cert.claimed_binding);
+    assert_eq!(summary.binding, CLUS64.2);
 }
 
 /// `job_fingerprint` of `examples_data/pipeline.txt` as a flat request:

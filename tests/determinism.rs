@@ -145,7 +145,7 @@ fn goldens() -> [(&'static str, AppPattern, Golden); 2] {
                     ],
                     vec![4, 7, 6, 4, 7, 0, 0, 3, 6, 5, 5, 2, 1, 3, 2, 1],
                 ),
-                "d8aa21561760a5c9b60a2db6c6035808ea4d36fda509abde807c0a0af9553639",
+                "08a3b9b087ec95579b8a23503231efc83dd20a88855150e0c9300c0211e40cfa",
             ),
         ),
         (
@@ -153,7 +153,7 @@ fn goldens() -> [(&'static str, AppPattern, Golden); 2] {
             mg8_pattern(),
             (
                 (2, 1, vec![(0, 1, 1)], vec![0, 1, 1, 0, 1, 1, 0, 0]),
-                "a5c469d67b0f4eeb856ffb53f28e2f8b02a4fc32d324e3901c0a1d909fb45607",
+                "2c7acd2bdda71b492e3649a3faade37d5dc7c2ac80a738fec423a476a1305adb",
             ),
         ),
     ]

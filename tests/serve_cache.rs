@@ -238,6 +238,67 @@ fn disk_entries_with_bad_certificates_are_recertified_not_served() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The disk tier is a cache, not an archive: a certificate in the
+/// previous schema is refused like any other bad certificate. The stored
+/// certificate of `examples_data/pipeline.txt` (restarts 2, seed 9) is
+/// replaced by that job's own `nocsyn-cert-v1` certificate; the next
+/// daemon counts a `cert_errors`, re-synthesizes, and commits the
+/// current schema — the same bytes `synth --emit-cert` writes for the
+/// job.
+#[test]
+fn stored_v1_certificates_are_refused_and_replaced() {
+    let dir =
+        std::env::temp_dir().join(format!("nocsyn-serve-cache-v1-cert-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let text = include_str!("../examples_data/pipeline.txt");
+    let request = nocsyn::model::json::JsonValue::object([
+        ("op", nocsyn::model::json::JsonValue::from("synth")),
+        ("pattern", nocsyn::model::json::JsonValue::from(text)),
+        ("seed", nocsyn::model::json::JsonValue::from(9u64)),
+        ("restarts", nocsyn::model::json::JsonValue::from(2u64)),
+    ])
+    .to_string();
+    let with_dir = || {
+        Server::new(ServeOptions {
+            cache_dir: Some(dir.clone()),
+            ..ServeOptions::default()
+        })
+    };
+    let first = with_dir().handle_line(&request);
+    assert!(matches!(first.kind, ReplyKind::Report(CacheTier::Miss)));
+    let v1 = include_str!("../examples_data/pipeline.v1.cert.json");
+    let fp = "857aba71ebf851bc28a847dcaad5cf102cb20423849839d0a26af98fc338ee3f";
+    assert!(v1.contains(fp), "the v1 certificate is this job's");
+    let cert_path = dir.join(format!("{fp}.cert.json"));
+    let v2 = std::fs::read_to_string(&cert_path).expect("a certificate rides along on disk");
+    std::fs::write(&cert_path, v1).expect("test dir writable");
+
+    let server = with_dir();
+    let reply = server.handle_line(&request);
+    assert!(
+        matches!(reply.kind, ReplyKind::Report(CacheTier::Miss)),
+        "a v1 certificate must force re-synthesis, got {}",
+        reply.line
+    );
+    assert_eq!(
+        reply.line, first.line,
+        "re-synthesis reproduces the same bytes"
+    );
+    let stats = server.handle_line(r#"{"op":"stats"}"#);
+    assert!(stats.line.contains("\"cert_errors\":1"), "{}", stats.line);
+    let rewritten = std::fs::read_to_string(&cert_path).expect("re-committed");
+    assert!(rewritten.starts_with("{\"schema\":\"nocsyn-cert-v2\""));
+    assert_eq!(rewritten, v2);
+    assert_eq!(
+        format!("{rewritten}\n"),
+        include_str!("../crates/model/testdata/flat.cert.json"),
+        "serve and `synth --emit-cert` write the same certificate"
+    );
+    let disk = with_dir().handle_line(&request);
+    assert!(matches!(disk.kind, ReplyKind::Report(CacheTier::Disk)));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A report or certificate file truncated at *any* byte is structurally
 /// torn — the strict JSON parser never accepts a proper prefix of a
 /// complete object — so the startup scan must quarantine it, plus its
