@@ -7,40 +7,11 @@
 //! worker threads — the rows are computed independently and printed in
 //! the paper's order, so the output is identical for any N).
 
-use nocsyn_bench::{build_instance, grid_dims, Fig7Row, HarnessError, NetworkKind};
+use nocsyn_bench::{build_instance, grid_dims, Fig7Row, FigureArgs, HarnessError, NetworkKind};
 use nocsyn_engine::par_map;
 use nocsyn_floorplan::mesh_baseline;
 use nocsyn_model::json::JsonValue;
 use nocsyn_workloads::{Benchmark, WorkloadParams};
-
-fn parse_configs() -> (Vec<bool>, bool, usize) {
-    let mut args = std::env::args().skip(1);
-    let mut which = "both".to_string();
-    let mut json = false;
-    let mut jobs = 1usize;
-    while let Some(a) = args.next() {
-        if a == "--nodes" {
-            which = args.next().unwrap_or_else(|| "both".into());
-        } else if a == "--json" {
-            json = true;
-        } else if a == "--jobs" {
-            jobs = args
-                .next()
-                .and_then(|v| v.parse().ok())
-                .filter(|&n| n >= 1)
-                .unwrap_or_else(|| {
-                    eprintln!("--jobs expects a positive integer");
-                    std::process::exit(2);
-                });
-        }
-    }
-    let configs = match which.as_str() {
-        "small" => vec![false],
-        "large" => vec![true],
-        _ => vec![false, true],
-    };
-    (configs, json, jobs)
-}
 
 fn row_for(benchmark: Benchmark, large: bool) -> Result<Fig7Row, HarnessError> {
     let n = benchmark.paper_procs(large);
@@ -62,7 +33,11 @@ fn row_for(benchmark: Benchmark, large: bool) -> Result<Fig7Row, HarnessError> {
 }
 
 fn main() -> Result<(), HarnessError> {
-    let (configs, json, jobs) = parse_configs();
+    let FigureArgs {
+        configs,
+        json,
+        jobs,
+    } = FigureArgs::from_env("fig7");
     let combos: Vec<(bool, Benchmark)> = configs
         .iter()
         .flat_map(|&large| Benchmark::ALL.into_iter().map(move |b| (large, b)))

@@ -313,6 +313,66 @@ impl Fig8Row {
     }
 }
 
+/// Command-line options of the figure binaries (`fig7`, `fig8`):
+/// `[--nodes small|large|both] [--json] [--jobs N]`.
+#[derive(Debug, PartialEq, Eq)]
+pub struct FigureArgs {
+    /// Node configurations in the paper's order: `false` for the 8/9-node
+    /// one, `true` for the 16-node one.
+    pub configs: Vec<bool>,
+    /// One JSON array of row records instead of the table.
+    pub json: bool,
+    /// Worker threads the rows are spread over.
+    pub jobs: usize,
+}
+
+impl FigureArgs {
+    /// Parses the arguments after the program name; the error names the
+    /// first unknown flag, missing value, unknown `--nodes` value or
+    /// non-positive `--jobs`.
+    fn parse(args: impl IntoIterator<Item = String>) -> Result<FigureArgs, String> {
+        let mut parsed = FigureArgs {
+            configs: vec![false, true],
+            json: false,
+            jobs: 1,
+        };
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            match arg.as_str() {
+                "--nodes" => {
+                    parsed.configs = match args.next().as_deref() {
+                        Some("small") => vec![false],
+                        Some("large") => vec![true],
+                        Some("both") => vec![false, true],
+                        _ => return Err("--nodes expects small, large or both".to_string()),
+                    }
+                }
+                "--json" => parsed.json = true,
+                "--jobs" => {
+                    parsed.jobs = args
+                        .next()
+                        .and_then(|v| v.parse().ok())
+                        .filter(|&n| n >= 1)
+                        .ok_or("--jobs expects a positive integer")?;
+                }
+                other => return Err(format!("unknown argument `{other}`")),
+            }
+        }
+        Ok(parsed)
+    }
+
+    /// Parses the process arguments of the figure binary `bin`, printing
+    /// the error and the usage line and exiting with status 2 on a bad
+    /// command line.
+    pub fn from_env(bin: &str) -> FigureArgs {
+        FigureArgs::parse(std::env::args().skip(1)).unwrap_or_else(|e| {
+            eprintln!("{bin}: {e}");
+            eprintln!("usage: {bin} [--nodes small|large|both] [--json] [--jobs N]");
+            std::process::exit(2);
+        })
+    }
+}
+
 pub mod timing {
     //! A plain `std::time::Instant` micro-benchmark harness.
     //!
@@ -476,6 +536,41 @@ mod tests {
         assert_eq!(src.to_string(), inner.to_string());
         let boxed: Box<dyn std::error::Error + Send + Sync> = Box::new(e);
         assert!(boxed.to_string().starts_with("synthesis:"));
+    }
+
+    #[test]
+    fn figure_args_are_strict() {
+        let parse = |args: &[&str]| FigureArgs::parse(args.iter().map(|a| a.to_string()));
+        assert_eq!(
+            parse(&[]),
+            Ok(FigureArgs {
+                configs: vec![false, true],
+                json: false,
+                jobs: 1,
+            })
+        );
+        assert_eq!(
+            parse(&["--nodes", "large", "--json", "--jobs", "4"]),
+            Ok(FigureArgs {
+                configs: vec![true],
+                json: true,
+                jobs: 4,
+            })
+        );
+        assert_eq!(
+            parse(&["--nodes", "small"]).map(|a| a.configs),
+            Ok(vec![false])
+        );
+        for bad in [
+            &["--nodes", "bogus"][..],
+            &["--nodes"],
+            &["--bogus"],
+            &["--jobs", "0"],
+            &["--jobs"],
+            &["small"],
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?}");
+        }
     }
 
     #[test]

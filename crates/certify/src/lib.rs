@@ -100,8 +100,8 @@ pub struct CheckSummary {
 /// Why a certificate was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Rejection {
-    /// The certificate text failed bounded parsing, or its binding does
-    /// not match its bytes.
+    /// The certificate text failed bounded parsing, its binding does not
+    /// match its bytes, or its collisions exceed the element budget.
     Cert(CertError),
     /// The pattern text failed bounded parsing.
     Pattern(ParseScheduleError),
@@ -115,7 +115,8 @@ pub enum Rejection {
     /// A declared witness does not match the recomputed collisions.
     WitnessInvalid(String),
     /// The certificate claims contention freedom but obligations are
-    /// violated; carries the full typed violation report.
+    /// violated; carries the full typed violation report (within the
+    /// element budget).
     ObligationViolated(Vec<ObligationViolation>),
 }
 
@@ -188,6 +189,10 @@ impl std::error::Error for Rejection {}
 ///
 /// The checks run in this order: certificate parse and binding, job,
 /// pattern parse, process count, unknown routes, then the verdict.
+/// Collisions count against the element budget (`max_messages`): more
+/// distinct (pair, channel) collisions than it allows are
+/// `limit-exceeded`, since parsing charges every witness label to the
+/// same budget and no valid proof can name them all.
 ///
 /// # Errors
 ///
@@ -204,7 +209,7 @@ pub fn check_certificate(
         .with_limits(opts.limits.clone())
         .parse_pattern(pattern_text)
         .map_err(Rejection::Pattern)?;
-    verify(&pattern, &cert)
+    verify(&pattern, &cert, opts.limits.max_messages)
 }
 
 /// [`check_certificate`] against a pattern the caller has already parsed,
@@ -221,7 +226,7 @@ pub fn check_certificate_for(
     opts: &CheckOptions,
 ) -> Result<CheckSummary, Rejection> {
     let cert = read(cert_text, expected_job, opts)?;
-    verify(pattern, &cert)
+    verify(pattern, &cert, opts.limits.max_messages)
 }
 
 /// Parses the certificate (which checks its binding) and its job binding.
@@ -288,14 +293,56 @@ impl<'c> Routes<'c> {
 /// A collision: routes `a <= b` both use channel `c`.
 type Hit = (usize, usize, usize);
 
+/// The collisions found so far, held to the element budget. Parsing
+/// charges every witness label to that budget, so no valid proof names
+/// more distinct collisions than `limit`, and a certificate that has more
+/// is refused before its report outgrows the budget. Raw hits repeat (a
+/// pair that shares several phases collides in each), so the list is
+/// deduplicated whenever it grows past twice the limit.
+struct Hits {
+    list: Vec<Hit>,
+    limit: usize,
+}
+
+impl Hits {
+    fn new(limit: usize) -> Self {
+        Hits {
+            list: Vec::new(),
+            limit,
+        }
+    }
+
+    fn push(&mut self, hit: Hit) -> Result<(), Rejection> {
+        self.list.push(hit);
+        if self.list.len() > self.limit.saturating_mul(2) {
+            self.dedup()?;
+        }
+        Ok(())
+    }
+
+    /// Sorts and deduplicates the list, refusing more than `limit`
+    /// distinct collisions.
+    fn dedup(&mut self) -> Result<(), Rejection> {
+        self.list.sort_unstable();
+        self.list.dedup();
+        if self.list.len() > self.limit {
+            return Err(Rejection::Cert(CertError::LimitExceeded("elements")));
+        }
+        Ok(())
+    }
+}
+
 /// The collisions of a schedule by per-phase stamping. Each channel
 /// remembers the last phase that used it, so a phase whose routes are
 /// disjoint costs one pass over their channels. Only a phase with a
 /// repeated stamp lists its (channel, route) uses to name the pairs.
-fn phase_hits(schedule: &PhaseSchedule, routes: &Routes<'_>) -> Vec<Hit> {
+fn phase_hits(
+    schedule: &PhaseSchedule,
+    routes: &Routes<'_>,
+    hits: &mut Hits,
+) -> Result<(), Rejection> {
     let mut stamp = vec![usize::MAX; routes.labels.len()];
     let mut members = Vec::new();
-    let mut hits = Vec::new();
     for (p, phase) in schedule.iter().enumerate() {
         members.clear();
         members.extend(phase.iter().filter_map(|f| routes.of(f)));
@@ -314,21 +361,22 @@ fn phase_hits(schedule: &PhaseSchedule, routes: &Routes<'_>) -> Vec<Hit> {
             uses.sort_unstable();
             for group in uses.chunk_by(|x, y| x.0 == y.0) {
                 for (i, &(c, a)) in group.iter().enumerate() {
-                    hits.extend(group[i + 1..].iter().map(|&(_, b)| (a, b, c)));
+                    for &(_, b) in &group[i + 1..] {
+                        hits.push((a, b, c))?;
+                    }
                 }
             }
         }
     }
-    hits
+    Ok(())
 }
 
 /// The collisions of a trace, pair by pair over its contention set:
 /// route `a`'s channels are marked with the pair's index, then route
 /// `b`'s are looked up. A flow paired with itself shares all its
 /// channels.
-fn pair_hits(trace: &Trace, routes: &Routes<'_>) -> Vec<Hit> {
+fn pair_hits(trace: &Trace, routes: &Routes<'_>, hits: &mut Hits) -> Result<(), Rejection> {
     let mut mark = vec![usize::MAX; routes.labels.len()];
-    let mut hits = Vec::new();
     for (k, pair) in trace.contention_set().iter().enumerate() {
         let (Some(a), Some(b)) = (routes.of(pair.first()), routes.of(pair.second())) else {
             continue;
@@ -336,24 +384,23 @@ fn pair_hits(trace: &Trace, routes: &Routes<'_>) -> Vec<Hit> {
         for &c in routes.ids(a) {
             mark[c] = k;
         }
-        hits.extend(
-            routes
-                .ids(b)
-                .iter()
-                .filter(|&&c| mark[c] == k)
-                .map(|&c| (a, b, c)),
-        );
+        for &c in routes.ids(b) {
+            if mark[c] == k {
+                hits.push((a, b, c))?;
+            }
+        }
     }
-    hits
+    Ok(())
 }
 
 /// The violations `hits` name, in pair order, each with its shared
 /// labels sorted. Route indices are monotone in flow order, so sorting
 /// `(a, b)` sorts the pairs.
-fn violations(mut hits: Vec<Hit>, routes: &Routes<'_>) -> Vec<ObligationViolation> {
-    hits.sort_unstable();
-    hits.dedup();
-    hits.chunk_by(|x, y| (x.0, x.1) == (y.0, y.1))
+fn violations(mut hits: Hits, routes: &Routes<'_>) -> Result<Vec<ObligationViolation>, Rejection> {
+    hits.dedup()?;
+    Ok(hits
+        .list
+        .chunk_by(|x, y| (x.0, x.1) == (y.0, y.1))
         .map(|group| {
             let (a, b, _) = group[0];
             let mut shared: Vec<String> = group
@@ -366,11 +413,12 @@ fn violations(mut hits: Vec<Hit>, routes: &Routes<'_>) -> Vec<ObligationViolatio
                 shared,
             }
         })
-        .collect()
+        .collect())
 }
 
-/// The semantic checks, on a parsed pattern and certificate.
-fn verify(pattern: &Pattern, cert: &Certificate) -> Result<CheckSummary, Rejection> {
+/// The semantic checks, on a parsed pattern and certificate, with at
+/// most `limit` distinct collisions.
+fn verify(pattern: &Pattern, cert: &Certificate, limit: usize) -> Result<CheckSummary, Rejection> {
     if cert.n_procs != pattern.n_procs() {
         return Err(Rejection::PatternMismatch);
     }
@@ -383,11 +431,12 @@ fn verify(pattern: &Pattern, cert: &Certificate) -> Result<CheckSummary, Rejecti
     }
 
     let routes = Routes::new(cert);
-    let hits = match pattern {
-        Pattern::Schedule(s) => phase_hits(s, &routes),
-        Pattern::Trace(t) => pair_hits(t, &routes),
-    };
-    let violations = violations(hits, &routes);
+    let mut hits = Hits::new(limit);
+    match pattern {
+        Pattern::Schedule(s) => phase_hits(s, &routes, &mut hits)?,
+        Pattern::Trace(t) => pair_hits(t, &routes, &mut hits)?,
+    }
+    let violations = violations(hits, &routes)?;
 
     // Verdict and witness coherence. Parsing already holds witnesses to
     // pair order with sorted labels, the order of `violations`.
@@ -766,6 +815,62 @@ mod tests {
         let err = check_certificate(PATTERN, &rebind(&text), None, &CheckOptions::new())
             .expect_err("a flow has one route");
         assert_eq!(err, Rejection::Cert(CertError::BadField("routes")));
+    }
+
+    /// One phase of `width` flows `2i -> 2i+1`, all routed over "X".
+    fn one_label_phase(width: usize) -> (PhaseSchedule, Certificate) {
+        let mut phase = Phase::new();
+        let mut routes = BTreeMap::new();
+        for i in 0..width {
+            phase.add(flow(2 * i, 2 * i + 1)).expect("distinct flows");
+            routes.insert(flow(2 * i, 2 * i + 1), labels(&["X"]));
+        }
+        let mut schedule = PhaseSchedule::new(2 * width);
+        schedule.push(phase).expect("procs in range");
+        let cert = Certificate {
+            n_procs: 2 * width,
+            contention_free: true,
+            routes,
+            witnesses: Vec::new(),
+            job: None,
+            binding: None,
+        };
+        (schedule, cert)
+    }
+
+    /// Routes sharing one label inside a phase collide in every pair, so
+    /// the report is quadratic in the phase width. The checker holds it
+    /// to the element budget: 64 routes make 2,016 collisions, over a
+    /// budget of 1,000, on the schedule and on the trace path alike. The
+    /// budget counts distinct collisions: 8 routes in a phase repeated 40
+    /// times collide 1,120 times, well past twice a budget of 100, and
+    /// still get their exact 28-entry report.
+    #[test]
+    fn collisions_are_held_to_the_element_budget() {
+        let (schedule, cert) = one_label_phase(64);
+        let text = cert.to_json();
+        let tight = CheckOptions::new().with_limits(ParseLimits::default().with_max_messages(1000));
+        let trace = Pattern::Trace(schedule.to_trace());
+        let schedule = Pattern::Schedule(schedule);
+        for pattern in [&schedule, &trace] {
+            let err = check_certificate_for(pattern, &text, None, &tight).expect_err("over budget");
+            assert_eq!(err, Rejection::Cert(CertError::LimitExceeded("elements")));
+            let err = check_certificate_for(pattern, &text, None, &CheckOptions::new())
+                .expect_err("every pair collides");
+            assert_eq!(err.violations().len(), 64 * 63 / 2);
+        }
+
+        let (once, cert) = one_label_phase(8);
+        let mut repeated = PhaseSchedule::new(once.n_procs());
+        for _ in 0..40 {
+            let phase = once.iter().next().expect("one phase").clone();
+            repeated.push(phase).expect("procs in range");
+        }
+        let opts = CheckOptions::new().with_limits(ParseLimits::default().with_max_messages(100));
+        let err = check_certificate_for(&Pattern::Schedule(repeated), &cert.to_json(), None, &opts)
+            .expect_err("every pair collides");
+        assert_eq!(err.fingerprint(), "obligation-violated");
+        assert_eq!(err.violations().len(), 8 * 7 / 2);
     }
 
     /// SplitMix64: a deterministic generator for the property tests below.

@@ -11,9 +11,10 @@
 //! * every restart attempt is a pure function of
 //!   `(request, attempt, retry)` (see `nocsyn_synth::synthesize_attempt`),
 //!   so it does not matter which thread runs it;
-//! * the reduction is a stable argmin over
-//!   `(`[`portfolio_rank`]`(result), attempt)` — rank ties break on the
-//!   lowest attempt index, so the first best attempt is kept.
+//! * the reduction is a stable argmin over `(rank, attempt)`, where the
+//!   rank orders results by constraints met, then fewest links, then
+//!   fewest switches — rank ties break on the lowest attempt index, so
+//!   the first best attempt is kept.
 //!
 //! [`Engine::run`] takes a batch of [`Job`]s and returns one
 //! [`JobOutcome`] per job, in job order; [`Engine::synthesize`] runs one
@@ -109,7 +110,7 @@ const PARETO_LADDER: [usize; 6] = [4, 5, 6, 8, 12, 16];
 /// Portfolio selection rank of a result — lower is better: constraints
 /// met first, then fewest links, then fewest switches. The engine breaks
 /// rank ties on the *attempt index* (lowest wins).
-pub fn portfolio_rank(r: &SynthesisResult) -> (bool, usize, usize) {
+fn portfolio_rank(r: &SynthesisResult) -> (bool, usize, usize) {
     (
         !r.report.constraints_met, // met first
         r.report.n_links,

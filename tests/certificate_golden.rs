@@ -149,32 +149,65 @@ fn decomposed_clus64_certificate_is_pinned_and_a_fixed_point() {
 /// `job_fingerprint` of `examples_data/pipeline.txt` as a flat request:
 /// with default knobs, and with `restarts 2 seed 9` (the ci.sh certify
 /// command). The restart count reaches the key through the request's
-/// canonical form.
+/// canonical form. Then the keys a serve request `{"op":"synth",
+/// "pattern":<text>,"seed":1}` gets for the CG16, MG8 and FFT16 schedules
+/// rendered as pattern text, computed without synthesizing.
 #[test]
 fn flat_pipeline_job_fingerprints_are_pinned() {
-    let text = std::fs::read_to_string(concat!(
+    let key = |text: &str, seed: Option<u64>, restarts: Option<usize>| {
+        let parsed = parse_pattern(text, &ParseOptions::new()).expect("parses");
+        let mut builder = SynthesisRequest::builder(parsed.pattern.clone());
+        if let Some(seed) = seed {
+            builder = builder.seed(seed);
+        }
+        if let Some(restarts) = restarts {
+            builder = builder.restarts(restarts);
+        }
+        let request = builder.build().expect("builds");
+        job_fingerprint(parsed.kind, &parsed.canonical, &request).to_hex()
+    };
+    let pipeline = std::fs::read_to_string(concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/examples_data/pipeline.txt"
     ))
     .expect("example pattern");
-    let parsed = parse_pattern(&text, &ParseOptions::new()).expect("parses");
-    let key = |request: SynthesisRequest| {
-        job_fingerprint(parsed.kind, &parsed.canonical, &request).to_hex()
-    };
-    let default = SynthesisRequest::builder(parsed.pattern.clone())
-        .build()
-        .expect("builds");
     assert_eq!(
-        key(default),
+        key(&pipeline, None, None),
         "6bc1563642ec95713e006ad38f184910267ac129070c5ff9943b027d06dc725b"
     );
-    let tuned = SynthesisRequest::builder(parsed.pattern.clone())
-        .restarts(2)
-        .seed(9)
-        .build()
-        .expect("builds");
     assert_eq!(
-        key(tuned),
+        key(&pipeline, Some(9), Some(2)),
         "857aba71ebf851bc28a847dcaad5cf102cb20423849839d0a26af98fc338ee3f"
     );
+    let served = [
+        (
+            Benchmark::Cg,
+            16,
+            "0bf128e08df05f8b405c0f62dce990b577d4a9ca9f617c0b6e45c6756a618eec",
+        ),
+        (
+            Benchmark::Mg,
+            8,
+            "a2ec051954a2f048ab5750c8befde27118d6c279a980a827d64e3b9519ca5307",
+        ),
+        (
+            Benchmark::Fft,
+            16,
+            "f2fda1ad85fab64d0fba60c2bd03d5485c5bd05f4cb2a6c93a336e7fc466cf69",
+        ),
+    ];
+    for (benchmark, n, want) in served {
+        let schedule = benchmark
+            .schedule(
+                n,
+                &WorkloadParams::paper_default(benchmark).with_iterations(1),
+            )
+            .expect("paper sizes are valid");
+        assert_eq!(
+            key(&format_schedule(&schedule), Some(1), None),
+            want,
+            "{}{n}",
+            benchmark.name()
+        );
+    }
 }

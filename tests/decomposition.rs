@@ -1,17 +1,19 @@
 //! Decomposition-mode integration: worker-count invariance of the
 //! rendered report, global Theorem-1 equivalence of the stitched
-//! network, and the certificate round trip through `nocsyn certify`.
+//! network, the certificate round trip through `nocsyn certify`, and the
+//! pinned shape of decomposed designs at 64, 128 and 256 nodes.
 
+use nocsyn::certify::{check_certificate, CheckOptions};
 use nocsyn::cli;
 use nocsyn::engine::{Engine, Job};
-use nocsyn::model::format_schedule;
+use nocsyn::model::{format_schedule, PhaseSchedule};
 use nocsyn::serve::synth_json_object;
 use nocsyn::synth::{AppPattern, SynthesisConfig, SynthesisMode, SynthesisRequest};
 use nocsyn::topo::verify_contention_free;
 use nocsyn::workloads::{clustered_permutation_schedule, WorkloadParams};
 
-/// The 64-node locality-structured pattern the decompose bench sweeps:
-/// block-local permutations plus a thin cross-block tail.
+/// A 64-node locality-structured pattern: block-local permutations, plus
+/// the few cross-block flows the generator finds room for.
 fn clustered64() -> AppPattern {
     let sched = clustered_permutation_schedule(
         64,
@@ -125,4 +127,100 @@ fn decomposed_cert_round_trips_through_certify() {
         "{verdict}"
     );
     assert!(verdict.contains("\"contention_free\":true"), "{verdict}");
+}
+
+/// The `n`-node clustered permutation pattern of the scale sweep: 16-node
+/// blocks, 2 phases, 3 cross-block flows asked per phase, 64 bytes,
+/// generator seed `1 ^ n`.
+fn scale_pattern(n: usize) -> PhaseSchedule {
+    clustered_permutation_schedule(
+        n,
+        16,
+        2,
+        3,
+        1 ^ n as u64,
+        &WorkloadParams::default().with_bytes(64),
+    )
+}
+
+/// `examples_data/clus64.txt`, which the CLI gates and the decomposed
+/// certificate pin run on, is the sweep's 64-node pattern rendered.
+#[test]
+fn clus64_example_is_the_64_node_scale_pattern() {
+    let text = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/examples_data/clus64.txt"
+    ))
+    .expect("example pattern");
+    assert_eq!(text, format_schedule(&scale_pattern(64)));
+}
+
+/// `(n, constraints_met, max_degree, clusters, cut_flows, stitch_links,
+/// largest_cluster, switches, links)` of one decomposed design.
+type DecomposedRow = (usize, bool, usize, usize, usize, usize, usize, usize, usize);
+
+/// Decomposed synthesis of the 64-, 128- and 256-node scale patterns
+/// (search seed `1 ^ n`) under a 32-round partitioning budget and 2
+/// restarts. Every stitched design is pinned, is contention-free by a
+/// fresh Theorem-1 check, and passes the independent certificate checker.
+/// The generator adds a cross flow only between processes its block
+/// permutations leave idle, so these patterns carry almost no cut
+/// traffic: one cut flow at 64 nodes, none at 128 or 256.
+#[test]
+fn decomposed_designs_at_scale_are_pinned() {
+    const PINNED: [DecomposedRow; 3] = [
+        (64, true, 5, 4, 1, 1, 16, 59, 83),
+        (128, true, 5, 8, 0, 0, 16, 119, 171),
+        (256, true, 5, 16, 0, 0, 16, 239, 341),
+    ];
+    let schedules: Vec<_> = PINNED.iter().map(|&(n, ..)| scale_pattern(n)).collect();
+    let jobs = schedules
+        .iter()
+        .map(|sched| {
+            let n = sched.n_procs();
+            let request = SynthesisRequest::builder(AppPattern::from_schedule(sched))
+                .config(
+                    SynthesisConfig::new()
+                        .with_seed(1 ^ n as u64)
+                        .with_max_rounds(32),
+                )
+                .restarts(2)
+                .mode(SynthesisMode::Decomposed { clusters: None })
+                .build()
+                .expect("a decomposed request builds");
+            Job::new(format!("dec{n}"), request)
+        })
+        .collect();
+    let outcomes = Engine::new().run(jobs);
+    for ((sched, outcome), pinned) in schedules.iter().zip(&outcomes).zip(PINNED) {
+        let n = sched.n_procs();
+        let result = outcome.result.as_ref().expect("job completed");
+        let shape = outcome
+            .decomposition
+            .as_ref()
+            .expect("a decomposed job reports its decomposition");
+        let report = &result.report;
+        assert_eq!(
+            (
+                n,
+                report.constraints_met,
+                report.max_degree,
+                shape.clusters,
+                shape.cut_flows,
+                shape.stitch_links,
+                shape.largest_cluster,
+                report.n_switches,
+                report.n_links,
+            ),
+            pinned,
+            "{n} nodes"
+        );
+        let pattern = AppPattern::from_schedule(sched);
+        let check = verify_contention_free(pattern.contention(), &result.routes);
+        assert!(check.is_contention_free(), "{n} nodes: {check}");
+        let cert = result.certificate(&pattern, None).to_json();
+        let verdict = check_certificate(&format_schedule(sched), &cert, None, &CheckOptions::new())
+            .expect("the stitched design's certificate is accepted");
+        assert!(verdict.contention_free, "{n} nodes");
+    }
 }

@@ -2,9 +2,9 @@
 //! synthesis pipeline reproducible — same seed, same annealing
 //! trajectory, same topology, byte for byte.
 
-use nocsyn::engine::{Engine, JobStatus};
+use nocsyn::engine::{par_map, Engine, JobStatus};
 use nocsyn::model::sha256;
-use nocsyn::synth::{AppPattern, SynthesisRequest, SynthesisResult};
+use nocsyn::synth::{synthesize_attempt, AppPattern, SynthesisRequest, SynthesisResult};
 use nocsyn::workloads::{Benchmark, WorkloadParams};
 
 /// Structural fingerprint of a synthesized network: switch count, link
@@ -201,4 +201,111 @@ fn engine_zero_deadline_cancels_without_panicking() {
     assert!(outcome.result.is_none());
     assert_eq!(outcome.attempts_completed, 0);
     assert_eq!(outcome.attempts_total, 8);
+}
+
+/// One attempt's network and search effort: `(links, switches,
+/// constraints_met, moves_tried, moves_accepted, reroutes_tried,
+/// reroutes_accepted, reroutes_neutral)`.
+type AttemptRow = (usize, usize, bool, usize, usize, usize, usize, usize);
+
+/// Every attempt of the default 8-restart portfolio on CG16, MG8 and
+/// FFT16 at seed 1, each run on its own through `synthesize_attempt` with
+/// no winner picked. The rows pin what §3.3 of the paper judges a search
+/// by: its partition moves and `Best_Route` reroutes, and the switches
+/// and links they yield. The attempts run spread over the available
+/// cores (FFT16's eight take about half a minute on one core in a debug
+/// build).
+#[test]
+fn every_portfolio_attempt_is_pinned() {
+    let cases: [(&str, Benchmark, usize, usize, [AttemptRow; 8]); 3] = [
+        (
+            "CG16",
+            Benchmark::Cg,
+            16,
+            44,
+            [
+                (10, 8, true, 1026, 12, 196, 0, 20),
+                (10, 8, true, 1385, 18, 260, 0, 18),
+                (10, 8, true, 928, 11, 188, 0, 18),
+                (10, 8, true, 1013, 13, 192, 0, 24),
+                (10, 8, true, 888, 9, 176, 0, 26),
+                (11, 9, true, 1293, 12, 176, 0, 24),
+                (10, 8, true, 949, 15, 320, 0, 34),
+                (10, 8, true, 1388, 17, 254, 0, 50),
+            ],
+        ),
+        (
+            "MG8",
+            Benchmark::Mg,
+            8,
+            14,
+            [
+                (1, 2, true, 48, 0, 0, 0, 0),
+                (2, 3, true, 226, 4, 41, 1, 16),
+                (2, 3, true, 99, 2, 8, 0, 2),
+                (1, 2, true, 48, 0, 0, 0, 0),
+                (2, 3, true, 119, 3, 8, 0, 3),
+                (2, 3, true, 152, 3, 18, 0, 10),
+                (1, 2, true, 72, 1, 0, 0, 0),
+                (3, 3, true, 99, 2, 14, 0, 4),
+            ],
+        ),
+        (
+            "FFT16",
+            Benchmark::Fft,
+            16,
+            96,
+            [
+                (28, 16, false, 310, 6, 349782, 10144, 10556),
+                (30, 16, false, 353, 8, 350362, 6897, 7444),
+                (31, 16, false, 245, 6, 342407, 8132, 8830),
+                (31, 16, false, 301, 5, 341270, 7952, 8680),
+                (31, 16, false, 234, 5, 400920, 10331, 11090),
+                (31, 16, true, 594, 4, 59815, 1807, 2446),
+                (31, 16, true, 681, 7, 39973, 1366, 2079),
+                (32, 16, true, 669, 8, 20789, 717, 1483),
+            ],
+        ),
+    ];
+    let requests: Vec<SynthesisRequest> = cases
+        .iter()
+        .map(|&(name, benchmark, n, flows, _)| {
+            let sched = benchmark
+                .schedule(
+                    n,
+                    &WorkloadParams::paper_default(benchmark).with_iterations(1),
+                )
+                .expect("paper sizes are valid");
+            let pattern = AppPattern::from_schedule(&sched);
+            assert_eq!(pattern.flows().len(), flows, "{name} flows");
+            SynthesisRequest::builder(pattern)
+                .seed(1)
+                .build()
+                .expect("default restarts build")
+        })
+        .collect();
+    let units: Vec<(usize, usize)> = (0..cases.len())
+        .flat_map(|c| (0..requests[c].restarts().get()).map(move |a| (c, a)))
+        .collect();
+    assert_eq!(units.len(), 3 * 8, "the default portfolio is 8 attempts");
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let rows = par_map(units.clone(), workers, |(c, attempt)| {
+        let r = synthesize_attempt(&requests[c], attempt, 0)
+            .expect("benchmark patterns synthesize")
+            .report;
+        (
+            r.n_links,
+            r.n_switches,
+            r.constraints_met,
+            r.moves_tried,
+            r.moves_accepted,
+            r.reroutes_tried,
+            r.reroutes_accepted,
+            r.reroutes_neutral,
+        )
+    });
+    for ((c, attempt), row) in units.into_iter().zip(rows) {
+        let (name, .., pinned) = &cases[c];
+        assert_eq!(row, pinned[attempt], "{name} attempt {attempt}");
+    }
 }
