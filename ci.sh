@@ -124,6 +124,17 @@ direct="$(./target/release/nocsyn synth "$pat" --json)"
 rm -f "$pat"
 grep -qF "\"report\":${direct}}" "$j1"
 
+echo "==> broken-stderr gate: --events on a full stderr changes neither exit code nor stdout"
+# Telemetry is best effort: with stderr on /dev/full every event and the
+# degradation notice fail to write, and the run must still exit 0 with
+# the same stdout as without --events (a panic would exit 101 here).
+./target/release/nocsyn synth examples_data/pipeline.txt --restarts 8 > "$j1"
+./target/release/nocsyn synth examples_data/pipeline.txt --restarts 8 --events > "$j4" 2> /dev/full
+diff "$j1" "$j4"
+printf '%s\n' "$req" | ./target/release/nocsyn serve --drain > "$j1"
+printf '%s\n' "$req" | ./target/release/nocsyn serve --drain --events > "$j4" 2> /dev/full
+diff "$j1" "$j4"
+
 echo "==> chaos gate: seeded fault schedule, zero violations, byte-identical across runs"
 # Deterministic chaos harness over the in-process serve stack: injected
 # disk/socket/engine faults must never tear a served entry or produce a

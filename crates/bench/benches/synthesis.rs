@@ -18,7 +18,7 @@ fn single_run(pattern: &AppPattern, config: SynthesisConfig) -> SynthesisResult 
         .config(config)
         .build()
         .unwrap();
-    synthesize_attempt(&request, 0, 0).unwrap()
+    synthesize_attempt(&request, 0).unwrap()
 }
 
 fn bench_by_size(runner: &Runner) {

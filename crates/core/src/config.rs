@@ -4,6 +4,10 @@ use nocsyn_model::CanonicalForm;
 
 use crate::AcceptanceRule;
 
+/// Processor-move improvement rounds per split (and per switch pair in
+/// the post-constraint refinement).
+pub(crate) const MAX_MOVE_ROUNDS: usize = 64;
+
 /// Which coloring backend sizes pipes *during the search*.
 ///
 /// The paper's central complexity trick is [`ColoringStrategy::Fast`]; the
@@ -41,8 +45,6 @@ pub struct SynthesisConfig {
     acceptance: AcceptanceRule,
     indirect_routing: bool,
     max_rounds: usize,
-    max_move_rounds: usize,
-    max_pipe_width: Option<usize>,
 }
 
 impl SynthesisConfig {
@@ -56,8 +58,6 @@ impl SynthesisConfig {
             acceptance: AcceptanceRule::Greedy,
             indirect_routing: true,
             max_rounds: 10_000,
-            max_move_rounds: 64,
-            max_pipe_width: None,
         }
     }
 
@@ -116,31 +116,9 @@ impl SynthesisConfig {
         self
     }
 
-    /// Caps the number of processor-move improvement rounds per split.
-    #[must_use]
-    pub fn with_max_move_rounds(mut self, rounds: usize) -> Self {
-        self.max_move_rounds = rounds;
-        self
-    }
-
-    /// Bounds the parallel links any single pipe may use (the paper's
-    /// Section 3.3 finalization assumes pipes thin out to ≤ 2; this makes
-    /// that a hard design constraint when wiring density demands it).
-    /// `None` (the default) leaves pipe width unconstrained.
-    #[must_use]
-    pub fn with_max_pipe_width(mut self, width: usize) -> Self {
-        self.max_pipe_width = Some(width);
-        self
-    }
-
     /// Maximum node degree.
     pub fn max_degree(&self) -> usize {
         self.max_degree
-    }
-
-    /// Maximum parallel links per pipe, if constrained.
-    pub fn max_pipe_width(&self) -> Option<usize> {
-        self.max_pipe_width
     }
 
     /// Allowed processor-count imbalance between a split pair.
@@ -173,11 +151,6 @@ impl SynthesisConfig {
         self.max_rounds
     }
 
-    /// Per-split move-round cap.
-    pub fn max_move_rounds(&self) -> usize {
-        self.max_move_rounds
-    }
-
     /// The configuration's canonical form for content-addressed caching.
     ///
     /// Every field that influences one synthesis attempt appears as a
@@ -206,7 +179,12 @@ impl SynthesisConfig {
             )
             .field("indirect_routing", self.indirect_routing)
             .field("max_rounds", self.max_rounds)
-            .field("max_move_rounds", self.max_move_rounds);
+            // The move-round cap and the pipe-width bound are fixed, not
+            // settable, but stay in the form so every job fingerprint,
+            // cache key and certificate binding made while they were
+            // settable still matches.
+            .field("max_move_rounds", MAX_MOVE_ROUNDS)
+            .field("max_pipe_width", "none");
         match self.acceptance {
             AcceptanceRule::Greedy => form.push_field("acceptance", "greedy"),
             AcceptanceRule::Anneal {
@@ -217,10 +195,6 @@ impl SynthesisConfig {
                 form.push_field("anneal_initial_temperature", initial_temperature);
                 form.push_field("anneal_cooling", cooling);
             }
-        }
-        match self.max_pipe_width {
-            None => form.push_field("max_pipe_width", "none"),
-            Some(w) => form.push_field("max_pipe_width", w),
         }
         form
     }
@@ -255,17 +229,13 @@ mod tests {
             .with_seed(9)
             .with_coloring(ColoringStrategy::Exact)
             .with_indirect_routing(false)
-            .with_max_rounds(3)
-            .with_max_move_rounds(5);
+            .with_max_rounds(3);
         assert_eq!(c.max_degree(), 7);
         assert_eq!(c.balance_tolerance(), 1);
         assert_eq!(c.seed(), 9);
         assert_eq!(c.coloring(), ColoringStrategy::Exact);
         assert!(!c.indirect_routing());
         assert_eq!(c.max_rounds(), 3);
-        assert_eq!(c.max_move_rounds(), 5);
-        assert_eq!(c.max_pipe_width(), None);
-        assert_eq!(c.with_max_pipe_width(2).max_pipe_width(), Some(2));
     }
 
     #[test]
@@ -281,8 +251,6 @@ mod tests {
                 .with_acceptance(AcceptanceRule::default_anneal()),
             base.clone().with_indirect_routing(false),
             base.clone().with_max_rounds(99),
-            base.clone().with_max_move_rounds(3),
-            base.clone().with_max_pipe_width(2),
         ];
         let mut digests = vec![d0];
         for v in &variants {
@@ -313,5 +281,6 @@ mod tests {
         let render = t1.canonical_form().render();
         assert!(render.contains("acceptance=anneal\n"));
         assert!(render.contains("anneal_initial_temperature=2\n"));
+        assert!(render.contains("max_move_rounds=64\nmax_pipe_width=none\n"));
     }
 }

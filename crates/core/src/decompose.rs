@@ -432,11 +432,7 @@ pub fn stitch(
     // misses its reserved-port goal by one is still a success if the
     // stitch and bridge ports fit under the real budget.
     let max_degree = net.max_degree();
-    let width_ok = match config.max_pipe_width() {
-        None => true,
-        Some(w) => max_pipe_width(&net) <= w,
-    };
-    let constraints_met = max_degree <= config.max_degree() && width_ok;
+    let constraints_met = max_degree <= config.max_degree();
     let sum = |f: fn(&SynthesisReport) -> usize| parts.iter().map(|p| f(&p.report)).sum();
     let report = SynthesisReport {
         n_switches: net.n_switches(),
@@ -474,22 +470,6 @@ pub fn stitch(
         },
         summary,
     ))
-}
-
-/// Widest pipe in `net`: the largest bundle of parallel switch–switch
-/// links between one switch pair, covering both the parts' internal
-/// pipes and the stitch pipes added here.
-fn max_pipe_width(net: &Network) -> usize {
-    let mut widths: BTreeMap<(usize, usize), usize> = BTreeMap::new();
-    for id in net.link_ids() {
-        let Ok(link) = net.link(id) else { continue };
-        let (Some(a), Some(b)) = (link.a().as_switch(), link.b().as_switch()) else {
-            continue;
-        };
-        let key = (a.index().min(b.index()), a.index().max(b.index()));
-        *widths.entry(key).or_insert(0) += 1;
-    }
-    widths.values().copied().max().unwrap_or(0)
 }
 
 /// Joins disconnected switch components with single links, re-selecting
@@ -589,7 +569,7 @@ mod tests {
                     .config(cluster_config(config, i))
                     .build()
                     .expect("request builds");
-                synthesize_attempt(&request, 0, 0).expect("cluster synthesis")
+                synthesize_attempt(&request, 0).expect("cluster synthesis")
             })
             .collect()
     }

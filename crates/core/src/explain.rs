@@ -25,7 +25,7 @@ use crate::{AppPattern, SynthesisResult};
 /// sched.push(Phase::from_flows([(0usize, 2usize), (1, 3)])?)?;
 /// let pattern = AppPattern::from_schedule(&sched);
 /// let request = SynthesisRequest::builder(pattern.clone()).build()?;
-/// let result = synthesize_attempt(&request, 0, 0)?;
+/// let result = synthesize_attempt(&request, 0)?;
 /// let text = explain(&result, &pattern);
 /// assert!(text.contains("switches"));
 /// # Ok(())
@@ -129,7 +129,7 @@ mod tests {
             .seed(8)
             .build()
             .unwrap();
-        (synthesize_attempt(&request, 0, 0).unwrap(), pattern)
+        (synthesize_attempt(&request, 0).unwrap(), pattern)
     }
 
     #[test]

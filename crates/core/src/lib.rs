@@ -49,7 +49,7 @@
 //!     .max_degree(5)
 //!     .seed(7)
 //!     .build()?;
-//! let result = synthesize_attempt(&request, 0, 0)?;
+//! let result = synthesize_attempt(&request, 0)?;
 //!
 //! // The generated network satisfies the degree constraint and is
 //! // contention-free for the application (Theorem 1).
@@ -95,49 +95,27 @@ pub use report::SynthesisReport;
 pub use request::{RequestBuildError, SynthesisMode, SynthesisRequest, SynthesisRequestBuilder};
 
 /// The derived seed of restart `attempt` under `config`: the base seed
-/// advanced by the golden-ratio (splitmix) increment per attempt.
-fn attempt_seed(config: &SynthesisConfig, attempt: usize) -> u64 {
+/// advanced by the golden-ratio (splitmix) increment per attempt, so
+/// attempt 0 runs on the base seed itself. Exposed so the
+/// `nocsyn-engine` telemetry can report the seed an attempt ran with.
+pub fn attempt_seed(config: &SynthesisConfig, attempt: usize) -> u64 {
     config
         .seed()
         .wrapping_add((attempt as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
-/// The derived seed of `retry` of restart `attempt`: retry 0 is the
-/// attempt's own seed (base seed plus `attempt` golden-ratio strides, so
-/// attempt 0 runs on the base seed itself), and each further retry
-/// advances a splitmix64 chain keyed on a *mixed* image of the attempt
-/// seed. Exposed so the `nocsyn-engine` retry policy can report the seed
-/// a rerun used — the retried result is still a pure function of
-/// `(request, attempt, retry)`.
-pub fn retry_seed(config: &SynthesisConfig, attempt: usize, retry: usize) -> u64 {
-    let mut seed = attempt_seed(config, attempt);
-    if retry == 0 {
-        return seed;
-    }
-    // Chain from a mixed image of the attempt seed, not the raw seed:
-    // `attempt_seed` strides attempts by the same golden-ratio constant
-    // splitmix64 advances its state by, so raw chains from neighboring
-    // attempts would alias (attempt a retry r == attempt a+1 retry r-1).
-    let mut state = nocsyn_rng::splitmix64(&mut seed);
-    let mut out = 0;
-    for _ in 0..retry {
-        out = nocsyn_rng::splitmix64(&mut state);
-    }
-    out
-}
-
-/// Runs `retry` of restart `attempt` of a flat request: one full
-/// deterministic pass of the Main Partitioning Algorithm plus
-/// finalization, seeded with [`retry_seed`], starting from the
-/// mega-switch or from the request's warm-start placement.
+/// Runs restart `attempt` of a flat request: one full deterministic pass
+/// of the Main Partitioning Algorithm plus finalization, seeded with
+/// [`attempt_seed`], starting from the mega-switch or from the request's
+/// warm-start placement.
 ///
-/// The result is a pure function of `(request, attempt, retry)` —
-/// independent of which thread runs it or in what order attempts
-/// complete, which is what makes the `nocsyn-engine` portfolio
-/// bit-identical for any worker count. The request's restart count,
-/// mode and deadline are the engine's business: it runs `restarts()`
-/// attempts, and expands a decomposed request into flat per-cluster
-/// requests before any attempt runs.
+/// The result is a pure function of `(request, attempt)` — independent
+/// of which thread runs it or in what order attempts complete, which is
+/// what makes the `nocsyn-engine` portfolio bit-identical for any worker
+/// count. The request's restart count, mode and deadline are the
+/// engine's business: it runs `restarts()` attempts, and expands a
+/// decomposed request into flat per-cluster requests before any attempt
+/// runs.
 ///
 /// # Errors
 ///
@@ -149,13 +127,12 @@ pub fn retry_seed(config: &SynthesisConfig, attempt: usize, retry: usize) -> u64
 pub fn synthesize_attempt(
     request: &SynthesisRequest,
     attempt: usize,
-    retry: usize,
 ) -> Result<SynthesisResult, SynthError> {
     let pattern = request.pattern();
     let config = request
         .config()
         .clone()
-        .with_seed(retry_seed(request.config(), attempt, retry));
+        .with_seed(attempt_seed(request.config(), attempt));
     let mut partitioning = match request.warm_start() {
         None => Partitioning::megaswitch(pattern)?,
         Some(placement) => Partitioning::from_assignment(pattern, placement)?,
@@ -176,36 +153,4 @@ pub fn synthesize_attempt(
         retries += 1;
     }
     Ok(result)
-}
-
-#[cfg(test)]
-mod seed_tests {
-    use super::*;
-
-    #[test]
-    fn retry_zero_is_the_attempt_seed() {
-        let config = SynthesisConfig::new().with_seed(0xFEED);
-        for attempt in 0..8 {
-            assert_eq!(
-                retry_seed(&config, attempt, 0),
-                attempt_seed(&config, attempt)
-            );
-        }
-    }
-
-    #[test]
-    fn retry_seeds_are_distinct_and_reproducible() {
-        let config = SynthesisConfig::new().with_seed(7);
-        let mut seen = std::collections::BTreeSet::new();
-        for attempt in 0..8 {
-            for retry in 0..8 {
-                let s = retry_seed(&config, attempt, retry);
-                assert_eq!(s, retry_seed(&config, attempt, retry));
-                assert!(
-                    seen.insert(s),
-                    "collision at attempt {attempt} retry {retry}"
-                );
-            }
-        }
-    }
 }

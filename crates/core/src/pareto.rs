@@ -85,7 +85,7 @@ mod tests {
             .seed(1)
             .build()
             .unwrap();
-        let r = synthesize_attempt(&request, 0, 0).unwrap();
+        let r = synthesize_attempt(&request, 0).unwrap();
         let make = |d, s, l, f| ParetoPoint {
             max_degree: d,
             n_switches: s,
@@ -107,7 +107,7 @@ mod tests {
             .seed(2)
             .build()
             .unwrap();
-        let r = synthesize_attempt(&request, 0, 0).unwrap();
+        let r = synthesize_attempt(&request, 0).unwrap();
         let make = |d, s, l, f| ParetoPoint {
             max_degree: d,
             n_switches: s,

@@ -20,7 +20,7 @@
 //! [`Network`]: nocsyn_topo::Network
 
 use std::cell::Cell;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 use nocsyn_coloring::{exact_chromatic, fast_color_directed_masks, ConflictGraph};
@@ -30,6 +30,7 @@ use nocsyn_model::{
 use nocsyn_rng::Rng;
 
 use crate::anneal::Acceptor;
+use crate::config::MAX_MOVE_ROUNDS;
 use crate::{moves, route_opt, AppPattern, ColoringStrategy, SynthError, SynthesisConfig};
 
 /// An unordered pair of switch indices naming a pipe; `lo < hi`.
@@ -150,9 +151,9 @@ pub(crate) struct SearchStats {
     pub(crate) cost_history: Vec<usize>,
 }
 
-/// Memoized committed score: the config knobs it was computed under, and
+/// Memoized committed score: the degree bound it was computed under, and
 /// the `(excess, area)` pair.
-type ScoreMemo = ((usize, Option<usize>), (usize, usize));
+type ScoreMemo = (usize, (usize, usize));
 
 /// The evolving partition of processors into switches, with per-flow switch
 /// paths and per-pipe link estimates.
@@ -486,20 +487,10 @@ impl Partitioning {
         self.members[s].len() + self.incident_links[s]
     }
 
-    /// Switches violating any design constraint: degree over the maximum,
-    /// or an incident pipe wider than the configured pipe-width bound.
+    /// Switches violating the design constraint: degree over the maximum.
     pub fn violating(&self, config: &SynthesisConfig) -> Vec<usize> {
-        let wide: BTreeSet<usize> = match config.max_pipe_width() {
-            None => BTreeSet::new(),
-            Some(w) => self
-                .live_pipes
-                .iter()
-                .filter(|(_, &slot)| self.pipe_slots[slot].links > w)
-                .flat_map(|(k, _)| [k.lo, k.hi])
-                .collect(),
-        };
         (0..self.members.len())
-            .filter(|&s| self.degree(s) > config.max_degree() || wide.contains(&s))
+            .filter(|&s| self.degree(s) > config.max_degree())
             .collect()
     }
 
@@ -516,28 +507,17 @@ impl Partitioning {
     /// repair/refinement loop terminate. Memoized between mutations, so
     /// re-reading the committed score inside the reroute loop is O(1).
     pub fn score(&self, config: &SynthesisConfig) -> (usize, usize) {
-        let params = (config.max_degree(), config.max_pipe_width());
-        if let Some((memo_params, memo_score)) = self.score_memo.get() {
-            if memo_params == params {
+        let max_degree = config.max_degree();
+        if let Some((memo_degree, memo_score)) = self.score_memo.get() {
+            if memo_degree == max_degree {
                 return memo_score;
             }
         }
-        let degree_excess: usize = (0..self.members.len())
-            .map(|s| self.degree(s).saturating_sub(config.max_degree()))
+        let excess: usize = (0..self.members.len())
+            .map(|s| self.degree(s).saturating_sub(max_degree))
             .sum();
-        let width_excess: usize = match config.max_pipe_width() {
-            None => 0,
-            Some(w) => self
-                .live_pipes
-                .values()
-                .map(|&slot| self.pipe_slots[slot].links.saturating_sub(w))
-                .sum(),
-        };
-        let score = (
-            degree_excess + width_excess,
-            self.total_links + self.live_switch_count,
-        );
-        self.score_memo.set(Some((params, score)));
+        let score = (excess, self.total_links + self.live_switch_count);
+        self.score_memo.set(Some((max_degree, score)));
         score
     }
 
@@ -820,9 +800,9 @@ impl Partitioning {
 
     /// The exact [`Partitioning::score`] the partitioning would have after
     /// rerouting flow `idx` onto `new_path`, assembled as committed score
-    /// plus per-touched-pipe deltas (links, width excess, switch degree
-    /// excess, pipe and switch liveness) — O(footprint), no committed
-    /// state changes. In debug builds the result is checked against a real
+    /// plus per-touched-pipe deltas (links, switch degree excess, pipe and
+    /// switch liveness) — O(footprint), no committed state changes. In
+    /// debug builds the result is checked against a real
     /// apply-score-revert (the full `C ∩ R` recompute demoted to oracle).
     pub(crate) fn probe_score(
         &mut self,
@@ -836,7 +816,6 @@ impl Partitioning {
         let mut switches = std::mem::take(&mut self.probe_switches);
         switches.clear();
         let max_degree = config.max_degree() as isize;
-        let width_cap = config.max_pipe_width();
         let mut d_links_total = 0isize;
         let mut d_excess = 0isize;
         let mut i = 0;
@@ -861,10 +840,6 @@ impl Partitioning {
             let new_links = new_fwd.max(new_bwd);
             let d_links = new_links as isize - old_links as isize;
             d_links_total += d_links;
-            if let Some(w) = width_cap {
-                d_excess +=
-                    new_links.saturating_sub(w) as isize - old_links.saturating_sub(w) as isize;
-            }
             let now_nonempty = !(fwd_empty && bwd_empty);
             let d_pipes = match (was_nonempty, now_nonempty) {
                 (false, true) => 1isize,
@@ -1185,7 +1160,7 @@ fn split_loop(
         p.stats.splits += 1;
 
         // Steps 6-9: alternate route optimization and processor moves.
-        for _ in 0..config.max_move_rounds() {
+        for _ in 0..MAX_MOVE_ROUNDS {
             if config.indirect_routing() {
                 route_opt::best_route(p, si, sj);
             }
@@ -1233,7 +1208,7 @@ fn refine(p: &mut Partitioning, config: &SynthesisConfig) {
                 // reproduces the trial state exactly, so the score
                 // computed inside refine_move holds afterwards; starting
                 // from excess 0, lexicographic descent keeps excess 0.
-                for _ in 0..config.max_move_rounds() {
+                for _ in 0..MAX_MOVE_ROUNDS {
                     let current = p.score(config);
                     match moves::refine_move(p, si, sj, config) {
                         Some((cand, score)) if score < current => {

@@ -82,15 +82,12 @@ pub enum EngineEvent {
     },
     /// A restart attempt panicked inside the synthesis call. The panic is
     /// caught at the attempt boundary: the worker survives, sibling jobs
-    /// are untouched, and the job fails (or retries, under a
-    /// `RetryPolicy`) with the payload preserved.
+    /// are untouched, and the job fails with the payload preserved.
     AttemptPanicked {
         /// Job name.
         job: String,
         /// Attempt index within the portfolio (0-based).
         attempt: usize,
-        /// Retry index within the attempt (0 = first execution).
-        retry: usize,
         /// The panic payload, stringified.
         message: String,
     },
@@ -212,13 +209,11 @@ impl EngineEvent {
             EngineEvent::AttemptPanicked {
                 job,
                 attempt,
-                retry,
                 message,
             } => JsonValue::object([
                 ("event", JsonValue::from(self.kind())),
                 ("job", JsonValue::from(job.as_str())),
                 ("attempt", JsonValue::from(*attempt)),
-                ("retry", JsonValue::from(*retry)),
                 ("message", JsonValue::from(message.as_str())),
             ]),
             EngineEvent::SinkDegraded { error } => JsonValue::object([
@@ -244,8 +239,8 @@ impl EngineEvent {
 pub trait EventSink: Send + Sync {
     /// Delivers one event. Must not panic. An `Err` tells the engine the
     /// sink is broken: the engine reports it once (a final
-    /// [`EngineEvent::SinkDegraded`] is attempted, plus a stderr notice)
-    /// and stops emitting for the rest of the run — telemetry degrades
+    /// [`EngineEvent::SinkDegraded`] and a stderr notice are attempted)
+    /// and stops emitting for the rest of its life — telemetry degrades
     /// loudly instead of being dropped invisibly mid-stream. Results are
     /// never affected by sink failures.
     ///
@@ -423,15 +418,15 @@ mod tests {
         let p = EngineEvent::AttemptPanicked {
             job: "cg16".into(),
             attempt: 2,
-            retry: 1,
             message: "index out of bounds".into(),
         };
         assert_eq!(p.kind(), "attempt_panicked");
         assert_eq!(p.job(), "cg16");
         let json = p.to_json().to_string();
-        assert!(json.starts_with(r#"{"event":"attempt_panicked","job":"cg16""#));
-        assert!(json.contains(r#""retry":1"#));
-        assert!(json.contains(r#""message":"index out of bounds""#));
+        assert_eq!(
+            json,
+            r#"{"event":"attempt_panicked","job":"cg16","attempt":2,"message":"index out of bounds"}"#
+        );
 
         let d = EngineEvent::SinkDegraded {
             error: "broken pipe".into(),

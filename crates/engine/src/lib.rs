@@ -8,9 +8,9 @@
 //! threads while keeping the *chosen result bit-identical for any worker
 //! count*; "sequential" is simply [`Engine::with_workers`]`(1)`:
 //!
-//! * every restart attempt is a pure function of
-//!   `(request, attempt, retry)` (see `nocsyn_synth::synthesize_attempt`),
-//!   so it does not matter which thread runs it;
+//! * every restart attempt is a pure function of `(request, attempt)`
+//!   (see `nocsyn_synth::synthesize_attempt`), so it does not matter which
+//!   thread runs it;
 //! * the reduction is a stable argmin over `(rank, attempt)`, where the
 //!   rank orders results by constraints met, then fewest links, then
 //!   fewest switches — rank ties break on the lowest attempt index, so
@@ -43,22 +43,21 @@
 //! [`JobStatus::DeadlineExceeded`] — never a panic. With a deadline of
 //! zero, no attempt runs and the outcome carries no result.
 //!
-//! The engine is **panic-isolated**: every attempt runs under
-//! `catch_unwind`, so a panic inside one attempt becomes a structured
-//! [`EngineEvent::AttemptPanicked`] plus
+//! The engine is **panic-isolated** and fails fast: every attempt runs
+//! once under `catch_unwind`, so a panic inside one attempt becomes a
+//! structured [`EngineEvent::AttemptPanicked`] plus
 //! [`JobStatus::Failed`]`(`[`JobError::Panicked`]`)` for that job only —
-//! never a poisoned pool or a lost batch. A bounded [`RetryPolicy`] can
-//! re-run a failed or panicked attempt with a deterministically reseeded
-//! search (`nocsyn_synth::retry_seed`), keeping retried batches
-//! reproducible run-to-run.
+//! never a poisoned pool or a lost batch. A structured synthesis error
+//! fails its job the same way.
 //!
 //! Execution is observable through a structured [`EngineEvent`] stream
 //! delivered to a pluggable [`EventSink`] ([`JsonLinesSink`] renders
 //! JSON Lines via `nocsyn_model::json`). Sink I/O failures are surfaced,
 //! not swallowed: the first failed emit degrades the stream loudly (a
-//! stderr notice plus a best-effort [`EngineEvent::SinkDegraded`] marker)
-//! and the engine falls back to discarding telemetry; results are never
-//! affected. Telemetry order is not deterministic; results are.
+//! best-effort stderr notice plus a best-effort
+//! [`EngineEvent::SinkDegraded`] marker), once per engine, and the engine
+//! falls back to discarding telemetry; results are never affected.
+//! Telemetry order is not deterministic; results are.
 //!
 //! ```
 //! use nocsyn_engine::Engine;
@@ -91,14 +90,15 @@ pub use event::{CollectSink, EngineEvent, EventSink, JsonLinesSink, NullSink};
 pub use par::par_map;
 
 use std::collections::BTreeSet;
+use std::io::Write as _;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use nocsyn_synth::{
-    auto_cluster_count, cluster_config, cluster_pattern, pareto_filter, retry_seed, stitch,
+    attempt_seed, auto_cluster_count, cluster_config, cluster_pattern, pareto_filter, stitch,
     synthesize_attempt, ClusterPlan, DecompositionSummary, ParetoPoint, SynthError, SynthesisMode,
     SynthesisRequest, SynthesisResult,
 };
@@ -118,37 +118,6 @@ fn portfolio_rank(r: &SynthesisResult) -> (bool, usize, usize) {
     )
 }
 
-/// Bounded retry policy for failed or panicked attempts.
-///
-/// Each retry re-runs the attempt with a deterministically reseeded
-/// search (`nocsyn_synth::retry_seed`): retry 0 is the attempt's own
-/// seed, and every further retry chains one `splitmix64` step off it, so
-/// a retried batch is still bit-reproducible run-to-run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RetryPolicy {
-    /// Extra tries after the first (0 = fail fast, the default).
-    pub max_retries: usize,
-    /// Sleep between consecutive tries of one attempt.
-    pub backoff: Duration,
-}
-
-impl RetryPolicy {
-    /// A policy with `max_retries` extra tries and no backoff.
-    pub fn retries(max_retries: usize) -> Self {
-        RetryPolicy {
-            max_retries,
-            backoff: Duration::ZERO,
-        }
-    }
-
-    /// Sets the sleep between consecutive tries of one attempt.
-    #[must_use]
-    pub fn with_backoff(mut self, backoff: Duration) -> Self {
-        self.backoff = backoff;
-        self
-    }
-}
-
 /// One synthesis request in a batch: a named [`SynthesisRequest`] (the
 /// pattern, config, mode and deadline all live on the request — every
 /// caller assembles one the same way).
@@ -161,36 +130,25 @@ pub struct Job {
     /// size), optional warm start, flat/decomposed mode and optional
     /// per-job deadline.
     pub request: SynthesisRequest,
-    /// Bounded retry policy for this job's attempts.
-    pub retry: RetryPolicy,
-    /// Attempts that panic on their first try — fault injection for tests
-    /// and chaos drills. Retries of the same attempt run normally. For a
-    /// decomposed job the indices apply to every cluster sub-job.
+    /// Attempts that panic instead of running — fault injection for tests
+    /// and chaos drills. For a decomposed job the indices apply to every
+    /// cluster sub-job.
     injected_panics: BTreeSet<usize>,
 }
 
 impl Job {
-    /// Creates a job with a fail-fast retry policy.
+    /// Creates a job.
     pub fn new(name: impl Into<String>, request: SynthesisRequest) -> Self {
         Job {
             name: name.into(),
             request,
-            retry: RetryPolicy::default(),
             injected_panics: BTreeSet::new(),
         }
     }
 
-    /// Sets the retry policy.
-    #[must_use]
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
-    /// Makes `attempt` panic on its first try; retries of the attempt run
-    /// normally. A fault-injection hook proving one poisoned attempt
-    /// cannot take down its batch — and, with a [`RetryPolicy`], that the
-    /// job recovers.
+    /// Makes `attempt` panic instead of running. A fault-injection hook
+    /// proving one poisoned attempt fails its own job and cannot take
+    /// down its batch.
     #[must_use]
     pub fn with_injected_panic(mut self, attempt: usize) -> Self {
         self.injected_panics.insert(attempt);
@@ -200,7 +158,7 @@ impl Job {
 
 /// The flat sub-job of cluster `index` of a decomposed job, named
 /// `{job}/c{index}`: the cluster's pattern under [`cluster_config`], with
-/// the parent's restart count, deadline, retry policy and injected panics.
+/// the parent's restart count, deadline and injected panics.
 fn cluster_job(job: &Job, plan: &ClusterPlan, index: usize) -> Job {
     let mut builder = SynthesisRequest::builder(plan.clusters()[index].pattern().clone())
         .config(cluster_config(job.request.config(), index))
@@ -213,7 +171,6 @@ fn cluster_job(job: &Job, plan: &ClusterPlan, index: usize) -> Job {
         request: builder
             .build()
             .expect("a flat request with the parent's non-zero restarts builds"),
-        retry: job.retry,
         injected_panics: job.injected_panics.clone(),
     }
 }
@@ -289,8 +246,8 @@ pub enum JobStatus {
     /// (possibly none, for a zero deadline).
     DeadlineExceeded,
     /// The job failed — a structured synthesis error, or a panic caught
-    /// at the attempt boundary — after its retry budget was exhausted;
-    /// remaining attempts were cancelled. Batch neighbors are unaffected.
+    /// at the attempt boundary; remaining attempts were cancelled. Batch
+    /// neighbors are unaffected.
     Failed(JobError),
 }
 
@@ -324,9 +281,6 @@ pub struct JobOutcome {
     pub attempts_completed: usize,
     /// Restart attempts the portfolio was scheduled to run.
     pub attempts_total: usize,
-    /// Wall time from the job's first claimed unit to its last. For a
-    /// decomposed job: the slowest cluster's wall time.
-    pub elapsed: Duration,
     /// Cluster/stitch statistics when the job ran in decomposed mode and
     /// produced a stitched result; `None` for flat jobs.
     pub decomposition: Option<DecompositionSummary>,
@@ -347,7 +301,6 @@ struct JobState {
     /// `(portfolio_rank, attempt)`.
     best: Mutex<Option<(usize, SynthesisResult)>>,
     error: Mutex<Option<JobError>>,
-    elapsed: Mutex<Duration>,
 }
 
 impl JobState {
@@ -362,7 +315,6 @@ impl JobState {
             moves: AtomicUsize::new(0),
             best: Mutex::new(None),
             error: Mutex::new(None),
-            elapsed: Mutex::new(Duration::ZERO),
         }
     }
 
@@ -393,7 +345,6 @@ impl JobState {
             result,
             attempts_completed: self.completed.load(Ordering::Acquire),
             attempts_total: self.attempts_total,
-            elapsed: *self.elapsed.lock().expect("engine lock never poisoned"),
             decomposition: None,
         }
     }
@@ -409,18 +360,12 @@ impl JobState {
 fn reduce_decomposed(job: &Job, plan: &ClusterPlan, parts: Vec<JobOutcome>) -> JobOutcome {
     let attempts_completed = parts.iter().map(|p| p.attempts_completed).sum();
     let attempts_total = parts.iter().map(|p| p.attempts_total).sum();
-    let elapsed = parts
-        .iter()
-        .map(|p| p.elapsed)
-        .max()
-        .unwrap_or(Duration::ZERO);
     let finish = |status, result, decomposition| JobOutcome {
         name: job.name.clone(),
         status,
         result,
         attempts_completed,
         attempts_total,
-        elapsed,
         decomposition,
     };
     if let Some(failed) = parts
@@ -452,26 +397,19 @@ fn reduce_decomposed(job: &Job, plan: &ClusterPlan, parts: Vec<JobOutcome>) -> J
     }
 }
 
-/// Wraps the batch's sink for one run: the first emit failure degrades
-/// the stream loudly — a stderr notice plus a best-effort
-/// [`EngineEvent::SinkDegraded`] marker — after which the guard behaves
-/// as a [`NullSink`], so workers never block on broken telemetry I/O and
-/// results are never affected.
-struct SinkGuard<'a> {
-    sink: &'a dyn EventSink,
+/// Wraps an engine's sink: the first emit failure degrades the stream
+/// loudly — a best-effort [`EngineEvent::SinkDegraded`] marker and a
+/// best-effort stderr notice (stderr may itself be the broken sink) —
+/// after which the guard behaves as a [`NullSink`], so workers never
+/// block on broken telemetry I/O and results are never affected. Clones
+/// of an engine share one guard, so it degrades once per engine.
+struct SinkGuard {
+    sink: Arc<dyn EventSink>,
     degraded: AtomicBool,
 }
 
-impl std::fmt::Debug for SinkGuard<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SinkGuard")
-            .field("degraded", &self.degraded)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<'a> SinkGuard<'a> {
-    fn new(sink: &'a dyn EventSink) -> Self {
+impl SinkGuard {
+    fn new(sink: Arc<dyn EventSink>) -> Self {
         SinkGuard {
             sink,
             degraded: AtomicBool::new(false),
@@ -489,7 +427,10 @@ impl<'a> SinkGuard<'a> {
                 let _ = self.sink.emit(&EngineEvent::SinkDegraded {
                     error: e.to_string(),
                 });
-                eprintln!("nocsyn-engine: telemetry sink degraded, events dropped from here: {e}");
+                let _ = writeln!(
+                    std::io::stderr(),
+                    "nocsyn-engine: telemetry sink degraded, events dropped from here: {e}"
+                );
             }
         }
     }
@@ -515,7 +456,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[derive(Clone)]
 pub struct Engine {
     workers: usize,
-    sink: Arc<dyn EventSink>,
+    sink: Arc<SinkGuard>,
 }
 
 impl std::fmt::Debug for Engine {
@@ -540,7 +481,7 @@ impl Engine {
         let workers = thread::available_parallelism().map_or(1, |n| n.get());
         Engine {
             workers,
-            sink: Arc::new(NullSink),
+            sink: Arc::new(SinkGuard::new(Arc::new(NullSink))),
         }
     }
 
@@ -552,11 +493,20 @@ impl Engine {
         self
     }
 
-    /// Installs a telemetry sink.
+    /// Installs a telemetry sink behind a fresh degrade-once guard, which
+    /// clones of the returned engine share.
     #[must_use]
     pub fn with_sink(mut self, sink: Arc<dyn EventSink>) -> Self {
-        self.sink = sink;
+        self.sink = Arc::new(SinkGuard::new(sink));
         self
+    }
+
+    /// Emits one event through the engine's sink guard — the path for
+    /// events a caller adds to the engine's own stream (the serve daemon's
+    /// per-request events). A broken sink degrades the stream once per
+    /// engine, exactly as for the engine's job events.
+    pub fn emit(&self, event: &EngineEvent) {
+        self.sink.emit(event);
     }
 
     /// Configured worker count.
@@ -609,11 +559,10 @@ impl Engine {
             .collect();
         let states: Vec<JobState> = execs.iter().map(|e| JobState::new(attempts(e))).collect();
         let cursor = AtomicUsize::new(0);
-        let sink = SinkGuard::new(self.sink.as_ref());
         if !units.is_empty() {
             thread::scope(|scope| {
                 for _ in 0..self.workers.min(units.len()) {
-                    scope.spawn(|| self.work(&sink, &execs, &states, &units, &cursor));
+                    scope.spawn(|| self.work(&execs, &states, &units, &cursor));
                 }
             });
         }
@@ -636,7 +585,6 @@ impl Engine {
                     result: None,
                     attempts_completed: 0,
                     attempts_total: 0,
-                    elapsed: Duration::ZERO,
                     decomposition: None,
                 },
                 Reduction::Decomposed(plan) => {
@@ -718,7 +666,6 @@ impl Engine {
     /// Worker loop: claim units until the queue drains.
     fn work(
         &self,
-        sink: &SinkGuard<'_>,
         execs: &[Job],
         states: &[JobState],
         units: &[(usize, usize)],
@@ -732,26 +679,26 @@ impl Engine {
             let job = &execs[ji];
             let state = &states[ji];
             let started = *state.started.get_or_init(|| {
-                sink.emit(&EngineEvent::JobStarted {
+                self.emit(&EngineEvent::JobStarted {
                     job: job.name.clone(),
                     attempts: state.attempts_total,
                     deadline_ms: job.request.deadline().map(|d| d.as_millis() as u64),
                 });
                 Instant::now()
             });
-            self.check_deadline(sink, job, state, started);
+            self.check_deadline(job, state, started);
             if !state.cancelled.load(Ordering::Acquire) {
-                self.run_attempt(sink, job, state, attempt);
+                self.run_attempt(job, state, attempt);
             }
             if state.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                self.finish_job(sink, job, state, started);
+                self.finish_job(job, state, started);
             }
         }
     }
 
     /// Cancels the job once its deadline has passed (checked at unit
     /// granularity: an in-flight attempt is never interrupted).
-    fn check_deadline(&self, sink: &SinkGuard<'_>, job: &Job, state: &JobState, started: Instant) {
+    fn check_deadline(&self, job: &Job, state: &JobState, started: Instant) {
         let Some(deadline) = job.request.deadline() else {
             return;
         };
@@ -760,95 +707,86 @@ impl Engine {
         }
         state.cancelled.store(true, Ordering::Release);
         if !state.deadline_hit.swap(true, Ordering::AcqRel) {
-            sink.emit(&EngineEvent::DeadlineExceeded {
+            self.emit(&EngineEvent::DeadlineExceeded {
                 job: job.name.clone(),
                 completed_attempts: state.completed.load(Ordering::Acquire),
             });
         }
     }
 
-    /// Runs one restart attempt — under `catch_unwind`, with the job's
-    /// bounded retry budget — and merges a success into the stable argmin
-    /// reduction. Exhausting the budget fails the job (first error wins)
-    /// and cancels its remaining attempts; the batch carries on.
-    fn run_attempt(&self, sink: &SinkGuard<'_>, job: &Job, state: &JobState, attempt: usize) {
-        // Some after the first loop iteration; the loop always runs once.
-        let mut last_error: Option<JobError> = None;
-        for retry in 0..=job.retry.max_retries {
-            if retry > 0 && !job.retry.backoff.is_zero() {
-                thread::sleep(job.retry.backoff);
+    /// Runs one restart attempt once, under `catch_unwind`, and merges a
+    /// success into the stable argmin reduction. An error or a panic
+    /// fails the job (first error wins) and cancels its remaining
+    /// attempts; the batch carries on.
+    fn run_attempt(&self, job: &Job, state: &JobState, attempt: usize) {
+        let t0 = Instant::now();
+        let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
+            if job.injected_panics.contains(&attempt) {
+                panic!("injected panic (attempt {attempt})");
             }
-            let t0 = Instant::now();
-            let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
-                if retry == 0 && job.injected_panics.contains(&attempt) {
-                    panic!("injected panic (attempt {attempt})");
+            synthesize_attempt(&job.request, attempt)
+        }));
+        let error = match outcome {
+            Ok(Ok(result)) => {
+                self.emit(&EngineEvent::RestartCompleted {
+                    job: job.name.clone(),
+                    attempt,
+                    seed: attempt_seed(job.request.config(), attempt),
+                    links: result.report.n_links,
+                    switches: result.report.n_switches,
+                    constraints_met: result.report.constraints_met,
+                    moves: result.report.moves_tried,
+                    elapsed_ms: t0.elapsed().as_millis() as u64,
+                });
+                state.completed.fetch_add(1, Ordering::AcqRel);
+                state
+                    .moves
+                    .fetch_add(result.report.moves_tried, Ordering::AcqRel);
+                let mut best = state.best.lock().expect("engine lock never poisoned");
+                let better = best.as_ref().is_none_or(|(best_attempt, best_result)| {
+                    (portfolio_rank(&result), attempt)
+                        < (portfolio_rank(best_result), *best_attempt)
+                });
+                if better {
+                    *best = Some((attempt, result));
                 }
-                synthesize_attempt(&job.request, attempt, retry)
-            }));
-            match outcome {
-                Ok(Ok(result)) => {
-                    sink.emit(&EngineEvent::RestartCompleted {
-                        job: job.name.clone(),
-                        attempt,
-                        seed: retry_seed(job.request.config(), attempt, retry),
-                        links: result.report.n_links,
-                        switches: result.report.n_switches,
-                        constraints_met: result.report.constraints_met,
-                        moves: result.report.moves_tried,
-                        elapsed_ms: t0.elapsed().as_millis() as u64,
-                    });
-                    state.completed.fetch_add(1, Ordering::AcqRel);
-                    state
-                        .moves
-                        .fetch_add(result.report.moves_tried, Ordering::AcqRel);
-                    let mut best = state.best.lock().expect("engine lock never poisoned");
-                    let better = best.as_ref().is_none_or(|(best_attempt, best_result)| {
-                        (portfolio_rank(&result), attempt)
-                            < (portfolio_rank(best_result), *best_attempt)
-                    });
-                    if better {
-                        *best = Some((attempt, result));
-                    }
-                    return;
-                }
-                Ok(Err(e)) => last_error = Some(JobError::Synth(e)),
-                Err(payload) => {
-                    let message = panic_message(payload.as_ref());
-                    sink.emit(&EngineEvent::AttemptPanicked {
-                        job: job.name.clone(),
-                        attempt,
-                        retry,
-                        message: message.clone(),
-                    });
-                    last_error = Some(JobError::Panicked { message });
-                }
+                return;
             }
-        }
+            Ok(Err(e)) => JobError::Synth(e),
+            Err(payload) => {
+                let message = panic_message(payload.as_ref());
+                self.emit(&EngineEvent::AttemptPanicked {
+                    job: job.name.clone(),
+                    attempt,
+                    message: message.clone(),
+                });
+                JobError::Panicked { message }
+            }
+        };
         state.cancelled.store(true, Ordering::Release);
-        let mut error = state.error.lock().expect("engine lock never poisoned");
-        if error.is_none() {
-            *error = last_error;
-        }
+        state
+            .error
+            .lock()
+            .expect("engine lock never poisoned")
+            .get_or_insert(error);
     }
 
-    /// Last unit of a job: seal its elapsed time and emit `JobFinished`.
-    fn finish_job(&self, sink: &SinkGuard<'_>, job: &Job, state: &JobState, started: Instant) {
-        let elapsed = started.elapsed();
-        *state.elapsed.lock().expect("engine lock never poisoned") = elapsed;
+    /// Last unit of a job: emit `JobFinished` with its wall time.
+    fn finish_job(&self, job: &Job, state: &JobState, started: Instant) {
         let (links, switches) = {
             let best = state.best.lock().expect("engine lock never poisoned");
             best.as_ref().map_or((None, None), |(_, r)| {
                 (Some(r.report.n_links), Some(r.report.n_switches))
             })
         };
-        sink.emit(&EngineEvent::JobFinished {
+        self.emit(&EngineEvent::JobFinished {
             job: job.name.clone(),
             status: state.status().label().to_string(),
             completed_attempts: state.completed.load(Ordering::Acquire),
             links,
             switches,
             moves: state.moves.load(Ordering::Acquire),
-            elapsed_ms: elapsed.as_millis() as u64,
+            elapsed_ms: started.elapsed().as_millis() as u64,
         });
     }
 }
@@ -979,12 +917,20 @@ mod tests {
         );
         assert_eq!(events.first().unwrap().kind(), "job_started");
         assert_eq!(events.last().unwrap().kind(), "job_finished");
-        // Every restart event carries this job's name and a distinct attempt.
+        // Every restart event carries this job's name, a distinct attempt
+        // and that attempt's derived seed; attempt 0 runs on the request's
+        // own seed.
         let mut attempts: Vec<usize> = events
             .iter()
             .filter_map(|e| match e {
-                EngineEvent::RestartCompleted { job, attempt, .. } => {
+                EngineEvent::RestartCompleted {
+                    job, attempt, seed, ..
+                } => {
                     assert_eq!(job, "cg-ish");
+                    assert_eq!(*seed, attempt_seed(&config(), *attempt));
+                    if *attempt == 0 {
+                        assert_eq!(*seed, config().seed());
+                    }
                     Some(*attempt)
                 }
                 _ => None,
@@ -1167,52 +1113,11 @@ mod tests {
             .filter(|e| e.kind() == "attempt_panicked")
             .collect();
         assert_eq!(panics.len(), 1);
-        let EngineEvent::AttemptPanicked {
-            job,
-            attempt,
-            retry,
-            ..
-        } = &panics[0]
-        else {
+        let EngineEvent::AttemptPanicked { job, attempt, .. } = &panics[0] else {
             unreachable!("filtered on kind");
         };
         assert_eq!(job, "poisoned");
-        assert_eq!((*attempt, *retry), (2, 0));
-    }
-
-    #[test]
-    fn retry_policy_recovers_a_panicking_attempt() {
-        let sink = Arc::new(CollectSink::new());
-        let job = Job::new("flaky", request(pattern(8)))
-            .with_injected_panic(1)
-            .with_retry(RetryPolicy::retries(1));
-        let outcome = Engine::new()
-            .with_workers(2)
-            .with_sink(sink.clone())
-            .run(vec![job])
-            .pop()
-            .expect("one outcome");
-        assert_eq!(outcome.status, JobStatus::Completed);
-        assert_eq!(outcome.attempts_completed, 6);
-        let events = sink.events();
-        assert_eq!(
-            events
-                .iter()
-                .filter(|e| e.kind() == "attempt_panicked")
-                .count(),
-            1
-        );
-        // The recovered attempt reports its deterministically reseeded run.
-        let retried_seed = events
-            .iter()
-            .find_map(|e| match e {
-                EngineEvent::RestartCompleted {
-                    attempt: 1, seed, ..
-                } => Some(*seed),
-                _ => None,
-            })
-            .expect("attempt 1 completed on retry");
-        assert_eq!(retried_seed, retry_seed(&config(), 1, 1));
+        assert_eq!(*attempt, 2);
     }
 
     /// Fails the first emit, accepts everything after — a transient I/O
@@ -1255,6 +1160,42 @@ mod tests {
         let events = sink.inner.events();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].kind(), "sink_degraded");
+    }
+
+    /// Fails every emit and records which event kinds were attempted.
+    #[derive(Default)]
+    struct AlwaysFailSink {
+        attempted: Mutex<Vec<&'static str>>,
+    }
+
+    impl EventSink for AlwaysFailSink {
+        fn emit(&self, event: &EngineEvent) -> std::io::Result<()> {
+            self.attempted
+                .lock()
+                .expect("sink lock never poisoned")
+                .push(event.kind());
+            Err(std::io::Error::from(std::io::ErrorKind::StorageFull))
+        }
+    }
+
+    #[test]
+    fn a_broken_sink_degrades_once_per_engine() {
+        let sink = Arc::new(AlwaysFailSink::default());
+        let engine = Engine::new().with_workers(2).with_sink(sink.clone());
+        let first = engine.synthesize(request(pattern(8)));
+        let second = engine.clone().synthesize(request(pattern(8)));
+        engine.emit(&EngineEvent::SinkDegraded {
+            error: "ignored".into(),
+        });
+        assert_eq!(first.status, JobStatus::Completed);
+        assert_eq!(
+            second.result.map(|r| r.report),
+            first.result.map(|r| r.report)
+        );
+        // One failed job event, then the one degradation marker; nothing
+        // after it reaches the sink, across runs, clones and direct emits.
+        let attempted = sink.attempted.lock().expect("sink lock never poisoned");
+        assert_eq!(*attempted, ["job_started", "sink_degraded"]);
     }
 
     #[test]

@@ -93,7 +93,7 @@ fn check_fewer_cases() {
                 .seed(seed)
                 .build()
                 .unwrap();
-            let result = synthesize_attempt(&request, 0, 0).unwrap();
+            let result = synthesize_attempt(&request, 0).unwrap();
             for scenario in FaultScenario::enumerate_single_link_faults(&result.network)
                 .into_iter()
                 .chain(FaultScenario::enumerate_single_switch_faults(

@@ -9,7 +9,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use nocsyn_certify::{check_certificate_for, CheckOptions};
-use nocsyn_engine::{Engine, EngineEvent, EventSink, Job, JobStatus, NullSink};
+use nocsyn_engine::{Engine, EngineEvent, EventSink, Job, JobStatus};
 use nocsyn_model::json::JsonValue;
 use nocsyn_model::{
     canonical_schedule, canonical_trace, Digest, ParseLimits, ParseOptions, ParseScheduleError,
@@ -194,16 +194,14 @@ pub fn job_fingerprint(kind: PatternKind, canonical: &str, request: &SynthesisRe
         .digest()
 }
 
-/// The daemon: an engine, a cache, a telemetry sink, and the admission
-/// counters. One instance serves any number of connections; request
-/// handling is `&self` (the cache sits behind a mutex) so a server can
-/// be shared across threads.
+/// The daemon: an engine (which owns the telemetry sink), a cache, and
+/// the admission counters. One instance serves any number of
+/// connections; request handling is `&self` (the cache sits behind a
+/// mutex) so a server can be shared across threads.
 pub struct Server {
     opts: ServeOptions,
     engine: Engine,
     cache: Mutex<ResultCache>,
-    sink: Arc<dyn EventSink>,
-    sink_degraded: AtomicBool,
     in_flight: AtomicUsize,
     requests: AtomicU64,
     conn_errors: AtomicU64,
@@ -237,8 +235,6 @@ impl Server {
             opts,
             engine,
             cache: Mutex::new(cache),
-            sink: Arc::new(NullSink),
-            sink_degraded: AtomicBool::new(false),
             in_flight: AtomicUsize::new(0),
             requests: AtomicU64::new(0),
             conn_errors: AtomicU64::new(0),
@@ -284,12 +280,12 @@ impl Server {
         self.stats_reply().line
     }
 
-    /// Installs a telemetry sink; `serve_request` events flow through it
-    /// alongside the engine's own job events.
+    /// Installs a telemetry sink; `serve_request` events flow through the
+    /// engine's guard on it alongside the engine's own job events, so a
+    /// broken sink degrades once for both.
     #[must_use]
     pub fn with_sink(mut self, sink: Arc<dyn EventSink>) -> Self {
-        self.engine = self.engine.clone().with_sink(sink.clone());
-        self.sink = sink;
+        self.engine = self.engine.with_sink(sink);
         self
     }
 
@@ -554,28 +550,19 @@ impl Server {
             .insert_with_cert(fp, report, cert);
     }
 
-    /// Emits a `serve_request` telemetry event; a broken sink degrades
-    /// loudly once (stderr notice) and is then ignored, mirroring the
-    /// engine's `SinkGuard` behavior.
+    /// Emits a `serve_request` telemetry event through the engine, whose
+    /// guard degrades a broken sink once.
     fn emit(&self, op: &str, reply: &Reply) {
-        if self.sink_degraded.load(Ordering::Relaxed) {
-            return;
-        }
         let (outcome, fingerprint) = match &reply.kind {
             ReplyKind::Report(tier) => (tier.label(), extract_fingerprint(&reply.line)),
             ReplyKind::Stats | ReplyKind::Status => ("ok", String::new()),
             ReplyKind::Error(fp) => (*fp, String::new()),
         };
-        let event = EngineEvent::ServeRequest {
+        self.engine.emit(&EngineEvent::ServeRequest {
             op: op.to_string(),
             outcome: outcome.to_string(),
             fingerprint,
-        };
-        if let Err(e) = self.sink.emit(&event) {
-            if !self.sink_degraded.swap(true, Ordering::Relaxed) {
-                eprintln!("nocsyn-serve: telemetry sink failed ({e}); further events dropped");
-            }
-        }
+        });
     }
 
     /// Serves one already-framed byte stream: newline-delimited requests

@@ -132,6 +132,7 @@ OPTIONS (serve):
 OPTIONS (client):
     nocsyn client <addr> submit <pattern.txt> [--seed ...] [--restarts ...]
                                 [--max-degree ...] [--deadline-ms ...]
+                                [--decompose [--clusters ...]]
     nocsyn client <addr> status
     nocsyn client <addr> stats
     --retries <n>         retry connect failures, lost connections, and
@@ -1060,7 +1061,8 @@ fn cmd_client(args: &[String]) -> Result<String, String> {
             let pattern =
                 std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
             // Seed, restarts and max-degree are always sent explicitly
-            // (CLI defaults match the daemon's), so the submitted job is
+            // (CLI defaults match the daemon's), and the mode exactly when
+            // `synth_request` would decompose, so the submitted job is
             // exactly the one `nocsyn synth` would run locally.
             let mut fields = vec![
                 ("op", JsonValue::from("synth")),
@@ -1071,6 +1073,12 @@ fn cmd_client(args: &[String]) -> Result<String, String> {
             ];
             if let Some(d) = opts.deadline_ms {
                 fields.push(("deadline_ms", JsonValue::from(d)));
+            }
+            if opts.decompose {
+                fields.push(("mode", JsonValue::from("decomposed")));
+                if let Some(k) = opts.clusters {
+                    fields.push(("clusters", JsonValue::from(k)));
+                }
             }
             (JsonValue::object(fields).to_string(), opts)
         }
@@ -1294,6 +1302,36 @@ mod tests {
         assert!(j1.contains("\"moves_tried\":"), "{j1}");
         // No wall-clock fields ever — the object must be byte-stable.
         assert!(!j1.contains("elapsed"), "{j1}");
+    }
+
+    #[test]
+    fn client_submit_runs_the_job_synth_runs() {
+        // Two 8-node rings: a decomposed job and a flat one differ in
+        // their report, so a dropped mode shows.
+        let mut body = String::from("procs 16\nphase bytes=256\n");
+        for p in 0..16 {
+            body.push_str(&format!("  {p} -> {}\n", p / 8 * 8 + (p + 1) % 8));
+        }
+        let path = write_pattern("client-decomposed", &body);
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("an ephemeral port binds");
+        let addr = listener.local_addr().expect("bound").to_string();
+        let server = std::thread::spawn(move || {
+            Server::new(ServeOptions::default()).serve_listener(&listener, true)
+        });
+        let flags = args(&["--decompose", "--clusters", "2", "--restarts", "1"]);
+        let reply = run(&[args(&["client", &addr, "submit", &path]), flags.clone()].concat());
+        server
+            .join()
+            .expect("server thread")
+            .expect("one connection served");
+        let local = run(&[args(&["synth", &path, "--json"]), flags].concat()).unwrap();
+        assert!(local.contains("\"mode\":\"decomposed\""), "{local}");
+        let reply = reply.unwrap();
+        let report = reply
+            .trim_end()
+            .split_once("\"report\":")
+            .and_then(|(_, r)| r.strip_suffix('}'));
+        assert_eq!(report, Some(local.trim_end()), "{reply}");
     }
 
     #[test]

@@ -290,7 +290,7 @@ fn every_portfolio_attempt_is_pinned() {
     assert_eq!(units.len(), 3 * 8, "the default portfolio is 8 attempts");
     let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
     let rows = par_map(units.clone(), workers, |(c, attempt)| {
-        let r = synthesize_attempt(&requests[c], attempt, 0)
+        let r = synthesize_attempt(&requests[c], attempt)
             .expect("benchmark patterns synthesize")
             .report;
         (

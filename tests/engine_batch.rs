@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use nocsyn::engine::{CollectSink, Engine, EngineEvent, Job, JobError, JobStatus, RetryPolicy};
+use nocsyn::engine::{CollectSink, Engine, EngineEvent, Job, JobError, JobStatus};
 use nocsyn::model::PhaseSchedule;
 use nocsyn::synth::{AppPattern, SynthesisConfig, SynthesisRequest, SynthesisRequestBuilder};
 use nocsyn::workloads::{Benchmark, WorkloadParams};
@@ -148,23 +148,6 @@ fn injected_panic_is_isolated_and_siblings_are_bit_identical() {
         .collect();
     assert_eq!(panics.len(), 1);
     assert_eq!(panics[0].job(), "MG8");
-}
-
-/// A retry policy turns the same injected panic into a completed job:
-/// the attempt re-runs with a deterministically reseeded search.
-#[test]
-fn retry_policy_recovers_an_injected_panic() {
-    let job = benchmark_job(Benchmark::Cg, 8, 3)
-        .with_injected_panic(0)
-        .with_retry(RetryPolicy::retries(2));
-    let outcome = Engine::new()
-        .with_workers(2)
-        .run(vec![job])
-        .pop()
-        .expect("one outcome");
-    assert_eq!(outcome.status, JobStatus::Completed);
-    assert_eq!(outcome.attempts_completed, 3);
-    assert!(outcome.result.is_some());
 }
 
 /// Telemetry over a batch: per job exactly one started and one finished
