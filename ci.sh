@@ -28,6 +28,11 @@ echo "==> golden search and decomposition pins hold in an optimized build"
 # move them either.
 cargo test --release --offline --test determinism --test decomposition
 
+echo "==> paper figures: every reproduce figure matches its EXPERIMENTS.md block"
+# The debug test run skips the seven figures that are slow there; this
+# optimized run checks all eleven.
+cargo test --release --offline -p nocsyn-bench --test reproduce
+
 echo "==> benchmark package: builds against the crate APIs it drives, unit tests pass"
 # benchmark/ is a workspace of its own, so the workspace build above
 # never compiles it.

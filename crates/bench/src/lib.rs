@@ -1,20 +1,19 @@
 //! Shared experiment harness for regenerating the paper's tables and
 //! figures.
 //!
-//! Each binary in this crate reproduces one evaluation artifact (see
-//! DESIGN.md §4 and EXPERIMENTS.md):
+//! One binary, `reproduce <figure>`, prints any of the eleven evaluation
+//! artifacts of [`figures::Figure`] (see DESIGN.md §4 and
+//! EXPERIMENTS.md, which quotes every figure's text and is checked
+//! against it by `tests/reproduce.rs`): the worked CG design example
+//! (Figures 1, 2 and 5), Figures 7 and 8, the §4.2 sensitivity and
+//! virtual-channel sweeps, §3.4 link utilization, the §4 skew sweep, the
+//! design-choice ablations, the Pareto sweep, off-design load-latency
+//! and the link-fault degradation sweep.
 //!
-//! * `fig7` — resource (switch/link area) comparison, Figure 7.
-//! * `fig8` — performance comparison via flit-level simulation, Figure 8.
-//! * `sensitivity` — foreign traces on the CG-generated network
-//!   (Section 4.2's cross-workload experiment).
-//! * `design_example` — the worked CG design example of Figures 1, 2
-//!   and 5.
-//! * `ablation` — design-choice ablations from DESIGN.md §5.
-//!
-//! The library half hosts the plumbing the binaries share: building the
-//! four comparison networks for a benchmark, floorplanning them, and
-//! running the closed-loop simulation with floorplan-derived link delays.
+//! The rest of the library is the plumbing the figures share: building
+//! the four comparison networks for a benchmark, floorplanning them, and
+//! running the closed-loop simulation with floorplan-derived link
+//! delays. [`timing`] is the micro-benchmark harness of `benches/`.
 
 use nocsyn_engine::{Engine, JobError, JobStatus};
 use nocsyn_floorplan::{mesh_baseline, place, AreaReport, Floorplan};
@@ -22,7 +21,8 @@ use nocsyn_model::{Flow, PhaseSchedule};
 use nocsyn_sim::{AppDriver, ExecutionStats, RoutePolicy, SimConfig, SimError};
 use nocsyn_synth::{AppPattern, SynthError, SynthesisRequest, SynthesisResult};
 use nocsyn_topo::{regular, Network, RouteTable, TopoError};
-use nocsyn_workloads::Benchmark;
+
+pub mod figures;
 
 /// The four networks the paper compares for every benchmark (Section 4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -209,7 +209,7 @@ pub fn build_instance(
                 .restarts(16)
                 .build()
                 .expect("16 restarts and flat mode always build");
-            // One worker: the harness binaries parallelize over rows.
+            // One worker: the figures parallelize over rows.
             let outcome = Engine::new().with_workers(1).synthesize(request);
             if let JobStatus::Failed(JobError::Synth(e)) = outcome.status {
                 return Err(e.into());
@@ -255,122 +255,6 @@ pub fn complete_routes(net: &Network, routes: &RouteTable) -> Result<RouteTable,
         }
     }
     Ok(complete)
-}
-
-/// One row of a Figure 7 table: areas normalized to the mesh.
-#[derive(Debug, Clone, Copy)]
-pub struct Fig7Row {
-    /// Benchmark of this row.
-    pub benchmark: Benchmark,
-    /// Process count.
-    pub n_procs: usize,
-    /// Generated network switch area / mesh switch area.
-    pub gen_switch: f64,
-    /// Generated network link area / mesh link area.
-    pub gen_link: f64,
-    /// Torus link area / mesh link area (switch ratio is always 1).
-    pub torus_link: f64,
-}
-
-impl Fig7Row {
-    /// Renders the row as a JSON record (see `nocsyn_model::json`).
-    pub fn to_json(&self) -> nocsyn_model::json::JsonValue {
-        use nocsyn_model::json::JsonValue;
-        JsonValue::object([
-            ("benchmark", JsonValue::from(self.benchmark.name())),
-            ("n_procs", JsonValue::from(self.n_procs)),
-            ("gen_switch", JsonValue::from(self.gen_switch)),
-            ("gen_link", JsonValue::from(self.gen_link)),
-            ("torus_link", JsonValue::from(self.torus_link)),
-        ])
-    }
-}
-
-/// One row of a Figure 8 table: times normalized to the crossbar.
-#[derive(Debug, Clone, Copy)]
-pub struct Fig8Row {
-    /// Benchmark of this row.
-    pub benchmark: Benchmark,
-    /// Process count.
-    pub n_procs: usize,
-    /// Execution time on [mesh, torus, generated] over crossbar.
-    pub exec: [f64; 3],
-    /// Communication time on [mesh, torus, generated] over crossbar.
-    pub comm: [f64; 3],
-}
-
-impl Fig8Row {
-    /// Renders the row as a JSON record (see `nocsyn_model::json`).
-    pub fn to_json(&self) -> nocsyn_model::json::JsonValue {
-        use nocsyn_model::json::JsonValue;
-        let triple = |xs: [f64; 3]| JsonValue::array(xs.into_iter().map(JsonValue::from));
-        JsonValue::object([
-            ("benchmark", JsonValue::from(self.benchmark.name())),
-            ("n_procs", JsonValue::from(self.n_procs)),
-            ("exec_mesh_torus_gen", triple(self.exec)),
-            ("comm_mesh_torus_gen", triple(self.comm)),
-        ])
-    }
-}
-
-/// Command-line options of the figure binaries (`fig7`, `fig8`):
-/// `[--nodes small|large|both] [--json] [--jobs N]`.
-#[derive(Debug, PartialEq, Eq)]
-pub struct FigureArgs {
-    /// Node configurations in the paper's order: `false` for the 8/9-node
-    /// one, `true` for the 16-node one.
-    pub configs: Vec<bool>,
-    /// One JSON array of row records instead of the table.
-    pub json: bool,
-    /// Worker threads the rows are spread over.
-    pub jobs: usize,
-}
-
-impl FigureArgs {
-    /// Parses the arguments after the program name; the error names the
-    /// first unknown flag, missing value, unknown `--nodes` value or
-    /// non-positive `--jobs`.
-    fn parse(args: impl IntoIterator<Item = String>) -> Result<FigureArgs, String> {
-        let mut parsed = FigureArgs {
-            configs: vec![false, true],
-            json: false,
-            jobs: 1,
-        };
-        let mut args = args.into_iter();
-        while let Some(arg) = args.next() {
-            match arg.as_str() {
-                "--nodes" => {
-                    parsed.configs = match args.next().as_deref() {
-                        Some("small") => vec![false],
-                        Some("large") => vec![true],
-                        Some("both") => vec![false, true],
-                        _ => return Err("--nodes expects small, large or both".to_string()),
-                    }
-                }
-                "--json" => parsed.json = true,
-                "--jobs" => {
-                    parsed.jobs = args
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&n| n >= 1)
-                        .ok_or("--jobs expects a positive integer")?;
-                }
-                other => return Err(format!("unknown argument `{other}`")),
-            }
-        }
-        Ok(parsed)
-    }
-
-    /// Parses the process arguments of the figure binary `bin`, printing
-    /// the error and the usage line and exiting with status 2 on a bad
-    /// command line.
-    pub fn from_env(bin: &str) -> FigureArgs {
-        FigureArgs::parse(std::env::args().skip(1)).unwrap_or_else(|e| {
-            eprintln!("{bin}: {e}");
-            eprintln!("usage: {bin} [--nodes small|large|both] [--json] [--jobs N]");
-            std::process::exit(2);
-        })
-    }
 }
 
 pub mod timing {
@@ -520,7 +404,7 @@ pub mod timing {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nocsyn_workloads::WorkloadParams;
+    use nocsyn_workloads::{Benchmark, WorkloadParams};
 
     #[test]
     fn harness_error_delegates_fingerprint_and_keeps_source() {
@@ -536,41 +420,6 @@ mod tests {
         assert_eq!(src.to_string(), inner.to_string());
         let boxed: Box<dyn std::error::Error + Send + Sync> = Box::new(e);
         assert!(boxed.to_string().starts_with("synthesis:"));
-    }
-
-    #[test]
-    fn figure_args_are_strict() {
-        let parse = |args: &[&str]| FigureArgs::parse(args.iter().map(|a| a.to_string()));
-        assert_eq!(
-            parse(&[]),
-            Ok(FigureArgs {
-                configs: vec![false, true],
-                json: false,
-                jobs: 1,
-            })
-        );
-        assert_eq!(
-            parse(&["--nodes", "large", "--json", "--jobs", "4"]),
-            Ok(FigureArgs {
-                configs: vec![true],
-                json: true,
-                jobs: 4,
-            })
-        );
-        assert_eq!(
-            parse(&["--nodes", "small"]).map(|a| a.configs),
-            Ok(vec![false])
-        );
-        for bad in [
-            &["--nodes", "bogus"][..],
-            &["--nodes"],
-            &["--bogus"],
-            &["--jobs", "0"],
-            &["--jobs"],
-            &["small"],
-        ] {
-            assert!(parse(bad).is_err(), "{bad:?}");
-        }
     }
 
     #[test]

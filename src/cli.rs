@@ -16,6 +16,7 @@
 //! binary in `src/main.rs` is a thin wrapper over [`run`].
 
 use std::fmt::Write as _;
+use std::io::Write as _;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -1021,8 +1022,9 @@ fn cmd_serve(opts: &Options) -> Result<String, String> {
         let local = listener.local_addr().map_err(|e| e.to_string())?;
         // Stderr so scripts capturing stdout see only protocol output;
         // printed before the accept loop so callers binding port 0 can
-        // learn the ephemeral port.
-        eprintln!("nocsyn serve: listening on {local}");
+        // learn the ephemeral port. Best effort: a closed or full stderr
+        // must not stop the daemon from serving.
+        let _ = writeln!(std::io::stderr(), "nocsyn serve: listening on {local}");
         server
             .serve_listener(&listener, opts.once)
             .map_err(|e| e.to_string())?;

@@ -3,6 +3,7 @@
 //! All logic lives in [`nocsyn::cli`]; this wrapper only maps the result
 //! onto the process exit code.
 
+use std::io::Write as _;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -13,8 +14,12 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         Err(msg) => {
-            eprintln!("error: {msg}");
-            eprintln!("run `nocsyn help` for usage");
+            // A closed or full stderr must not turn the exit code into a
+            // panic's.
+            let _ = writeln!(
+                std::io::stderr(),
+                "error: {msg}\nrun `nocsyn help` for usage"
+            );
             ExitCode::FAILURE
         }
     }
