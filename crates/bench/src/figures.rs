@@ -24,7 +24,7 @@ use nocsyn_synth::{
 use nocsyn_topo::{is_deadlock_free, verify_contention_free, RouteTable};
 use nocsyn_workloads::{figure1, open_loop_traffic, Benchmark, TrafficPattern, WorkloadParams};
 
-use crate::{build_instance, grid_dims, HarnessError, NetworkKind};
+use crate::{build_instance, grid_dims, HarnessError, Instance, NetworkKind};
 
 /// `writeln!` into a `String`, which cannot fail.
 macro_rules! outln {
@@ -376,21 +376,24 @@ fn sensitivity() -> Result<String, HarnessError> {
     // path; its floorplan here is seeded apart from the instance's own.
     let host_config = SimConfig::paper()
         .with_link_delays(place(&host.network, 0x711).link_lengths(&host.network));
-    for foreign in [Benchmark::Cg, Benchmark::Fft, Benchmark::Bt] {
+    let traces = vec![Benchmark::Cg, Benchmark::Fft, Benchmark::Bt];
+    let rows = par_map(traces, workers(), |foreign| {
         let sched = paper_schedule(foreign, n);
         let native = build_instance(NetworkKind::Generated, &sched, 0xC6 ^ (foreign as u64))?
             .simulate(&sched)?;
         let hosted =
             AppDriver::new(&host.network, host.policy.clone(), host_config.clone()).run(&sched)?;
         let degradation = hosted.exec_cycles as f64 / native.exec_cycles as f64 - 1.0;
-        outln!(
-            out,
-            "  {:<6} | {:>14} | {:>14} | {:>+10.1}%",
+        Ok::<_, HarnessError>(format!(
+            "  {:<6} | {:>14} | {:>14} | {:>+10.1}%\n",
             foreign.name(),
             native.exec_cycles,
             hosted.exec_cycles,
             100.0 * degradation
-        );
+        ))
+    });
+    for row in rows {
+        out.push_str(&row?);
     }
     Ok(out)
 }
@@ -482,35 +485,39 @@ fn utilization() -> Result<String, HarnessError> {
         out,
         "  bench network    |  links |  mean util  peak util |    idle links"
     );
-    for benchmark in Benchmark::ALL {
+    let rows: Vec<(Benchmark, NetworkKind)> = Benchmark::ALL
+        .into_iter()
+        .flat_map(|b| [NetworkKind::Mesh, NetworkKind::Generated].map(|kind| (b, kind)))
+        .collect();
+    let rows = par_map(rows, workers(), |(benchmark, kind)| {
         let schedule = paper_schedule(benchmark, 16);
-        for kind in [NetworkKind::Mesh, NetworkKind::Generated] {
-            let inst = build_instance(kind, &schedule, 0x07EC ^ (benchmark as u64))?;
-            let stats = inst.simulate(&schedule)?;
-            // Processor attachments are the same on every topology.
-            let network_links: Vec<f64> = inst
-                .network
-                .link_ids()
-                .filter(|&l| {
-                    let link = inst.network.link(l).expect("iterating links");
-                    link.a().as_switch().is_some() && link.b().as_switch().is_some()
-                })
-                .map(|l| stats.link_utilization[l.index()])
-                .collect();
-            let mean = network_links.iter().sum::<f64>() / network_links.len() as f64;
-            let peak = network_links.iter().copied().fold(0.0f64, f64::max);
-            let idle = network_links.iter().filter(|&&u| u == 0.0).count();
-            outln!(
-                out,
-                "  {:<5} {:<10} | {:>6} | {:>9.1}% {:>9.1}% | {:>13}",
-                benchmark.name(),
-                kind.name(),
-                network_links.len(),
-                100.0 * mean,
-                100.0 * peak,
-                idle
-            );
-        }
+        let inst = build_instance(kind, &schedule, 0x07EC ^ (benchmark as u64))?;
+        let stats = inst.simulate(&schedule)?;
+        // Processor attachments are the same on every topology.
+        let network_links: Vec<f64> = inst
+            .network
+            .link_ids()
+            .filter(|&l| {
+                let link = inst.network.link(l).expect("iterating links");
+                link.a().as_switch().is_some() && link.b().as_switch().is_some()
+            })
+            .map(|l| stats.link_utilization[l.index()])
+            .collect();
+        let mean = network_links.iter().sum::<f64>() / network_links.len() as f64;
+        let peak = network_links.iter().copied().fold(0.0f64, f64::max);
+        let idle = network_links.iter().filter(|&&u| u == 0.0).count();
+        Ok::<_, HarnessError>(format!(
+            "  {:<5} {:<10} | {:>6} | {:>9.1}% {:>9.1}% | {:>13}\n",
+            benchmark.name(),
+            kind.name(),
+            network_links.len(),
+            100.0 * mean,
+            100.0 * peak,
+            idle
+        ))
+    });
+    for row in rows {
+        out.push_str(&row?);
     }
     Ok(out)
 }
@@ -719,16 +726,22 @@ fn degradation() -> Result<String, HarnessError> {
         .expect("paper process counts are valid");
     let pattern = AppPattern::from_schedule(&schedule);
     let seed = 0xF18 ^ (DEGRADATION_PROCS as u64) ^ ((benchmark as u64) << 8);
-    let cells: Vec<(NetworkKind, usize)> = [
+    let kinds = vec![
         NetworkKind::Mesh,
         NetworkKind::Torus,
         NetworkKind::Generated,
-    ]
+    ];
+    let instances = par_map(kinds, workers(), |kind| {
+        build_instance(kind, &schedule, seed)
+    })
     .into_iter()
-    .flat_map(|kind| (0..=DEGRADATION_MAX_FAULTS).map(move |k| (kind, k)))
-    .collect();
-    let cells = par_map(cells, workers(), |(kind, k)| {
-        degradation_cell(kind, k, &schedule, &pattern, seed)
+    .collect::<Result<Vec<_>, _>>()?;
+    let cells: Vec<_> = instances
+        .iter()
+        .flat_map(|inst| (0..=DEGRADATION_MAX_FAULTS).map(move |k| (inst, k)))
+        .collect();
+    let cells = par_map(cells, workers(), |(inst, k)| {
+        degradation_cell(inst, k, &schedule, &pattern)
     });
 
     let mut out = String::new();
@@ -772,13 +785,11 @@ fn degradation() -> Result<String, HarnessError> {
 /// after repair, how many disconnect a flow, and the mean execution time
 /// of the rest.
 fn degradation_cell(
-    kind: NetworkKind,
+    inst: &Instance,
     k: usize,
     schedule: &PhaseSchedule,
     pattern: &AppPattern,
-    seed: u64,
 ) -> Result<DegradationCell, HarnessError> {
-    let inst = build_instance(kind, schedule, seed)?;
     // Deterministic first-alternative table over the pattern's flows —
     // exactly what the closed-loop driver will ask the policy for.
     let mut routes = RouteTable::new();
@@ -829,7 +840,7 @@ fn degradation_cell(
         Some(execs.iter().sum::<u64>() as f64 / execs.len() as f64)
     };
     Ok(DegradationCell {
-        kind,
+        kind: inst.kind,
         k,
         scenarios: scenarios.len(),
         clean,

@@ -11,7 +11,12 @@
 //!   with a string `reply` field;
 //! * error replies carry their stable kebab-case fingerprint both in the
 //!   typed [`ReplyKind`] and in the JSON `error` field, and the two
-//!   agree.
+//!   agree;
+//! * every line [`parse_request`] accepts round-trips through
+//!   [`Request::to_json`](nocsyn_serve::Request::to_json): the re-encoded
+//!   line parses back to the same request, so the codec that clients
+//!   write with cannot drift from the parser the daemon reads with (a
+//!   mismatch panics, which the runner records as a crash).
 //!
 //! The server is shared across cases (that is the deployed shape — one
 //! long-lived daemon, many requests), configured with tiny parse limits
@@ -23,7 +28,7 @@ use std::sync::Arc;
 
 use nocsyn_model::json;
 use nocsyn_model::ParseLimits;
-use nocsyn_serve::{ReplyKind, ServeOptions, Server};
+use nocsyn_serve::{parse_request, ReplyKind, ServeOptions, Server};
 
 use crate::target::{CaseReport, FuzzTarget};
 
@@ -49,12 +54,16 @@ fn fuzz_server() -> Server {
 }
 
 /// Built-in target: `Server::handle_line` with the well-formed-reply
-/// oracle.
+/// and request round-trip oracles.
 pub fn serve_request_target() -> FuzzTarget {
     let server = Arc::new(fuzz_server());
     FuzzTarget::new("serve_request", move |input| {
         let ticks = input.len() as u64;
         let text = String::from_utf8_lossy(input);
+        if let Ok(request) = parse_request(&text) {
+            let line = request.to_json();
+            assert_eq!(parse_request(&line), Ok(request), "round trip of {line}");
+        }
         let reply = server.handle_line(&text);
         // Oracle: every reply line re-parses as a JSON object that
         // declares what it is.
@@ -100,6 +109,8 @@ pub fn serve_corpus() -> Vec<Vec<u8>> {
         // No deadline_ms entry on purpose: deadlines make outcomes
         // timing-dependent, and fuzz runs must stay byte-deterministic.
         r#"{"op":"synth","pattern":"procs 2\nphase\n 0 -> 1\n","restarts":1,"max_degree":4}"#,
+        // The mode knobs, so the round-trip oracle sees them too.
+        r#"{"op":"synth","pattern":"procs 4\nphase\n  0 -> 1\n  2 -> 3\n","mode":"decomposed","clusters":2}"#,
         r#"{"op":"synth","pattern":"procs 9\n"}"#,
     ]
     .iter()

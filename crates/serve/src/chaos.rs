@@ -43,6 +43,7 @@ use nocsyn_model::json::{self, JsonValue};
 use nocsyn_rng::{hash_str, Rng};
 
 use crate::io::{DiskIo, MemDisk};
+use crate::proto::{Request, SynthRequest};
 use crate::server::{ServeOptions, Server};
 
 /// A named place where the chaos layer may inject a fault.
@@ -610,13 +611,13 @@ fn gen_request(rng: &mut Rng, job_seed: u64) -> String {
             let _ = writeln!(pattern, "  {a} -> {b}");
         }
     }
-    JsonValue::object([
-        ("op", JsonValue::from("synth")),
-        ("pattern", JsonValue::from(pattern)),
-        ("seed", JsonValue::from(job_seed)),
-        ("restarts", JsonValue::from(1u64)),
-    ])
-    .to_string()
+    Request::Synth(SynthRequest {
+        pattern,
+        seed: Some(job_seed),
+        restarts: Some(1),
+        ..SynthRequest::default()
+    })
+    .to_json()
 }
 
 /// Collapses the cache-tier marker so replies from different tiers
@@ -765,7 +766,7 @@ pub fn run_chaos(config: &ChaosConfig) -> ChaosSummary {
     for it in 0..config.iters {
         let ji = rng.gen_range(0..n_jobs);
         let (line, want) = if it % 17 == 16 {
-            (r#"{"op":"stats"}"#.to_string(), None)
+            (Request::Stats.to_json(), None)
         } else {
             (requests[ji].clone(), Some(expected[ji].as_str()))
         };

@@ -15,7 +15,7 @@ use nocsyn_model::{
     canonical_schedule, canonical_trace, Digest, ParseLimits, ParseOptions, ParseScheduleError,
     Pattern,
 };
-use nocsyn_synth::{AppPattern, SynthesisConfig, SynthesisMode, SynthesisRequest};
+use nocsyn_synth::{AppPattern, SynthesisRequest};
 
 use crate::cache::{CacheStats, CacheTier, ResultCache};
 use crate::chaos::{FaultPlan, FaultPoint, InjectedFault};
@@ -359,50 +359,9 @@ impl Server {
             }
         };
 
-        let mut config = SynthesisConfig::new();
-        if let Some(s) = req.seed {
-            config = config.with_seed(s);
-        }
-        if let Some(d) = req.max_degree {
-            config = config.with_max_degree(usize::try_from(d).unwrap_or(usize::MAX));
-        }
-        let mode = match req.mode.as_deref() {
-            None | Some("flat") => SynthesisMode::Flat,
-            Some("decomposed") => SynthesisMode::Decomposed {
-                clusters: req
-                    .clusters
-                    .map(|c| usize::try_from(c).unwrap_or(usize::MAX)),
-            },
-            // The protocol layer admits only the two modes above.
-            Some(other) => {
-                return Reply::error("bad-field", &format!("unknown mode {other:?}"));
-            }
-        };
-        // The restart cap is admission control on the *effective* job, so
-        // it also bounds the default-portfolio case, not just explicit
-        // oversized requests. It caps the builder input: a wire-level zero
-        // stays zero and is rejected below.
-        let mut restarts = req
-            .restarts
-            .map_or(SynthesisRequest::DEFAULT_RESTARTS, |r| {
-                usize::try_from(r).unwrap_or(usize::MAX)
-            });
-        if let Some(cap) = self.opts.max_restarts {
-            restarts = restarts.min(usize::try_from(cap).unwrap_or(usize::MAX).max(1));
-        }
-        let mut builder = SynthesisRequest::builder(parsed.pattern)
-            .config(config)
-            .restarts(restarts)
-            .mode(mode);
-        if let Some(ms) = req.deadline_ms {
-            builder = builder.deadline_ms(ms);
-        }
-        // Wire-level zero restarts / zero clusters surface as typed
-        // rejections with the builder's stable fingerprints, not silent
-        // clamps.
-        let request = match builder.build() {
+        let request = match req.build(parsed.pattern, self.opts.max_restarts) {
             Ok(r) => r,
-            Err(e) => return Reply::error(e.fingerprint(), &e.to_string()),
+            Err(e) => return Reply::error(e.fingerprint, &e.detail),
         };
         let fp = job_fingerprint(parsed.kind, &parsed.canonical, &request);
 

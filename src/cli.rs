@@ -29,12 +29,11 @@ use nocsyn_model::json::JsonValue;
 use nocsyn_model::{Digest, Flow, ParseLimits, ParseOptions, Pattern, PhaseSchedule, Trace};
 use nocsyn_serve::{
     job_fingerprint, pareto_point_object, parse_pattern, run_chaos, synth_json_object,
-    with_pareto_array, ChaosConfig, Client, RetryPolicy, ServeOptions, Server,
+    with_pareto_array, ChaosConfig, Client, ParsedPattern, Request, RetryPolicy, ServeOptions,
+    Server, SynthRequest,
 };
 use nocsyn_sim::{AppDriver, RoutePolicy, SimConfig};
-use nocsyn_synth::{
-    explain, AppPattern, SynthesisConfig, SynthesisMode, SynthesisRequest, SynthesisResult,
-};
+use nocsyn_synth::{explain, AppPattern, SynthesisResult};
 use nocsyn_topo::{
     build_certificate, regular, to_dot, verify_contention_free, Network, RouteTable,
 };
@@ -160,9 +159,9 @@ PATTERN FORMAT:
 
 /// Parsed command-line options.
 struct Options {
-    max_degree: usize,
+    max_degree: u64,
     seed: u64,
-    restarts: usize,
+    restarts: u64,
     jobs: usize,
     deadline_ms: Option<u64>,
     events: bool,
@@ -192,15 +191,26 @@ struct Options {
     emit_cert: Option<String>,
     job: Option<String>,
     decompose: bool,
-    clusters: Option<usize>,
+    clusters: Option<u64>,
     pareto: bool,
 }
 
-/// Parses one numeric flag value, naming the flag in any error — the
+/// The value after flag `name`.
+fn flag_value(it: &mut std::slice::Iter<'_, String>, name: &str) -> Result<String, String> {
+    it.next()
+        .cloned()
+        .ok_or_else(|| format!("{name} requires a value"))
+}
+
+/// The integer after flag `name`, naming the flag in any error — the
 /// shared helper behind every `--flag <n>` option so messages stay
 /// uniform across commands.
-fn num_flag<T: std::str::FromStr>(name: &str, raw: &str) -> Result<T, String> {
-    raw.parse()
+fn num_flag<T: std::str::FromStr>(
+    it: &mut std::slice::Iter<'_, String>,
+    name: &str,
+) -> Result<T, String> {
+    flag_value(it, name)?
+        .parse()
         .map_err(|_| format!("{name} expects an integer"))
 }
 
@@ -251,114 +261,51 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         pareto: false,
     };
     let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} requires a value"))
-        };
-        match a.as_str() {
-            "--max-degree" => opts.max_degree = num_flag("--max-degree", &value("--max-degree")?)?,
-            "--seed" => opts.seed = num_flag("--seed", &value("--seed")?)?,
-            "--restarts" => {
-                opts.restarts =
-                    at_least_one("--restarts", num_flag("--restarts", &value("--restarts")?)?)?;
-            }
-            "--jobs" => {
-                opts.jobs = at_least_one("--jobs", num_flag("--jobs", &value("--jobs")?)?)?;
-            }
-            "--deadline-ms" => {
-                opts.deadline_ms = Some(num_flag("--deadline-ms", &value("--deadline-ms")?)?);
-            }
+    while let Some(flag) = it.next() {
+        let name = flag.as_str();
+        match name {
+            "--max-degree" => opts.max_degree = num_flag(&mut it, name)?,
+            "--seed" => opts.seed = num_flag(&mut it, name)?,
+            "--restarts" => opts.restarts = at_least_one(name, num_flag(&mut it, name)?)?,
+            "--jobs" => opts.jobs = at_least_one(name, num_flag(&mut it, name)?)?,
+            "--deadline-ms" => opts.deadline_ms = Some(num_flag(&mut it, name)?),
             "--events" => opts.events = true,
             "--dot" => opts.dot = true,
             "--explain" => opts.explain = true,
-            "--network" => {
-                opts.network = value("--network")?;
-            }
+            "--network" => opts.network = flag_value(&mut it, name)?,
             "--exhaustive" => opts.exhaustive = true,
             "--json" => opts.json = true,
-            "--scenarios" => {
-                opts.scenarios = at_least_one(
-                    "--scenarios",
-                    num_flag("--scenarios", &value("--scenarios")?)?,
-                )?;
-            }
-            "--fault-links" => {
-                opts.fault_links = num_flag("--fault-links", &value("--fault-links")?)?;
-            }
-            "--fault-switches" => {
-                opts.fault_switches = num_flag("--fault-switches", &value("--fault-switches")?)?;
-            }
-            "--scenario-seed" => {
-                opts.scenario_seed = num_flag("--scenario-seed", &value("--scenario-seed")?)?;
-            }
-            "--target" => {
-                opts.target = value("--target")?;
-            }
-            "--iters" => {
-                opts.iters = at_least_one("--iters", num_flag("--iters", &value("--iters")?)?)?;
-            }
-            "--corpus-dir" => {
-                opts.corpus_dir = Some(value("--corpus-dir")?);
-            }
-            "--listen" => {
-                opts.listen = Some(value("--listen")?);
-            }
+            "--scenarios" => opts.scenarios = at_least_one(name, num_flag(&mut it, name)?)?,
+            "--fault-links" => opts.fault_links = num_flag(&mut it, name)?,
+            "--fault-switches" => opts.fault_switches = num_flag(&mut it, name)?,
+            "--scenario-seed" => opts.scenario_seed = num_flag(&mut it, name)?,
+            "--target" => opts.target = flag_value(&mut it, name)?,
+            "--iters" => opts.iters = at_least_one(name, num_flag(&mut it, name)?)?,
+            "--corpus-dir" => opts.corpus_dir = Some(flag_value(&mut it, name)?),
+            "--listen" => opts.listen = Some(flag_value(&mut it, name)?),
             "--drain" => opts.drain = true,
             "--once" => opts.once = true,
-            "--cache-dir" => {
-                opts.cache_dir = Some(value("--cache-dir")?);
-            }
+            "--cache-dir" => opts.cache_dir = Some(flag_value(&mut it, name)?),
             "--cache-capacity" => {
-                opts.cache_capacity = at_least_one(
-                    "--cache-capacity",
-                    num_flag("--cache-capacity", &value("--cache-capacity")?)?,
-                )?;
+                opts.cache_capacity = at_least_one(name, num_flag(&mut it, name)?)?;
             }
-            "--max-requests" => {
-                opts.max_requests = at_least_one(
-                    "--max-requests",
-                    num_flag("--max-requests", &value("--max-requests")?)?,
-                )?;
-            }
-            "--queue-depth" => {
-                opts.queue_depth = at_least_one(
-                    "--queue-depth",
-                    num_flag("--queue-depth", &value("--queue-depth")?)?,
-                )?;
-            }
-            "--emit-cert" => {
-                opts.emit_cert = Some(value("--emit-cert")?);
-            }
+            "--max-requests" => opts.max_requests = at_least_one(name, num_flag(&mut it, name)?)?,
+            "--queue-depth" => opts.queue_depth = at_least_one(name, num_flag(&mut it, name)?)?,
+            "--emit-cert" => opts.emit_cert = Some(flag_value(&mut it, name)?),
             "--decompose" => opts.decompose = true,
             // Deliberately no at_least_one: zero flows into the request
             // builder so the typed `zero-clusters` rejection is exercised.
-            "--clusters" => {
-                opts.clusters = Some(num_flag("--clusters", &value("--clusters")?)?);
-            }
+            "--clusters" => opts.clusters = Some(num_flag(&mut it, name)?),
             "--pareto" => opts.pareto = true,
-            "--job" => {
-                opts.job = Some(value("--job")?);
-            }
+            "--job" => opts.job = Some(flag_value(&mut it, name)?),
             "--max-restarts" => {
-                opts.max_restarts = Some(at_least_one(
-                    "--max-restarts",
-                    num_flag("--max-restarts", &value("--max-restarts")?)?,
-                )?);
+                opts.max_restarts = Some(at_least_one(name, num_flag(&mut it, name)?)?);
             }
             "--io-timeout-ms" => {
-                opts.io_timeout_ms = Some(at_least_one(
-                    "--io-timeout-ms",
-                    num_flag("--io-timeout-ms", &value("--io-timeout-ms")?)?,
-                )?);
+                opts.io_timeout_ms = Some(at_least_one(name, num_flag(&mut it, name)?)?);
             }
-            "--retries" => {
-                opts.retries = num_flag("--retries", &value("--retries")?)?;
-            }
-            "--backoff-ms" => {
-                opts.backoff_ms = num_flag("--backoff-ms", &value("--backoff-ms")?)?;
-            }
+            "--retries" => opts.retries = num_flag(&mut it, name)?,
+            "--backoff-ms" => opts.backoff_ms = num_flag(&mut it, name)?,
             other => return Err(format!("unknown option `{other}`")),
         }
     }
@@ -407,48 +354,30 @@ pub fn run(args: &[String]) -> Result<String, String> {
     };
     let opts = parse_options(&args[2..])?;
     let input = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let parsed = parse_input(path, &input)?;
+    let parsed = parse_pattern(&input, &ParseOptions::new()).map_err(|e| format!("{path}: {e}"))?;
 
-    match (command.as_str(), &parsed) {
-        ("info", Pattern::Schedule(s)) => cmd_info(&AppPattern::from_schedule(s), s.len(), &opts),
-        ("info", Pattern::Trace(t)) => cmd_info(&AppPattern::from_trace(t), t.len(), &opts),
-        ("synth", Pattern::Schedule(s)) => cmd_synth(&AppPattern::from_schedule(s), &input, &opts),
-        ("synth", Pattern::Trace(t)) => cmd_synth(&AppPattern::from_trace(t), &input, &opts),
-        ("simulate", Pattern::Schedule(s)) => cmd_simulate(s, &opts),
-        ("simulate", Pattern::Trace(t)) => cmd_replay(t, &opts),
-        ("verify", Pattern::Schedule(s)) => {
-            cmd_verify_pattern(&AppPattern::from_schedule(s), s, &opts)
+    match command.as_str() {
+        "info" => cmd_info(&parsed, &opts),
+        "synth" => cmd_synth(parsed, input, &opts),
+        "simulate" | "verify" | "faults" => {
+            let (net, policy) = build_network_for(&parsed.pattern, input, &opts)?;
+            match (command.as_str(), &parsed.source) {
+                ("simulate", Pattern::Schedule(s)) => cmd_simulate(s, &net, policy, &opts),
+                ("simulate", Pattern::Trace(t)) => cmd_replay(t, &net, &policy, &opts),
+                ("verify", _) => cmd_verify(&parsed.pattern, &policy, &opts),
+                _ => cmd_faults(&parsed, &net, &policy, &opts),
+            }
         }
-        ("verify", Pattern::Trace(t)) => {
-            let stand_in = schedule_stand_in(t);
-            cmd_verify_pattern(&AppPattern::from_trace(t), &stand_in, &opts)
-        }
-        ("faults", Pattern::Schedule(s)) => {
-            cmd_faults(&AppPattern::from_schedule(s), s, &parsed, &opts)
-        }
-        ("faults", Pattern::Trace(t)) => {
-            let stand_in = schedule_stand_in(t);
-            cmd_faults(&AppPattern::from_trace(t), &stand_in, &parsed, &opts)
-        }
-        (other, _) => Err(format!("unknown command `{other}`")),
+        other => Err(format!("unknown command `{other}`")),
     }
 }
 
-/// Parses an input file as a phase schedule or a timed trace, under the
-/// default limits.
-fn parse_input(path: &str, input: &str) -> Result<Pattern, String> {
-    ParseOptions::new()
-        .parse_pattern(input)
-        .map_err(|e| format!("{path}: {e}"))
-}
-
-/// An empty schedule with the trace's process count, for code paths that
-/// only need the processor count (network construction).
-fn schedule_stand_in(trace: &Trace) -> PhaseSchedule {
-    PhaseSchedule::new(trace.n_procs())
-}
-
-fn cmd_info(pattern: &AppPattern, n_events: usize, opts: &Options) -> Result<String, String> {
+fn cmd_info(parsed: &ParsedPattern, opts: &Options) -> Result<String, String> {
+    let pattern = &parsed.pattern;
+    let n_events = match &parsed.source {
+        Pattern::Schedule(s) => s.len(),
+        Pattern::Trace(t) => t.len(),
+    };
     if opts.json {
         let (periods, max_clique) = pattern.complexity();
         let obj = JsonValue::object([
@@ -478,32 +407,33 @@ fn cmd_info(pattern: &AppPattern, n_events: usize, opts: &Options) -> Result<Str
     Ok(out)
 }
 
-/// Assembles the synth command's [`SynthesisRequest`] from the parsed
-/// options — the single place the CLI's knobs meet the unified request
-/// type consumed by the engine, the serve daemon, and the fingerprint.
-fn synth_request(pattern: &AppPattern, opts: &Options) -> Result<SynthesisRequest, String> {
-    let config = SynthesisConfig::new()
-        .with_max_degree(opts.max_degree)
-        .with_seed(opts.seed);
-    let mode = if opts.decompose {
-        SynthesisMode::Decomposed {
-            clusters: opts.clusters,
-        }
-    } else {
-        SynthesisMode::Flat
+/// The synthesis job the flags describe, in its wire form. `client
+/// submit` sends its [`Request::to_json`], and `synth` and `--network
+/// generated` run its [`SynthRequest::build`], so the submitted job and
+/// the local one are the same job by construction. Seed, restarts and
+/// degree bound are always set (the CLI's defaults are the daemon's);
+/// the other knobs only when a flag sets them.
+fn synth_job(opts: &Options, pattern: String) -> Result<SynthRequest, String> {
+    let job = SynthRequest {
+        pattern,
+        seed: Some(opts.seed),
+        restarts: Some(opts.restarts),
+        max_degree: Some(opts.max_degree),
+        deadline_ms: opts.deadline_ms,
+        mode: opts.decompose.then(|| "decomposed".to_string()),
+        clusters: opts.clusters,
     };
-    let mut builder = SynthesisRequest::builder(pattern.clone())
-        .config(config)
-        .restarts(opts.restarts)
-        .mode(mode);
-    if let Some(ms) = opts.deadline_ms {
-        builder = builder.deadline_ms(ms);
-    }
-    builder.build().map_err(|e| e.to_string())
+    // The wire's rule on the mode knobs, reported in terms of the flags.
+    job.synthesis_mode()
+        .map_err(|_| "--clusters requires --decompose".to_string())?;
+    Ok(job)
 }
 
-fn cmd_synth(pattern: &AppPattern, raw: &str, opts: &Options) -> Result<String, String> {
-    let request = synth_request(pattern, opts)?;
+fn cmd_synth(parsed: ParsedPattern, text: String, opts: &Options) -> Result<String, String> {
+    let request = synth_job(opts, text)?
+        .build(parsed.pattern, None)
+        .map_err(|e| e.detail)?;
+    let pattern = request.pattern();
     let sink: Arc<dyn EventSink> = if opts.events {
         Arc::new(JsonLinesSink::stderr())
     } else {
@@ -516,8 +446,6 @@ fn cmd_synth(pattern: &AppPattern, raw: &str, opts: &Options) -> Result<String, 
         // Bind the certificate to the same job fingerprint the serve
         // cache would use for this request, so the file is
         // interchangeable with a daemon's cached certificate.
-        let parsed = parse_pattern(raw, &ParseOptions::new())
-            .map_err(|e| format!("canonicalizing pattern for certificate: {e}"))?;
         let fp = job_fingerprint(parsed.kind, &parsed.canonical, &request);
         let cert = result.certificate(pattern, Some(fp)).to_json();
         std::fs::write(cert_path, format!("{cert}\n"))
@@ -618,17 +546,21 @@ fn outcome_result<'a>(
     })
 }
 
-fn cmd_simulate(schedule: &PhaseSchedule, opts: &Options) -> Result<String, String> {
-    let (net, policy) = build_network(schedule, opts)?;
-    let plan = place(&net, opts.seed);
-    let config = SimConfig::paper().with_link_delays(plan.link_lengths(&net));
-    let stats = AppDriver::new(&net, policy, config)
+fn cmd_simulate(
+    schedule: &PhaseSchedule,
+    net: &Network,
+    policy: RoutePolicy,
+    opts: &Options,
+) -> Result<String, String> {
+    let plan = place(net, opts.seed);
+    let config = SimConfig::paper().with_link_delays(plan.link_lengths(net));
+    let stats = AppDriver::new(net, policy, config)
         .run(schedule)
         .map_err(|e| e.to_string())?;
     if opts.json {
         return Ok(format!(
             "{}\n",
-            sim_stats_json("simulate", &net, &stats, opts)
+            sim_stats_json("simulate", net, &stats, opts)
         ));
     }
     let mut out = String::new();
@@ -648,14 +580,13 @@ fn cmd_simulate(schedule: &PhaseSchedule, opts: &Options) -> Result<String, Stri
     Ok(out)
 }
 
-fn cmd_verify_pattern(
+fn cmd_verify(
     pattern: &AppPattern,
-    schedule: &PhaseSchedule,
+    policy: &RoutePolicy,
     opts: &Options,
 ) -> Result<String, String> {
-    let (_, policy) = build_network_for(pattern, schedule, opts)?;
     // Deterministic table: take the first-alternative route per flow.
-    let routes = policy_table(&policy, pattern)?;
+    let routes = policy_table(policy, pattern)?;
     let report = verify_contention_free(pattern.contention(), &routes);
     if opts.json {
         let obj = JsonValue::object([
@@ -705,23 +636,23 @@ fn sim_stats_json(
 /// scenario, repair the route table over the surviving subgraph, and
 /// re-run the Theorem 1 check on the repaired table.
 fn cmd_faults(
-    pattern: &AppPattern,
-    schedule: &PhaseSchedule,
-    parsed: &Pattern,
+    parsed: &ParsedPattern,
+    net: &Network,
+    policy: &RoutePolicy,
     opts: &Options,
 ) -> Result<String, String> {
-    let (net, policy) = build_network_for(pattern, schedule, opts)?;
-    let routes = policy_table(&policy, pattern)?;
+    let pattern = &parsed.pattern;
+    let routes = policy_table(policy, pattern)?;
     let scenarios: Vec<FaultScenario> = if opts.exhaustive {
-        FaultScenario::enumerate_single_link_faults(&net)
+        FaultScenario::enumerate_single_link_faults(net)
             .into_iter()
-            .chain(FaultScenario::enumerate_single_switch_faults(&net))
+            .chain(FaultScenario::enumerate_single_switch_faults(net))
             .collect()
     } else {
         (0..opts.scenarios as u64)
             .map(|k| {
                 FaultScenario::sample(
-                    &net,
+                    net,
                     opts.fault_links,
                     opts.fault_switches,
                     opts.scenario_seed.wrapping_add(k),
@@ -736,7 +667,7 @@ fn cmd_faults(
     // returns results in input order, so the rendered report is
     // byte-identical for any --jobs value.
     let reports: Vec<DegradationReport> = par_map(scenarios, opts.jobs, |scenario| {
-        DegradationReport::analyze(&net, pattern.contention(), &routes, scenario)
+        DegradationReport::analyze(net, pattern.contention(), &routes, scenario)
     });
     let mut out = String::new();
     if opts.json {
@@ -753,18 +684,19 @@ fn cmd_faults(
                 report.repaired_routes(),
                 None,
             );
-            let delta = match check_certificate_for(parsed, &cert.to_json(), None, &check_opts) {
-                Ok(summary) => JsonValue::object([
-                    ("valid", JsonValue::from(true)),
-                    ("contention_free", JsonValue::from(summary.contention_free)),
-                    ("routes", JsonValue::from(summary.n_routes)),
-                    ("binding", JsonValue::from(summary.binding)),
-                ]),
-                Err(rej) => JsonValue::object([
-                    ("valid", JsonValue::from(false)),
-                    ("fingerprint", JsonValue::from(rej.fingerprint())),
-                ]),
-            };
+            let delta =
+                match check_certificate_for(&parsed.source, &cert.to_json(), None, &check_opts) {
+                    Ok(summary) => JsonValue::object([
+                        ("valid", JsonValue::from(true)),
+                        ("contention_free", JsonValue::from(summary.contention_free)),
+                        ("routes", JsonValue::from(summary.n_routes)),
+                        ("binding", JsonValue::from(summary.binding)),
+                    ]),
+                    Err(rej) => JsonValue::object([
+                        ("valid", JsonValue::from(false)),
+                        ("fingerprint", JsonValue::from(rej.fingerprint())),
+                    ]),
+                };
             let base = report.to_json();
             let mut fields: Vec<(String, JsonValue)> = base
                 .as_object()
@@ -922,15 +854,8 @@ fn dispatch_probe(input: &[u8]) -> CaseReport {
     if parse_options(&argv[1..]).is_err() {
         return CaseReport::rejected(ticks, "options-rejected");
     }
-    match parse_input("<fuzz>", body) {
-        Ok(Pattern::Schedule(s)) => {
-            let pattern = AppPattern::from_schedule(&s);
-            CaseReport::accepted(ticks, pattern.flows().len() as u64)
-        }
-        Ok(Pattern::Trace(t)) => {
-            let pattern = AppPattern::from_trace(&t);
-            CaseReport::accepted(ticks, pattern.flows().len() as u64)
-        }
+    match parse_pattern(body, &ParseOptions::new()) {
+        Ok(parsed) => CaseReport::accepted(ticks, parsed.pattern.flows().len() as u64),
         Err(_) => CaseReport::rejected(ticks, "input-rejected"),
     }
 }
@@ -1053,8 +978,8 @@ fn cmd_client(args: &[String]) -> Result<String, String> {
         return Err(usage.into());
     };
     let (request, client_opts) = match op.as_str() {
-        "status" => (r#"{"op":"status"}"#.to_string(), parse_options(&args[2..])?),
-        "stats" => (r#"{"op":"stats"}"#.to_string(), parse_options(&args[2..])?),
+        "status" => (Request::Status.to_json(), parse_options(&args[2..])?),
+        "stats" => (Request::Stats.to_json(), parse_options(&args[2..])?),
         "submit" => {
             let Some(path) = args.get(2) else {
                 return Err("client submit requires a pattern file".into());
@@ -1062,27 +987,7 @@ fn cmd_client(args: &[String]) -> Result<String, String> {
             let opts = parse_options(&args[3..])?;
             let pattern =
                 std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-            // Seed, restarts and max-degree are always sent explicitly
-            // (CLI defaults match the daemon's), and the mode exactly when
-            // `synth_request` would decompose, so the submitted job is
-            // exactly the one `nocsyn synth` would run locally.
-            let mut fields = vec![
-                ("op", JsonValue::from("synth")),
-                ("pattern", JsonValue::from(pattern)),
-                ("seed", JsonValue::from(opts.seed)),
-                ("restarts", JsonValue::from(opts.restarts)),
-                ("max_degree", JsonValue::from(opts.max_degree)),
-            ];
-            if let Some(d) = opts.deadline_ms {
-                fields.push(("deadline_ms", JsonValue::from(d)));
-            }
-            if opts.decompose {
-                fields.push(("mode", JsonValue::from("decomposed")));
-                if let Some(k) = opts.clusters {
-                    fields.push(("clusters", JsonValue::from(k)));
-                }
-            }
-            (JsonValue::object(fields).to_string(), opts)
+            (Request::Synth(synth_job(&opts, pattern)?).to_json(), opts)
         }
         other => return Err(format!("unknown client operation `{other}`; {usage}")),
     };
@@ -1119,13 +1024,15 @@ fn cmd_chaos(opts: &Options) -> Result<String, String> {
 }
 
 /// Open-loop replay of a timed trace (`simulate` on trace input).
-fn cmd_replay(trace: &Trace, opts: &Options) -> Result<String, String> {
-    let stand_in = schedule_stand_in(trace);
-    let pattern = AppPattern::from_trace(trace);
-    let (net, policy) = build_network_for(&pattern, &stand_in, opts)?;
-    let plan = place(&net, opts.seed);
-    let config = SimConfig::paper().with_link_delays(plan.link_lengths(&net));
-    let stats = nocsyn_sim::run_trace(&net, &policy, config, trace).map_err(|e| e.to_string())?;
+fn cmd_replay(
+    trace: &Trace,
+    net: &Network,
+    policy: &RoutePolicy,
+    opts: &Options,
+) -> Result<String, String> {
+    let plan = place(net, opts.seed);
+    let config = SimConfig::paper().with_link_delays(plan.link_lengths(net));
+    let stats = nocsyn_sim::run_trace(net, policy, config, trace).map_err(|e| e.to_string())?;
     if opts.json {
         let obj = JsonValue::object([
             ("command", JsonValue::from("replay")),
@@ -1151,22 +1058,14 @@ fn cmd_replay(trace: &Trace, opts: &Options) -> Result<String, String> {
     Ok(out)
 }
 
-/// Builds the requested comparison network for a schedule.
-fn build_network(
-    schedule: &PhaseSchedule,
-    opts: &Options,
-) -> Result<(Network, RoutePolicy), String> {
-    build_network_for(&AppPattern::from_schedule(schedule), schedule, opts)
-}
-
-/// Builds the requested comparison network for an explicit pattern (the
-/// schedule is only consulted for the process count).
+/// Builds the network `--network` names for the pattern. `text` is the
+/// pattern's source, which `--network generated` runs as the flags' job.
 fn build_network_for(
     pattern: &AppPattern,
-    schedule: &PhaseSchedule,
+    text: String,
     opts: &Options,
 ) -> Result<(Network, RoutePolicy), String> {
-    let n = schedule.n_procs().max(pattern.n_procs());
+    let n = pattern.n_procs();
     let (rows, cols) = near_square(n);
     match opts.network.as_str() {
         "crossbar" => {
@@ -1183,7 +1082,9 @@ fn build_network_for(
             Ok((net, RoutePolicy::adaptive(vec![xy, yx])))
         }
         "generated" => {
-            let request = synth_request(pattern, opts)?;
+            let request = synth_job(opts, text)?
+                .build(pattern.clone(), None)
+                .map_err(|e| e.detail)?;
             let outcome = Engine::new().with_workers(opts.jobs).synthesize(request);
             let result = outcome_result(&outcome, opts)?;
             Ok((
@@ -1714,7 +1615,93 @@ mod tests {
         assert!(run(&args(&["synth", &path, "--deadline-ms", "soon"])).is_err());
         assert!(run(&args(&["simulate", &path, "--network", "hypercube"])).is_err());
         assert!(run(&args(&["synth", &path, "--wat"])).is_err());
+        // A cluster count without decomposition is refused, not ignored,
+        // locally and before a submit connects.
+        for cmd in [
+            args(&["synth", &path]),
+            args(&["simulate", &path, "--network", "generated"]),
+            args(&["client", "127.0.0.1:9", "submit", &path]),
+        ] {
+            let err = run(&[cmd, args(&["--clusters", "2"])].concat()).unwrap_err();
+            assert_eq!(err, "--clusters requires --decompose");
+        }
         let bad = write_pattern("badpattern", "phase\n 0 -> 1\n");
         assert!(run(&args(&["info", &bad])).is_err());
+    }
+
+    #[test]
+    fn synth_and_client_submit_compute_one_job_fingerprint() {
+        let texts = [
+            PATTERN,
+            "procs 4\n# the same job, presented differently\nphase bytes=256\n 0->1\n 2->3\nphase bytes=256\n 1->2\n 3->0\n",
+            "procs 4\nmsg 0 -> 1 start=0 finish=200 bytes=256\nmsg 2 -> 3 start=0 finish=200\n",
+        ];
+        let parse = |text: &str| parse_pattern(text, &ParseOptions::new()).expect("valid pattern");
+        let mut rng = nocsyn_rng::Rng::seed_from_u64(0x10B);
+        let mut distinct = std::collections::BTreeSet::new();
+        for case in 0..300 {
+            let mut flags: Vec<String> = Vec::new();
+            let mut flag = |name: &str, value: Option<u64>| {
+                flags.push(name.to_string());
+                flags.extend(value.map(|v| v.to_string()));
+            };
+            let pick = |rng: &mut nocsyn_rng::Rng, small: u64| match rng.gen_range(0..4u32) {
+                0 => u64::MAX,
+                _ => rng.gen_range(0..=small),
+            };
+            if rng.gen_bool(0.5) {
+                let seed = pick(&mut rng, 1 << 40);
+                flag("--seed", Some(seed));
+            }
+            if rng.gen_bool(0.5) {
+                let restarts = pick(&mut rng, 12).max(1);
+                flag("--restarts", Some(restarts));
+            }
+            if rng.gen_bool(0.5) {
+                let degree = pick(&mut rng, 8);
+                flag("--max-degree", Some(degree));
+            }
+            if rng.gen_bool(0.3) {
+                let ms = pick(&mut rng, 60_000);
+                flag("--deadline-ms", Some(ms));
+            }
+            if rng.gen_bool(0.5) {
+                flag("--decompose", None);
+            }
+            if rng.gen_bool(0.4) {
+                let clusters = pick(&mut rng, 4);
+                flag("--clusters", Some(clusters));
+            }
+            if rng.gen_bool(0.3) {
+                let jobs = rng.gen_range(1..=4u64);
+                flag("--jobs", Some(jobs));
+            }
+            let text = texts[case % texts.len()];
+            let opts = parse_options(&flags).expect("generated flags parse");
+            // What `synth` runs, keyed as `--emit-cert` keys it.
+            let local = synth_job(&opts, text.to_string()).and_then(|job| {
+                let parsed = parse(text);
+                job.build(parsed.pattern, None)
+                    .map(|r| job_fingerprint(parsed.kind, &parsed.canonical, &r))
+                    .map_err(|e| e.detail)
+            });
+            // The line `client submit` sends, through the daemon's steps.
+            let served = synth_job(&opts, text.to_string()).and_then(|job| {
+                let line = Request::Synth(job).to_json();
+                let Ok(Request::Synth(wire)) = nocsyn_serve::parse_request(&line) else {
+                    panic!("the daemon refuses the submitted line {line}");
+                };
+                let parsed = parse(&wire.pattern);
+                wire.build(parsed.pattern, None)
+                    .map(|r| job_fingerprint(parsed.kind, &parsed.canonical, &r))
+                    .map_err(|e| e.detail)
+            });
+            assert_eq!(local, served, "flags {flags:?}");
+            if let Ok(fp) = local {
+                distinct.insert(fp);
+            }
+        }
+        // The flag sets really vary the job.
+        assert!(distinct.len() > 100, "{} distinct jobs", distinct.len());
     }
 }
