@@ -140,6 +140,16 @@ printf '%s\n' "$req" | ./target/release/nocsyn serve --drain > "$j1"
 printf '%s\n' "$req" | ./target/release/nocsyn serve --drain --events > "$j4" 2> /dev/full
 diff "$j1" "$j4"
 
+echo "==> restart-ceiling gate: an oversized restart count gets a typed reply, the daemon lives on"
+# Without --max-restarts the daemon hands a request's restart count to
+# the request builder, which refuses counts above its fixed ceiling. The
+# refusal is a reply: the next line is answered and the daemon exits 0.
+big='{"op":"synth","pattern":"procs 4\nphase\n  0 -> 1\n  2 -> 3\n","restarts":18446744073709551615}'
+printf '%s\n{"op":"stats"}\n' "$big" | ./target/release/nocsyn serve --drain > "$j1"
+test "$(wc -l < "$j1")" -eq 2
+head -n 1 "$j1" | grep -q '"error":"too-many-restarts"'
+tail -n 1 "$j1" | grep -q '"reply":"stats"'
+
 echo "==> chaos gate: seeded fault schedule, zero violations, byte-identical across runs"
 # Deterministic chaos harness over the in-process serve stack: injected
 # disk/socket/engine faults must never tear a served entry or produce a

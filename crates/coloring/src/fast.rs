@@ -11,7 +11,7 @@
 
 use std::collections::BTreeSet;
 
-use nocsyn_model::{CliqueSet, Flow, FlowSet};
+use nocsyn_model::{BitSet, CliqueSet, Flow};
 
 /// Lower-bounds the links needed by *one direction* of a pipe carrying
 /// `crossing`: the maximum, over every maximum clique, of how many clique
@@ -51,14 +51,14 @@ pub fn fast_color(
 }
 
 /// Bitset form of [`fast_color_directed`]: the clique masks come from
-/// [`CliqueSet::compile_masks`] and `crossing` is a [`FlowSet`] over the
+/// [`CliqueSet::compile_masks`] and `crossing` is a [`BitSet`] over the
 /// same interner, so each clique costs one AND + popcount pass instead of
 /// a tree probe per member.
 ///
 /// Computes the identical integer as the predicate form — `|mask ∩
 /// crossing|` is the same count whichever representation holds the sets —
 /// which is what keeps bitset-backed synthesis bit-identical.
-pub fn fast_color_directed_masks(clique_masks: &[FlowSet], crossing: &FlowSet) -> usize {
+pub fn fast_color_directed_masks(clique_masks: &[BitSet], crossing: &BitSet) -> usize {
     clique_masks
         .iter()
         .map(|m| m.intersection_len(crossing))
@@ -68,7 +68,7 @@ pub fn fast_color_directed_masks(clique_masks: &[FlowSet], crossing: &FlowSet) -
 
 /// Bitset form of [`fast_color`]: per-direction [`fast_color_directed_masks`],
 /// maximum of the two.
-pub fn fast_color_masks(clique_masks: &[FlowSet], forward: &FlowSet, backward: &FlowSet) -> usize {
+pub fn fast_color_masks(clique_masks: &[BitSet], forward: &BitSet, backward: &BitSet) -> usize {
     fast_color_directed_masks(clique_masks, forward)
         .max(fast_color_directed_masks(clique_masks, backward))
 }

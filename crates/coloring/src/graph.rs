@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use nocsyn_model::{ContentionSet, Flow};
+use nocsyn_model::{BitSet, ContentionSet, Flow};
 
 /// An undirected graph whose vertices are communications (flows) and whose
 /// edges join pairs that potentially conflict in time.
@@ -12,8 +12,8 @@ use nocsyn_model::{ContentionSet, Flow};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConflictGraph {
     flows: Vec<Flow>,
-    /// `adj[i]` holds one bit per vertex, packed into 64-bit words.
-    adj: Vec<Vec<u64>>,
+    /// `adj[i]` holds the neighbors of vertex `i`.
+    adj: Vec<BitSet>,
     n_edges: usize,
 }
 
@@ -26,14 +26,13 @@ impl ConflictGraph {
     /// per the paper's model such repeats are carried by the same vertex.
     pub fn from_flows(flows: Vec<Flow>, contention: &ContentionSet) -> Self {
         let n = flows.len();
-        let words = n.div_ceil(64);
-        let mut adj = vec![vec![0u64; words]; n];
+        let mut adj = vec![BitSet::with_capacity(n); n];
         let mut n_edges = 0;
         for i in 0..n {
             for j in i + 1..n {
                 if contention.conflicts(flows[i], flows[j]) {
-                    adj[i][j / 64] |= 1 << (j % 64);
-                    adj[j][i / 64] |= 1 << (i % 64);
+                    adj[i].insert(j);
+                    adj[j].insert(i);
                     n_edges += 1;
                 }
             }
@@ -55,14 +54,12 @@ impl ConflictGraph {
     /// Panics if an edge endpoint is out of range or a self-loop.
     pub fn from_edges(n: usize, edges: &[(usize, usize)]) -> Self {
         let flows = (0..n).map(|i| Flow::from_indices(i, i + n)).collect();
-        let words = n.div_ceil(64);
-        let mut adj = vec![vec![0u64; words]; n];
+        let mut adj = vec![BitSet::with_capacity(n); n];
         let mut n_edges = 0;
         for &(i, j) in edges {
             assert!(i < n && j < n && i != j, "bad edge ({i}, {j}) for n = {n}");
-            if adj[i][j / 64] & (1 << (j % 64)) == 0 {
-                adj[i][j / 64] |= 1 << (j % 64);
-                adj[j][i / 64] |= 1 << (i % 64);
+            if adj[i].insert(j) {
+                adj[j].insert(i);
                 n_edges += 1;
             }
         }
@@ -94,20 +91,17 @@ impl ConflictGraph {
 
     /// Whether vertices `i` and `j` are adjacent.
     pub fn adjacent(&self, i: usize, j: usize) -> bool {
-        self.adj[i][j / 64] & (1 << (j % 64)) != 0
+        self.adj[i].contains(j)
     }
 
     /// Degree of vertex `i`.
     pub fn degree(&self, i: usize) -> usize {
-        self.adj[i].iter().map(|w| w.count_ones() as usize).sum()
+        self.adj[i].len()
     }
 
     /// Iterates over the neighbors of vertex `i` in increasing order.
     pub fn neighbors(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
-        self.adj[i]
-            .iter()
-            .enumerate()
-            .flat_map(|(w, &bits)| BitIter { bits, base: w * 64 })
+        self.adj[i].iter()
     }
 
     /// A greedy lower bound on the clique number: grows a clique from each
@@ -144,23 +138,6 @@ impl fmt::Display for ConflictGraph {
             writeln!(f, "  {} ({}): [{}]", i, self.flows[i], nb.join(", "))?;
         }
         Ok(())
-    }
-}
-
-struct BitIter {
-    bits: u64,
-    base: usize,
-}
-
-impl Iterator for BitIter {
-    type Item = usize;
-    fn next(&mut self) -> Option<usize> {
-        if self.bits == 0 {
-            return None;
-        }
-        let tz = self.bits.trailing_zeros() as usize;
-        self.bits &= self.bits - 1;
-        Some(self.base + tz)
     }
 }
 

@@ -1,5 +1,7 @@
 //! DSATUR greedy coloring: a fast, good upper bound.
 
+use nocsyn_model::BitSet;
+
 use crate::{Coloring, ConflictGraph};
 
 /// Colors `graph` with the DSATUR heuristic (Brélaz 1979): repeatedly pick
@@ -14,9 +16,8 @@ use crate::{Coloring, ConflictGraph};
 pub fn greedy_dsatur(graph: &ConflictGraph) -> Coloring {
     let n = graph.n();
     let mut colors: Vec<Option<usize>> = vec![None; n];
-    // saturation[v]: bitmask (by Vec<u64>) of neighbor colors, plus count.
-    let words = n.div_ceil(64).max(1);
-    let mut neighbor_colors: Vec<Vec<u64>> = vec![vec![0u64; words]; n];
+    // The colors of v's colored neighbors, and how many there are.
+    let mut neighbor_colors = vec![BitSet::new(); n];
     let mut saturation = vec![0usize; n];
 
     for _ in 0..n {
@@ -28,18 +29,14 @@ pub fn greedy_dsatur(graph: &ConflictGraph) -> Coloring {
 
         // Lowest color absent from v's neighborhood.
         let mut color = 0;
-        while neighbor_colors[v][color / 64] & (1 << (color % 64)) != 0 {
+        while neighbor_colors[v].contains(color) {
             color += 1;
         }
         colors[v] = Some(color);
 
         for u in graph.neighbors(v) {
-            if colors[u].is_none() {
-                let bit = 1u64 << (color % 64);
-                if neighbor_colors[u][color / 64] & bit == 0 {
-                    neighbor_colors[u][color / 64] |= bit;
-                    saturation[u] += 1;
-                }
+            if colors[u].is_none() && neighbor_colors[u].insert(color) {
+                saturation[u] += 1;
             }
         }
     }

@@ -64,7 +64,7 @@ pub(crate) fn materialize(
     let mut final_pipes: BTreeMap<PipeKey, FinalPipe> = BTreeMap::new();
     for (key, _) in p.pipes() {
         let (fwd, bwd) = p.pipe_flows(key).expect("pipes() yields live keys");
-        let color_dir = |set: &nocsyn_model::FlowSet| -> (usize, BTreeMap<Flow, usize>) {
+        let color_dir = |set: &nocsyn_model::BitSet| -> (usize, BTreeMap<Flow, usize>) {
             if set.is_empty() {
                 return (0, BTreeMap::new());
             }

@@ -7,15 +7,15 @@
 //! communications crossing it, per direction. The concrete [`Network`]
 //! (with real parallel links) is only materialized at finalization.
 //!
-//! Pipes live in append-only *slots* addressed through a
-//! [`ResourceInterner`], and every flow carries a [`RouteSet`] footprint
-//! of the directed pipe resources its path crosses (resource id =
-//! `slot * 2 + direction`). A candidate reroute therefore never walks the
-//! pipe map: its old crossings come straight from the footprint, its new
-//! crossings from the candidate path, and the two lists cancel by parity —
-//! the delta-update invariant of DESIGN.md §12. [`Partitioning::probe_score`]
-//! evaluates a reroute from those toggles alone, with the full recompute
-//! demoted to a debug-assert oracle.
+//! Pipes live in append-only *slots*, numbered in first-seen order, and
+//! every flow carries a [`BitSet`] footprint of the directed pipe
+//! resources its path crosses (resource id = `slot * 2 + direction`). A
+//! candidate reroute therefore never walks the pipe map: its old
+//! crossings come straight from the footprint, its new crossings from the
+//! candidate path, and the two lists cancel by parity — the delta-update
+//! invariant of DESIGN.md §11–12. [`Partitioning::probe_score`] evaluates
+//! a reroute from those toggles alone, with the full recompute demoted to
+//! a debug-assert oracle.
 //!
 //! [`Network`]: nocsyn_topo::Network
 
@@ -24,9 +24,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 use nocsyn_coloring::{exact_chromatic, fast_color_directed_masks, ConflictGraph};
-use nocsyn_model::{
-    ContentionSet, Flow, FlowInterner, FlowSet, FxBuildHasher, ProcId, ResourceInterner, RouteSet,
-};
+use nocsyn_model::{BitSet, ContentionSet, Flow, FlowInterner, FxBuildHasher, ProcId};
 use nocsyn_rng::Rng;
 
 use crate::anneal::Acceptor;
@@ -83,21 +81,15 @@ impl fmt::Display for PipeKey {
     }
 }
 
-/// The opaque resource key a pipe interns under (switch indices packed
-/// into one word; switch counts never approach 2^32).
-fn pipe_key_code(key: PipeKey) -> u64 {
-    ((key.lo as u64) << 32) | key.hi as u64
-}
-
-/// The communications crossing one pipe (as [`FlowSet`] bitmasks over the
+/// The communications crossing one pipe (as [`BitSet`]s over the
 /// pattern's interned flow ids), with its current per-direction link
 /// estimates. Slots persist after a pipe drains (empty sets, zero links)
 /// so footprint resource ids stay stable for the whole search.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct PipeState {
     pub(crate) key: PipeKey,
-    pub(crate) forward: FlowSet,
-    pub(crate) backward: FlowSet,
+    pub(crate) forward: BitSet,
+    pub(crate) backward: BitSet,
     /// Population counts of `forward` / `backward`, maintained on every
     /// toggle so emptiness tests never scan the bitset words.
     fwd_n: usize,
@@ -116,8 +108,8 @@ impl PipeState {
     fn new(key: PipeKey, universe: usize) -> Self {
         PipeState {
             key,
-            forward: FlowSet::new(universe),
-            backward: FlowSet::new(universe),
+            forward: BitSet::with_capacity(universe),
+            backward: BitSet::with_capacity(universe),
             fwd_n: 0,
             bwd_n: 0,
             fwd_gen: 0,
@@ -176,15 +168,14 @@ pub struct Partitioning {
     /// `pattern.cliques()` compiled to bitmasks over `interner`, once per
     /// partitioning — the `Fast_Color` hot path is AND + popcount against
     /// these.
-    clique_masks: Vec<FlowSet>,
+    clique_masks: Vec<BitSet>,
     /// Processor index → flow indices with that processor as an endpoint
     /// (ascending), precomputed so moves don't rescan the flow list.
     proc_flows: Vec<Vec<usize>>,
-    /// Pipe key (packed) → slot id, in first-seen order. Append-only.
-    pipe_ids: ResourceInterner,
-    /// Dense mirror of `pipe_ids`: `lo * pipe_stride + hi` → slot (or
+    /// Pipe key → slot, densely: `lo * pipe_stride + hi` → slot (or
     /// `u32::MAX`), so the probe loop resolves a pipe with one indexed
-    /// load instead of a hash lookup. Rebuilt when a switch is added.
+    /// load. Holds every slot; rebuilt from `pipe_slots` when a switch is
+    /// added.
     pipe_lookup: Vec<u32>,
     pipe_stride: usize,
     /// Slot id → pipe state. A drained pipe keeps its slot zeroed rather
@@ -196,7 +187,7 @@ pub struct Partitioning {
     /// Flow index → footprint of directed pipe resources its path crosses
     /// (resource id = `slot * 2 + direction`), maintained by XOR-toggle in
     /// lock-step with `paths`.
-    footprints: Vec<RouteSet>,
+    footprints: Vec<BitSet>,
     /// Switch index → sum of link estimates of incident pipes, maintained
     /// by [`Partitioning::recompute_pipe_slot`] so [`Partitioning::degree`]
     /// is O(1) instead of a scan over the pipe map.
@@ -216,7 +207,7 @@ pub struct Partitioning {
     probe_toggles: Vec<usize>,
     probe_switches: Vec<(usize, isize, isize)>,
     /// Reused bitset holding a probed direction's crossing set.
-    dir_scratch: FlowSet,
+    dir_scratch: BitSet,
     /// Generation-checked memo of flipped-direction estimates, keyed by
     /// `(slot, direction, flow)` packed into one word. Entries are valid
     /// while the direction's edit generation matches; stale entries are
@@ -226,10 +217,10 @@ pub struct Partitioning {
     /// function of the set (clique masks are fixed per pattern), so caching
     /// changes no computed value — it only spares the mask sweep when the
     /// annealed reroute loop revisits a set, which it does constantly.
-    fast_cache: HashMap<FlowSet, usize, FxBuildHasher>,
+    fast_cache: HashMap<BitSet, usize, FxBuildHasher>,
     /// Memoized exact chromatic numbers per crossing set (same purity
     /// argument as `fast_cache`, for the branch-and-bound).
-    chi_cache: HashMap<FlowSet, usize, FxBuildHasher>,
+    chi_cache: HashMap<BitSet, usize, FxBuildHasher>,
     /// Committed score memo, invalidated by every mutation; `Cell` so the
     /// historically-`&self` [`Partitioning::score`] can fill it.
     score_memo: Cell<Option<ScoreMemo>>,
@@ -251,10 +242,9 @@ fn proc_flow_table(pattern: &AppPattern) -> Vec<Vec<usize>> {
 
 /// Looks up (or creates) the slot of `key`. Free function over the
 /// storage fields so callers can hold disjoint borrows of the rest of the
-/// partitioning. The dense mirror answers repeat lookups; the interner is
-/// only consulted (and the mirror filled) the first time a pipe appears.
+/// partitioning. The dense lookup holds every known slot, so a miss is a
+/// new pipe and takes the next slot.
 fn intern_pipe_slot(
-    pipe_ids: &mut ResourceInterner,
     pipe_slots: &mut Vec<PipeState>,
     pipe_lookup: &mut [u32],
     pipe_stride: usize,
@@ -262,15 +252,11 @@ fn intern_pipe_slot(
     key: PipeKey,
 ) -> usize {
     let cell = &mut pipe_lookup[key.lo * pipe_stride + key.hi];
-    if *cell != u32::MAX {
-        return *cell as usize;
-    }
-    let slot = pipe_ids.intern(pipe_key_code(key));
-    if slot == pipe_slots.len() {
+    if *cell == u32::MAX {
+        *cell = pipe_slots.len() as u32;
         pipe_slots.push(PipeState::new(key, universe));
     }
-    *cell = slot as u32;
-    slot
+    *cell as usize
 }
 
 /// Link estimate of one pipe direction under `strategy`, memoized per
@@ -278,12 +264,12 @@ fn intern_pipe_slot(
 /// returns, so hits change no computed value.
 fn estimate_dir(
     strategy: ColoringStrategy,
-    clique_masks: &[FlowSet],
+    clique_masks: &[BitSet],
     interner: &FlowInterner,
     contention: &ContentionSet,
-    fast_cache: &mut HashMap<FlowSet, usize, FxBuildHasher>,
-    chi_cache: &mut HashMap<FlowSet, usize, FxBuildHasher>,
-    set: &FlowSet,
+    fast_cache: &mut HashMap<BitSet, usize, FxBuildHasher>,
+    chi_cache: &mut HashMap<BitSet, usize, FxBuildHasher>,
+    set: &BitSet,
 ) -> usize {
     if set.is_empty() {
         return 0;
@@ -335,12 +321,11 @@ impl Partitioning {
             interner,
             clique_masks,
             proc_flows,
-            pipe_ids: ResourceInterner::new(),
             pipe_lookup: vec![u32::MAX],
             pipe_stride: 1,
             pipe_slots: Vec::new(),
             live_pipes: BTreeMap::new(),
-            footprints: vec![RouteSet::new(); n_flows],
+            footprints: vec![BitSet::new(); n_flows],
             incident_links: vec![0],
             incident_pipes: vec![0],
             switch_live: vec![true],
@@ -348,7 +333,7 @@ impl Partitioning {
             touched_scratch: Vec::new(),
             probe_toggles: Vec::new(),
             probe_switches: Vec::new(),
-            dir_scratch: FlowSet::new(n_flows),
+            dir_scratch: BitSet::with_capacity(n_flows),
             probe_cache: HashMap::default(),
             fast_cache: HashMap::default(),
             chi_cache: HashMap::default(),
@@ -394,18 +379,17 @@ impl Partitioning {
             touched_scratch: Vec::new(),
             probe_toggles: Vec::new(),
             probe_switches: Vec::new(),
-            dir_scratch: FlowSet::new(n_flows),
+            dir_scratch: BitSet::with_capacity(n_flows),
             probe_cache: HashMap::default(),
             fast_cache: HashMap::default(),
             chi_cache: HashMap::default(),
             score_memo: Cell::new(None),
             members,
-            pipe_ids: ResourceInterner::new(),
             pipe_lookup: vec![u32::MAX; n_switches * n_switches],
             pipe_stride: n_switches,
             pipe_slots: Vec::new(),
             live_pipes: BTreeMap::new(),
-            footprints: vec![RouteSet::new(); n_flows],
+            footprints: vec![BitSet::new(); n_flows],
             total_links: 0,
             stats: SearchStats::default(),
         };
@@ -474,7 +458,7 @@ impl Partitioning {
     /// The flows crossing `pipe` in its forward and backward directions,
     /// as bitsets over [`Partitioning::interner`] ids (iterating a set
     /// yields ids in ascending order — lexicographic flow order).
-    pub fn pipe_flows(&self, pipe: PipeKey) -> Option<(&FlowSet, &FlowSet)> {
+    pub fn pipe_flows(&self, pipe: PipeKey) -> Option<(&BitSet, &BitSet)> {
         self.live_pipes.get(&pipe).map(|&slot| {
             let st = &self.pipe_slots[slot];
             (&st.forward, &st.backward)
@@ -630,7 +614,6 @@ impl Partitioning {
                 for w in path.windows(2) {
                     let key = PipeKey::new(w[0], w[1]);
                     let slot = intern_pipe_slot(
-                        &mut self.pipe_ids,
                         &mut self.pipe_slots,
                         &mut self.pipe_lookup,
                         self.pipe_stride,
@@ -687,7 +670,6 @@ impl Partitioning {
         for w in new_path.windows(2) {
             let key = PipeKey::new(w[0], w[1]);
             let slot = intern_pipe_slot(
-                &mut self.pipe_ids,
                 &mut self.pipe_slots,
                 &mut self.pipe_lookup,
                 self.pipe_stride,
@@ -975,7 +957,7 @@ impl Partitioning {
     /// From-scratch link estimate of one direction (no caches) — the
     /// reference the consistency oracle compares incremental state against.
     #[cfg(test)]
-    fn estimate_dir_uncached(&self, set: &FlowSet) -> usize {
+    fn estimate_dir_uncached(&self, set: &BitSet) -> usize {
         match self.strategy {
             ColoringStrategy::Fast => fast_color_directed_masks(&self.clique_masks, set),
             ColoringStrategy::Exact => {
@@ -997,8 +979,7 @@ impl Partitioning {
     /// caches match scans.
     #[cfg(test)]
     pub(crate) fn assert_consistent(&self) {
-        let universe = self.paths.len();
-        let mut expect: BTreeMap<PipeKey, (FlowSet, FlowSet)> = BTreeMap::new();
+        let mut expect: BTreeMap<PipeKey, (BitSet, BitSet)> = BTreeMap::new();
         for (idx, path) in self.paths.iter().enumerate() {
             let flow = self.pattern.flows()[idx];
             assert_eq!(path[0], self.home[flow.src.index()], "path start mismatch");
@@ -1009,9 +990,7 @@ impl Partitioning {
             );
             for w in path.windows(2) {
                 let key = PipeKey::new(w[0], w[1]);
-                let e = expect
-                    .entry(key)
-                    .or_insert_with(|| (FlowSet::new(universe), FlowSet::new(universe)));
+                let e = expect.entry(key).or_default();
                 if key.forward_from(w[0]) {
                     e.0.insert(idx);
                 } else {
@@ -1053,11 +1032,6 @@ impl Partitioning {
                 );
             }
             assert_eq!(
-                self.pipe_ids.id(pipe_key_code(st.key)),
-                Some(slot),
-                "slot {slot} not mirrored in the interner"
-            );
-            assert_eq!(
                 self.pipe_lookup[st.key.lo * self.pipe_stride + st.key.hi],
                 slot as u32,
                 "slot {slot} not mirrored in the dense lookup"
@@ -1071,14 +1045,12 @@ impl Partitioning {
         );
         assert_eq!(self.total_links, total, "total_links out of sync");
         for (idx, path) in self.paths.iter().enumerate() {
-            let mut fp = RouteSet::new();
+            let mut fp = BitSet::new();
             for w in path.windows(2) {
                 let key = PipeKey::new(w[0], w[1]);
-                let slot = self
-                    .pipe_ids
-                    .id(pipe_key_code(key))
-                    .expect("crossed pipe is interned");
-                fp.insert(slot * 2 + usize::from(!key.forward_from(w[0])));
+                let slot = self.pipe_lookup[key.lo * self.pipe_stride + key.hi];
+                assert_ne!(slot, u32::MAX, "crossed pipe {key} has no slot");
+                fp.insert(slot as usize * 2 + usize::from(!key.forward_from(w[0])));
             }
             assert_eq!(self.footprints[idx], fp, "footprint of flow {idx}");
         }

@@ -52,6 +52,13 @@ pub enum RequestBuildError {
     /// synthesis at all"; the builder rejects it rather than clamping,
     /// which would hide caller bugs.
     ZeroRestarts,
+    /// More than [`SynthesisRequest::MAX_RESTARTS`] restarts were
+    /// requested. The portfolio runs every restart, so an unbounded count
+    /// is unbounded work from one request.
+    TooManyRestarts {
+        /// The requested restart count.
+        requested: usize,
+    },
     /// `Decomposed { clusters: Some(0) }` was requested; a decomposition
     /// into zero clusters is meaningless.
     ZeroClusters,
@@ -62,6 +69,7 @@ impl RequestBuildError {
     pub fn fingerprint(&self) -> &'static str {
         match self {
             RequestBuildError::ZeroRestarts => "zero-restarts",
+            RequestBuildError::TooManyRestarts { .. } => "too-many-restarts",
             RequestBuildError::ZeroClusters => "zero-clusters",
         }
     }
@@ -73,6 +81,11 @@ impl fmt::Display for RequestBuildError {
             RequestBuildError::ZeroRestarts => {
                 write!(f, "restarts must be at least 1 (got 0)")
             }
+            RequestBuildError::TooManyRestarts { requested } => write!(
+                f,
+                "restarts must be at most {} (got {requested})",
+                SynthesisRequest::MAX_RESTARTS
+            ),
             RequestBuildError::ZeroClusters => {
                 write!(f, "cluster count must be at least 1 (got 0)")
             }
@@ -85,8 +98,9 @@ impl std::error::Error for RequestBuildError {}
 /// A fully validated synthesis job description.
 ///
 /// Construct one through [`SynthesisRequest::builder`]; the builder is the
-/// single place request-level invariants (non-zero restarts, non-zero
-/// cluster count) are enforced.
+/// single place request-level invariants (restarts in
+/// `1..=`[`MAX_RESTARTS`](Self::MAX_RESTARTS), non-zero cluster count) are
+/// enforced.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SynthesisRequest {
     pattern: AppPattern,
@@ -100,6 +114,10 @@ pub struct SynthesisRequest {
 impl SynthesisRequest {
     /// Restart count of a request that does not set one.
     pub const DEFAULT_RESTARTS: usize = 8;
+
+    /// Largest restart count a request accepts. A fixed ceiling, not a
+    /// knob: it bounds the work one request can ask for.
+    pub const MAX_RESTARTS: usize = 1 << 16;
 
     /// Starts building a request for `pattern` with paper-default
     /// configuration, [`DEFAULT_RESTARTS`](Self::DEFAULT_RESTARTS)
@@ -230,9 +248,9 @@ impl SynthesisRequestBuilder {
         self
     }
 
-    /// Sets the restart count. Zero is **rejected** at
-    /// [`build`](SynthesisRequestBuilder::build) with
-    /// [`RequestBuildError::ZeroRestarts`].
+    /// Sets the restart count. Zero and counts above
+    /// [`SynthesisRequest::MAX_RESTARTS`] are **rejected** at
+    /// [`build`](SynthesisRequestBuilder::build).
     #[must_use]
     pub fn restarts(mut self, restarts: usize) -> Self {
         self.restarts = restarts;
@@ -282,10 +300,17 @@ impl SynthesisRequestBuilder {
     /// # Errors
     ///
     /// * [`RequestBuildError::ZeroRestarts`] if `restarts(0)` was called.
+    /// * [`RequestBuildError::TooManyRestarts`] if the restart count is
+    ///   above [`SynthesisRequest::MAX_RESTARTS`].
     /// * [`RequestBuildError::ZeroClusters`] if the mode is
     ///   `Decomposed { clusters: Some(0) }`.
     pub fn build(self) -> Result<SynthesisRequest, RequestBuildError> {
         let restarts = NonZeroUsize::new(self.restarts).ok_or(RequestBuildError::ZeroRestarts)?;
+        if restarts.get() > SynthesisRequest::MAX_RESTARTS {
+            return Err(RequestBuildError::TooManyRestarts {
+                requested: restarts.get(),
+            });
+        }
         if let SynthesisMode::Decomposed { clusters: Some(0) } = self.mode {
             return Err(RequestBuildError::ZeroClusters);
         }
@@ -352,6 +377,26 @@ mod tests {
             .expect_err("zero restarts must be rejected");
         assert_eq!(err, RequestBuildError::ZeroRestarts);
         assert_eq!(err.fingerprint(), "zero-restarts");
+    }
+
+    #[test]
+    fn restarts_above_the_ceiling_are_rejected() {
+        let max = SynthesisRequest::MAX_RESTARTS;
+        let at = SynthesisRequest::builder(pattern4()).restarts(max).build();
+        assert_eq!(at.expect("the ceiling itself builds").restarts().get(), max);
+        for requested in [max + 1, usize::MAX] {
+            let err = SynthesisRequest::builder(pattern4())
+                .restarts(requested)
+                .mode(SynthesisMode::Decomposed { clusters: Some(0) })
+                .build()
+                .expect_err("restarts above the ceiling must be rejected");
+            assert_eq!(err, RequestBuildError::TooManyRestarts { requested });
+            assert_eq!(err.fingerprint(), "too-many-restarts");
+            assert_eq!(
+                err.to_string(),
+                format!("restarts must be at most 65536 (got {requested})")
+            );
+        }
     }
 
     #[test]

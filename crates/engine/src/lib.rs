@@ -19,10 +19,12 @@
 //! [`Engine::run`] takes a batch of [`Job`]s and returns one
 //! [`JobOutcome`] per job, in job order; [`Engine::synthesize`] runs one
 //! request and [`Engine::pareto_sweep`] one request per degree bound.
-//! Work is scheduled at restart granularity: the engine materializes the
-//! bounded queue of `(job, attempt)` units up front and its workers claim
-//! units through an atomic cursor, so restarts of one job and jobs of one
-//! batch share the same worker pool with dynamic load balancing.
+//! Work is scheduled at restart granularity: the `(job, attempt)` units
+//! are numbered job by job, workers claim unit numbers through an atomic
+//! cursor and derive each unit from per-job prefix sums of the attempt
+//! counts, so restarts of one job and jobs of one batch share the same
+//! worker pool with dynamic load balancing, and no allocation grows with
+//! a restart count.
 //!
 //! Every job carries a [`SynthesisRequest`], which may select the
 //! **decomposed** mode for large patterns: the engine clusters the flow
@@ -516,10 +518,11 @@ impl Engine {
 
     /// Runs a batch of jobs and returns their outcomes in job order.
     ///
-    /// Scheduling unit: one restart attempt. The bounded `(job, attempt)`
-    /// queue is materialized up front and workers claim units through an
-    /// atomic cursor, so a long job's portfolio and its batch neighbors
-    /// share the pool. All workers are joined before this returns.
+    /// Scheduling unit: one restart attempt. Workers claim unit numbers
+    /// through an atomic cursor and map each to its `(job, attempt)` by
+    /// the per-job prefix sums of the attempt counts, so a long job's
+    /// portfolio and its batch neighbors share the pool. All workers are
+    /// joined before this returns.
     pub fn run(&self, jobs: Vec<Job>) -> Vec<JobOutcome> {
         // Expand into flat exec jobs: a flat job runs as itself; a
         // decomposed job fans out into one per cluster under
@@ -550,19 +553,20 @@ impl Engine {
             }
         }
 
-        // The attempt count of a flat exec job is its restart count.
+        // The attempt count of a flat exec job is its restart count; exec
+        // `ei` owns the unit numbers `starts[ei]..starts[ei + 1]`.
         let attempts = |exec: &Job| exec.request.restarts().get();
-        let units: Vec<(usize, usize)> = execs
-            .iter()
-            .enumerate()
-            .flat_map(|(ei, exec)| (0..attempts(exec)).map(move |attempt| (ei, attempt)))
-            .collect();
+        let mut starts = vec![0];
+        for exec in &execs {
+            starts.push(starts[starts.len() - 1] + attempts(exec));
+        }
         let states: Vec<JobState> = execs.iter().map(|e| JobState::new(attempts(e))).collect();
         let cursor = AtomicUsize::new(0);
-        if !units.is_empty() {
+        let n_units = starts[execs.len()];
+        if n_units > 0 {
             thread::scope(|scope| {
-                for _ in 0..self.workers.min(units.len()) {
-                    scope.spawn(|| self.work(&execs, &states, &units, &cursor));
+                for _ in 0..self.workers.min(n_units) {
+                    scope.spawn(|| self.work(&execs, &states, &starts, &cursor));
                 }
             });
         }
@@ -663,19 +667,16 @@ impl Engine {
             .collect())
     }
 
-    /// Worker loop: claim units until the queue drains.
-    fn work(
-        &self,
-        execs: &[Job],
-        states: &[JobState],
-        units: &[(usize, usize)],
-        cursor: &AtomicUsize,
-    ) {
+    /// Worker loop: claim unit numbers until they run out. Unit `i` is
+    /// attempt `i - starts[ji]` of the exec job `ji` whose range holds it.
+    fn work(&self, execs: &[Job], states: &[JobState], starts: &[usize], cursor: &AtomicUsize) {
         loop {
             let i = cursor.fetch_add(1, Ordering::Relaxed);
-            let Some(&(ji, attempt)) = units.get(i) else {
+            if i >= starts[execs.len()] {
                 break;
-            };
+            }
+            let ji = starts.partition_point(|&start| start <= i) - 1;
+            let attempt = i - starts[ji];
             let job = &execs[ji];
             let state = &states[ji];
             let started = *state.started.get_or_init(|| {
@@ -864,6 +865,43 @@ mod tests {
             assert!(o.result.is_some(), "{}", o.name);
             assert_eq!(o.attempts_completed, o.attempts_total, "{}", o.name);
         }
+    }
+
+    #[test]
+    fn every_attempt_of_every_job_runs_exactly_once() {
+        let counts = [1, 3, 2];
+        let jobs = counts
+            .iter()
+            .enumerate()
+            .map(|(i, &restarts)| {
+                let request = SynthesisRequest::builder(pattern(4))
+                    .config(config())
+                    .restarts(restarts)
+                    .build()
+                    .expect("flat request builds");
+                Job::new(format!("j{i}"), request)
+            })
+            .collect();
+        let sink = Arc::new(CollectSink::new());
+        Engine::new()
+            .with_workers(2)
+            .with_sink(sink.clone())
+            .run(jobs);
+        let mut ran: Vec<(String, usize)> = sink
+            .events()
+            .into_iter()
+            .filter_map(|e| match e {
+                EngineEvent::RestartCompleted { job, attempt, .. } => Some((job, attempt)),
+                _ => None,
+            })
+            .collect();
+        ran.sort();
+        let expected: Vec<(String, usize)> = counts
+            .iter()
+            .enumerate()
+            .flat_map(|(i, &n)| (0..n).map(move |a| (format!("j{i}"), a)))
+            .collect();
+        assert_eq!(ran, expected);
     }
 
     #[test]

@@ -117,7 +117,7 @@ fn check_with_oracles(text: &str) -> Result<u64, &'static str> {
 /// without re-binding the checks behind it would go untested). The case
 /// is classified by the bytes as given.
 pub fn certify_input_target() -> FuzzTarget {
-    FuzzTarget::new("certify_input", |input| {
+    FuzzTarget::new("certify_input", certify_corpus(), |input| {
         let ticks = input.len() as u64;
         let text = String::from_utf8_lossy(input);
         if let Some(forged) = rebound(&text) {

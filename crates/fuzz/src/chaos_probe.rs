@@ -15,14 +15,16 @@
 //!   as a crash by the runner);
 //! * every value a lookup returns — from memory or from a
 //!   recovered-after-crash disk tier — is one the shadow model inserted
-//!   under that key: torn, foreign, or cross-key bytes are never served.
+//!   under that key: torn, foreign, or cross-key bytes are never served;
+//! * a lookup whose certificate validator refuses is served from memory
+//!   or not at all.
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
 use nocsyn_model::sha256;
-use nocsyn_serve::{ChaosDisk, DiskIo, FaultPlan, FaultPoint, MemDisk, ResultCache};
+use nocsyn_serve::{CacheTier, ChaosDisk, DiskIo, FaultPlan, FaultPoint, MemDisk, ResultCache};
 
 use crate::target::{CaseReport, FuzzTarget};
 
@@ -42,7 +44,7 @@ fn fuzz_cache(store: &Arc<MemDisk>, plan: &Arc<Mutex<FaultPlan>>) -> ResultCache
 /// Built-in target: `ResultCache` + `ChaosDisk` with the shadow-model
 /// oracle.
 pub fn chaos_plan_target() -> FuzzTarget {
-    FuzzTarget::new("chaos_plan", |input| {
+    FuzzTarget::new("chaos_plan", chaos_corpus(), |input| {
         let mut seed_bytes = [0u8; 8];
         for (i, b) in input.iter().take(8).enumerate() {
             seed_bytes[i] = *b;
@@ -76,7 +78,10 @@ pub fn chaos_plan_target() -> FuzzTarget {
                     cache.insert_with_cert(key, value, Some(cert));
                 }
                 1 => {
-                    if let Some((value, _tier)) = cache.lookup(&key) {
+                    // A validator that refuses every certificate: disk
+                    // entries take the refusal path, memory still serves.
+                    if let Some((value, tier)) = cache.lookup_certified(&key, |_| false) {
+                        assert_eq!(tier, CacheTier::Hit, "a refused entry was served");
                         assert!(
                             shadow[k].contains(&value),
                             "lookup served bytes never inserted under this key: {value}"

@@ -14,7 +14,8 @@
 //!   `parse_trace`, the `route_edit_probe` differential oracle over the
 //!   incremental Theorem-1 checker, plus whatever callers register,
 //!   e.g. the CLI dispatch path) that report accepted/rejected/work-done
-//!   per case.
+//!   per case. Each target owns its seed corpus, so an entry added for
+//!   one target changes no other target's cases.
 //! * **Budgets** ([`CaseBudget`]) bound each case: input size is capped
 //!   before the target runs, and the target's self-reported tick and
 //!   output counts are checked after. A violation is recorded, not
@@ -300,9 +301,11 @@ impl FuzzSummary {
     }
 }
 
-/// Runs `iters` cases (or one replay case) against a single target.
-pub fn run_target(target: &FuzzTarget, corpus: &[Vec<u8>], config: &FuzzConfig) -> TargetSummary {
+/// Runs `iters` cases (or one replay case) against a single target,
+/// mutating its own corpus plus the `extra` entries.
+pub fn run_target(target: &FuzzTarget, extra: &[Vec<u8>], config: &FuzzConfig) -> TargetSummary {
     let _hook = triage::SilentPanicGuard::install();
+    let corpus: Vec<Vec<u8>> = target.corpus().iter().chain(extra).cloned().collect();
     let mut summary = TargetSummary {
         name: target.name().to_string(),
         cases: 0,
@@ -319,7 +322,7 @@ pub fn run_target(target: &FuzzTarget, corpus: &[Vec<u8>], config: &FuzzConfig) 
 
     for seed in cases {
         let mut rng = Rng::seed_from_u64(seed);
-        let input = gen::generate_case(&mut rng, corpus, config.budget.max_input_bytes);
+        let input = gen::generate_case(&mut rng, &corpus, config.budget.max_input_bytes);
         summary.cases += 1;
         match triage::run_caught(|| target.run(&input)) {
             Ok(report) => {
@@ -385,12 +388,13 @@ fn record_violation(
     }
 }
 
-/// Runs every named target (or all registered targets for `"all"`)
-/// against the corpus. Unknown names yield `Err` with the valid list.
+/// Runs every named target (or all registered targets for `"all"`),
+/// each over its own corpus plus the `extra` entries (e.g. files from
+/// `--corpus-dir`). Unknown names yield `Err` with the valid list.
 pub fn run(
     registry: &Registry,
     target: &str,
-    corpus: &[Vec<u8>],
+    extra: &[Vec<u8>],
     config: &FuzzConfig,
 ) -> Result<FuzzSummary, String> {
     let names: Vec<&'static str> = if target == "all" {
@@ -410,7 +414,7 @@ pub fn run(
         .iter()
         .map(|name| {
             let t = registry.get(name).expect("name came from the registry");
-            run_target(t, corpus, config)
+            run_target(t, extra, config)
         })
         .collect();
     Ok(FuzzSummary {
@@ -453,12 +457,11 @@ mod tests {
     #[test]
     fn replay_runs_exactly_one_case_with_the_given_seed() {
         let registry = Registry::with_builtin_targets();
-        let corpus = gen::default_corpus();
         let config = FuzzConfig {
             replay: Some(42),
             ..FuzzConfig::default()
         };
-        let summary = run(&registry, "parse_schedule", &corpus, &config).expect("known target");
+        let summary = run(&registry, "parse_schedule", &[], &config).expect("known target");
         assert_eq!(summary.targets[0].cases, 1);
         assert_eq!(summary.replay, Some(42));
     }

@@ -104,7 +104,7 @@ fn build(knobs: &Knobs, reversed: bool) -> Result<SynthesisRequest, RequestBuild
 /// Built-in target: `SynthesisRequestBuilder::build` with the typed
 /// rejection and order-invariance oracles.
 pub fn synthesis_request_target() -> FuzzTarget {
-    FuzzTarget::new("synthesis_request", |input| {
+    FuzzTarget::new("synthesis_request", request_corpus(), |input| {
         let ticks = input.len() as u64;
         let knobs = decode(input);
         match build(&knobs, false) {
@@ -140,6 +140,19 @@ pub fn synthesis_request_target() -> FuzzTarget {
             }
         }
     })
+}
+
+/// Seed corpus of knob encodings (see `decode`): one per mode, each
+/// with a restart count the builder accepts.
+pub fn request_corpus() -> Vec<Vec<u8>> {
+    vec![
+        // Flat, 4 procs, 1 restart, flows 0->1 and 2->3.
+        vec![2, 9, 1, 3, 0, 0, 0, 0, 0, 1, 2, 3],
+        // Decomposed with an automatic cluster count, 8 procs, a chain.
+        vec![6, 1, 2, 2, 1, 0, 0, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5],
+        // Decomposed into two clusters.
+        vec![6, 7, 3, 5, 2, 2, 0, 0, 0, 7, 7, 0],
+    ]
 }
 
 #[cfg(test)]

@@ -91,7 +91,7 @@ fn apply_edit(
 /// Builds the `route_edit_probe` target.
 pub fn route_edit_probe_target() -> FuzzTarget {
     let (net, baseline, flows, contention) = fixture();
-    FuzzTarget::new("route_edit_probe", move |input| {
+    FuzzTarget::new("route_edit_probe", route_edit_corpus(), move |input| {
         let ticks = input.len() as u64;
         let mut checker = IncrementalChecker::with_routes(&contention, &baseline);
         let mut mirror = baseline.clone();
@@ -110,6 +110,19 @@ pub fn route_edit_probe_target() -> FuzzTarget {
         }
         CaseReport::accepted(ticks, edits)
     })
+}
+
+/// Seed corpus: edit scripts that reach every edit kind, the self-pair
+/// flows, and a detour of every flow around the centre switch.
+pub fn route_edit_corpus() -> Vec<Vec<u8>> {
+    vec![
+        // Flow 0 through each kind: baseline, link detour, unroute,
+        // switch detour.
+        vec![0, 0, 0, 0, 1, 3, 0, 2, 0, 0, 3, 4],
+        // Self-pair flow 5: detoured, unrouted, restored.
+        vec![5, 1, 7, 5, 2, 0, 5, 0, 0],
+        (0u8..24).flat_map(|flow| [flow, 3, 4]).collect(),
+    ]
 }
 
 #[cfg(test)]

@@ -57,7 +57,7 @@ fn fuzz_server() -> Server {
 /// and request round-trip oracles.
 pub fn serve_request_target() -> FuzzTarget {
     let server = Arc::new(fuzz_server());
-    FuzzTarget::new("serve_request", move |input| {
+    FuzzTarget::new("serve_request", serve_corpus(), move |input| {
         let ticks = input.len() as u64;
         let text = String::from_utf8_lossy(input);
         if let Ok(request) = parse_request(&text) {

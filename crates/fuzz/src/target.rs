@@ -59,9 +59,10 @@ impl CaseReport {
 /// The function a target runs per case.
 pub type TargetFn = Box<dyn Fn(&[u8]) -> CaseReport + Send + Sync>;
 
-/// A named fuzz target.
+/// A named fuzz target with its own seed corpus.
 pub struct FuzzTarget {
     name: &'static str,
+    corpus: Vec<Vec<u8>>,
     run: TargetFn,
 }
 
@@ -74,13 +75,16 @@ impl std::fmt::Debug for FuzzTarget {
 }
 
 impl FuzzTarget {
-    /// Creates a target from a name and a case function.
+    /// Creates a target from a name, the seed corpus its cases are
+    /// mutated from, and a case function.
     pub fn new(
         name: &'static str,
+        corpus: Vec<Vec<u8>>,
         run: impl Fn(&[u8]) -> CaseReport + Send + Sync + 'static,
     ) -> Self {
         FuzzTarget {
             name,
+            corpus,
             run: Box::new(run),
         }
     }
@@ -88,6 +92,11 @@ impl FuzzTarget {
     /// The target's registry name.
     pub fn name(&self) -> &'static str {
         self.name
+    }
+
+    /// The target's seed corpus.
+    pub fn corpus(&self) -> &[Vec<u8>] {
+        &self.corpus
     }
 
     /// Runs one case. Callers wanting panic capture go through the
@@ -109,13 +118,14 @@ impl Registry {
         Registry::default()
     }
 
-    /// A registry preloaded with the built-in targets: the model
-    /// parsers (`parse_schedule`, `parse_trace`), the incremental
-    /// Theorem-1 differential probe (`route_edit_probe`), the serve
-    /// daemon's line protocol (`serve_request`), the certificate
-    /// checker (`certify_input`), the crash-safety shadow-model
-    /// probe over the fault-injected result cache (`chaos_plan`), and
-    /// the synthesis-request builder (`synthesis_request`).
+    /// A registry preloaded with the built-in targets, each with its own
+    /// seed corpus: the model parsers (`parse_schedule`, `parse_trace`),
+    /// the incremental Theorem-1 differential probe
+    /// (`route_edit_probe`), the serve daemon's line protocol
+    /// (`serve_request`), the certificate checker (`certify_input`),
+    /// the crash-safety shadow-model probe over the fault-injected
+    /// result cache (`chaos_plan`), and the synthesis-request builder
+    /// (`synthesis_request`).
     pub fn with_builtin_targets() -> Self {
         let mut r = Registry::new();
         r.register(parse_schedule_target());
@@ -147,7 +157,7 @@ impl Registry {
 /// Built-in target: `nocsyn_model::parse_schedule` with the round-trip
 /// oracle render -> parse -> render.
 pub fn parse_schedule_target() -> FuzzTarget {
-    FuzzTarget::new("parse_schedule", |input| {
+    FuzzTarget::new("parse_schedule", crate::gen::default_corpus(), |input| {
         let ticks = input.len() as u64;
         let text = String::from_utf8_lossy(input);
         let opts = ParseOptions::new();
@@ -177,7 +187,7 @@ pub fn parse_schedule_target() -> FuzzTarget {
 /// Built-in target: `nocsyn_model::parse_trace` with the round-trip
 /// oracle render -> parse -> render.
 pub fn parse_trace_target() -> FuzzTarget {
-    FuzzTarget::new("parse_trace", |input| {
+    FuzzTarget::new("parse_trace", crate::gen::default_corpus(), |input| {
         let ticks = input.len() as u64;
         let text = String::from_utf8_lossy(input);
         let opts = ParseOptions::new();
@@ -259,10 +269,11 @@ mod tests {
     #[test]
     fn custom_targets_can_be_registered() {
         let mut r = Registry::new();
-        r.register(FuzzTarget::new("always_ok", |input| {
+        r.register(FuzzTarget::new("always_ok", vec![b"x".to_vec()], |input| {
             CaseReport::accepted(input.len() as u64, 0)
         }));
         assert_eq!(r.names(), vec!["always_ok"]);
+        assert_eq!(r.get("always_ok").expect("registered").corpus(), [b"x"]);
         assert_eq!(r.get("always_ok").expect("registered").run(b"xy").ticks, 2);
     }
 }

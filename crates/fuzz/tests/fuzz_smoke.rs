@@ -17,10 +17,7 @@ fn config(iters: u64, seed: u64) -> FuzzConfig {
 #[test]
 fn builtin_targets_survive_two_thousand_cases() {
     let registry = Registry::with_builtin_targets();
-    let mut corpus = gen::default_corpus();
-    corpus.extend(nocsyn_fuzz::serve_probe::serve_corpus());
-    corpus.extend(nocsyn_fuzz::certify_probe::certify_corpus());
-    let summary = run(&registry, "all", &corpus, &config(2000, 1)).expect("known target");
+    let summary = run(&registry, "all", &[], &config(2000, 1)).expect("known target");
     assert!(
         summary.clean(),
         "expected a clean run, got:\n{}",
@@ -47,15 +44,49 @@ fn builtin_targets_survive_two_thousand_cases() {
     }
 }
 
+/// Every target mutates its own corpus: an entry added to one target's
+/// corpus leaves every other target's summary byte-identical.
+#[test]
+fn a_corpus_entry_moves_only_its_own_target() {
+    let before = run(
+        &Registry::with_builtin_targets(),
+        "all",
+        &[],
+        &config(500, 1),
+    )
+    .expect("known target");
+    let mut registry = Registry::with_builtin_targets();
+    let original = nocsyn_fuzz::serve_probe::serve_request_target();
+    let mut corpus = original.corpus().to_vec();
+    corpus.push(
+        br#"{"op":"synth","pattern":"procs 3
+phase
+ 0 -> 2
+","seed":3}"#
+            .to_vec(),
+    );
+    registry.register(FuzzTarget::new("serve_request", corpus, move |input| {
+        original.run(input)
+    }));
+    let after = run(&registry, "all", &[], &config(500, 1)).expect("known target");
+    assert_eq!(before.targets.len(), after.targets.len());
+    for (b, a) in before.targets.iter().zip(&after.targets) {
+        if a.name == "serve_request" {
+            assert_ne!(a, b, "the new entry should change serve_request's cases");
+        } else {
+            assert_eq!(a, b, "{} moved with another target's corpus", a.name);
+        }
+    }
+}
+
 #[test]
 fn same_seed_gives_byte_identical_json() {
     let registry = Registry::with_builtin_targets();
-    let corpus = gen::default_corpus();
-    let a = run(&registry, "all", &corpus, &config(500, 7)).expect("known target");
-    let b = run(&registry, "all", &corpus, &config(500, 7)).expect("known target");
+    let a = run(&registry, "all", &[], &config(500, 7)).expect("known target");
+    let b = run(&registry, "all", &[], &config(500, 7)).expect("known target");
     assert_eq!(a.to_json().to_string(), b.to_json().to_string());
 
-    let c = run(&registry, "all", &corpus, &config(500, 8)).expect("known target");
+    let c = run(&registry, "all", &[], &config(500, 8)).expect("known target");
     assert_ne!(
         a.to_json().to_string(),
         c.to_json().to_string(),
@@ -67,7 +98,7 @@ fn same_seed_gives_byte_identical_json() {
 /// (deterministic in the input, message varies with the length so the
 /// fingerprint normalizer has something to collapse).
 fn synthetic_crashy_target() -> FuzzTarget {
-    FuzzTarget::new("crashy", |input| {
+    FuzzTarget::new("crashy", gen::default_corpus(), |input| {
         if !input.is_empty() && input.len() % 7 == 0 {
             panic!("synthetic crash at len {}", input.len());
         }
@@ -79,9 +110,8 @@ fn synthetic_crashy_target() -> FuzzTarget {
 fn synthetic_crashes_deduplicate_and_replay_first_try() {
     let mut registry = Registry::new();
     registry.register(synthetic_crashy_target());
-    let corpus = gen::default_corpus();
 
-    let summary = run(&registry, "crashy", &corpus, &config(300, 3)).expect("known target");
+    let summary = run(&registry, "crashy", &[], &config(300, 3)).expect("known target");
     let target = &summary.targets[0];
     // Lengths 7, 14, 21, ... all hit, but the value-free fingerprint
     // collapses them into a single crash record.
@@ -103,7 +133,7 @@ fn synthetic_crashes_deduplicate_and_replay_first_try() {
         replay: Some(crash.first_seed),
         ..config(300, 3)
     };
-    let replayed = run(&registry, "crashy", &corpus, &replay).expect("known target");
+    let replayed = run(&registry, "crashy", &[], &replay).expect("known target");
     let rt = &replayed.targets[0];
     assert_eq!(rt.cases, 1);
     assert_eq!(rt.crashes.len(), 1);
@@ -122,25 +152,23 @@ fn replay_env_variable_is_honored() {
 
     let mut registry = Registry::new();
     registry.register(synthetic_crashy_target());
-    let summary = run(&registry, "crashy", &gen::default_corpus(), &cfg).expect("known target");
+    let summary = run(&registry, "crashy", &[], &cfg).expect("known target");
     assert_eq!(summary.targets[0].cases, 1, "replay runs exactly one case");
 }
 
 #[test]
 fn budget_violations_are_recorded_not_fatal() {
     let mut registry = Registry::new();
-    registry.register(FuzzTarget::new("amplifier", |input| {
-        // Claims absurd work/output; the runner must flag it but keep
-        // going and report every case.
-        CaseReport::accepted(u64::MAX, 100_000_000 + input.len() as u64)
-    }));
-    let summary = run(
-        &registry,
+    registry.register(FuzzTarget::new(
         "amplifier",
-        &gen::default_corpus(),
-        &config(50, 2),
-    )
-    .expect("known target");
+        gen::default_corpus(),
+        |input| {
+            // Claims absurd work/output; the runner must flag it but keep
+            // going and report every case.
+            CaseReport::accepted(u64::MAX, 100_000_000 + input.len() as u64)
+        },
+    ));
+    let summary = run(&registry, "amplifier", &[], &config(50, 2)).expect("known target");
     let target = &summary.targets[0];
     assert_eq!(target.cases, 50);
     assert!(!summary.clean());
@@ -156,10 +184,14 @@ fn budget_violations_are_recorded_not_fatal() {
 #[test]
 fn generated_inputs_respect_the_input_budget() {
     let mut registry = Registry::new();
-    registry.register(FuzzTarget::new("measurer", |input| {
-        assert!(input.len() <= 128, "input budget breached: {}", input.len());
-        CaseReport::accepted(input.len() as u64, 0)
-    }));
+    registry.register(FuzzTarget::new(
+        "measurer",
+        gen::default_corpus(),
+        |input| {
+            assert!(input.len() <= 128, "input budget breached: {}", input.len());
+            CaseReport::accepted(input.len() as u64, 0)
+        },
+    ));
     let cfg = FuzzConfig {
         budget: CaseBudget {
             max_input_bytes: 128,
@@ -167,6 +199,6 @@ fn generated_inputs_respect_the_input_budget() {
         },
         ..config(500, 11)
     };
-    let summary = run(&registry, "measurer", &gen::default_corpus(), &cfg).expect("known target");
+    let summary = run(&registry, "measurer", &[], &cfg).expect("known target");
     assert!(summary.clean(), "{}", summary.render_human());
 }

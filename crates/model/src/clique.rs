@@ -11,7 +11,7 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use crate::{Flow, FlowInterner, FlowSet, Trace};
+use crate::{BitSet, Flow, FlowInterner, Trace};
 
 /// A set of flows that are pairwise live at some common instant — one
 /// partial (or full) permutation required by the application.
@@ -71,7 +71,7 @@ impl Clique {
     /// Flows not interned are silently dropped: a flow outside the
     /// universe can never appear in a crossing set drawn from that
     /// universe, so its absence cannot change any overlap count.
-    pub fn mask(&self, interner: &FlowInterner) -> FlowSet {
+    pub fn mask(&self, interner: &FlowInterner) -> BitSet {
         let mut mask = interner.empty_set();
         for &f in &self.flows {
             if let Some(id) = interner.id(f) {
@@ -248,9 +248,9 @@ impl CliqueSet {
     /// outside the universe).
     ///
     /// Pre-compiling the masks turns [`CliqueSet::max_overlap_with`] into
-    /// word-wise AND + popcount against a crossing [`FlowSet`] — the
+    /// word-wise AND + popcount against a crossing [`BitSet`] — the
     /// hot-path form of `Fast_Color` used by the synthesis inner loop.
-    pub fn compile_masks(&self, interner: &FlowInterner) -> Vec<FlowSet> {
+    pub fn compile_masks(&self, interner: &FlowInterner) -> Vec<BitSet> {
         self.cliques.iter().map(|c| c.mask(interner)).collect()
     }
 }

@@ -3,7 +3,7 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use crate::{Flow, FlowInterner, FlowSet, OverlapRelation, Trace};
+use crate::{Flow, OverlapRelation, Trace};
 
 /// An unordered pair of flows that potentially collide.
 ///
@@ -129,28 +129,6 @@ impl ContentionSet {
     pub fn pairs_involving(&self, flow: Flow) -> impl Iterator<Item = FlowPair> + '_ {
         self.pairs.iter().copied().filter(move |p| p.involves(flow))
     }
-
-    /// Compiles `C` to per-flow adjacency bitmasks over `interner`'s
-    /// universe: `rows[i]` has bit `j` set iff flows `i` and `j` (both as
-    /// interner ids, `i != j`) potentially collide.
-    ///
-    /// Self-pairs (a flow overlapping its own repeat) and pairs mentioning
-    /// a flow outside the universe are dropped — the rows describe the
-    /// conflict *graph* between distinct interned flows, the structure
-    /// colored during link assignment.
-    pub fn adjacency_masks(&self, interner: &FlowInterner) -> Vec<FlowSet> {
-        let mut rows: Vec<FlowSet> = (0..interner.len()).map(|_| interner.empty_set()).collect();
-        for p in &self.pairs {
-            let (Some(i), Some(j)) = (interner.id(p.first), interner.id(p.second)) else {
-                continue;
-            };
-            if i != j {
-                rows[i].insert(j);
-                rows[j].insert(i);
-            }
-        }
-        rows
-    }
 }
 
 impl FromIterator<FlowPair> for ContentionSet {
@@ -230,27 +208,6 @@ mod tests {
         assert_eq!(c.pairs_involving(f01).count(), 1);
         assert_eq!(c.pairs_involving(f23).count(), 2);
         assert_eq!(c.pairs_involving(f45).count(), 1);
-    }
-
-    #[test]
-    fn adjacency_masks_mirror_conflicts() {
-        let f01 = Flow::from_indices(0, 1);
-        let f23 = Flow::from_indices(2, 3);
-        let f45 = Flow::from_indices(4, 5);
-        let mut c = ContentionSet::new();
-        c.insert(f01, f23);
-        c.insert(f23, f45);
-        c.insert(f45, f45); // self-pair: dropped from the graph rows
-        let interner = FlowInterner::from_flows([f01, f23, f45]);
-        let rows = c.adjacency_masks(&interner);
-        assert_eq!(rows.len(), 3);
-        for (i, row) in rows.iter().enumerate() {
-            for j in 0..3 {
-                let expect = i != j && c.conflicts(interner.flow(i), interner.flow(j));
-                assert_eq!(row.contains(j), expect, "row {i} bit {j}");
-            }
-        }
-        assert!(!rows[2].contains(2));
     }
 
     #[test]

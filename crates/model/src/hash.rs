@@ -1,11 +1,11 @@
 //! Deterministic, fast hashing for hot-path lookup tables.
 //!
-//! The synthesis inner loops key memo tables by small integers and by
-//! bitset words ([`FlowSet`](crate::FlowSet) crossing sets, interned
-//! resource keys). The standard library's default SipHash is designed to
-//! resist hash-flooding from untrusted keys; these tables only ever hold
-//! keys the search itself generated, so that robustness buys nothing and
-//! costs a large fraction of every probe. [`FxBuildHasher`] swaps in the
+//! The synthesis inner loops key memo tables by small integers, by
+//! [`BitSet`](crate::BitSet) crossing sets and by the channels an
+//! incremental Theorem-1 check numbers. The standard library's default
+//! SipHash is designed to resist hash-flooding from untrusted keys; these
+//! tables only ever hold keys the search itself generated, so that
+//! robustness buys nothing and costs a large fraction of every probe. [`FxBuildHasher`] swaps in the
 //! rustc-hash ("Fx") word-at-a-time multiply-xor hash: a couple of ALU
 //! ops per `u64`, and — unlike `RandomState` — with no per-process seed,
 //! so table behavior is identical across runs by construction.

@@ -53,36 +53,34 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod bitset;
 pub mod cert;
 mod clique;
 mod contention;
 mod error;
 pub mod fingerprint;
-mod flowset;
 mod hash;
 mod ids;
 pub mod json;
 mod message;
 mod overlap;
 mod phase;
-mod routeset;
 mod skew;
 pub mod text;
 mod time;
 mod trace;
 
+pub use bitset::{BitSet, FlowInterner, Ones};
 pub use cert::{CertError, CertWitness, Certificate, CERT_SCHEMA};
 pub use clique::{Clique, CliqueSet};
 pub use contention::{ContentionSet, FlowPair};
 pub use error::ModelError;
 pub use fingerprint::{canonical_schedule, canonical_trace, sha256, CanonicalForm, Digest, Sha256};
-pub use flowset::{FlowInterner, FlowSet, Ones};
 pub use hash::{FxBuildHasher, FxHasher};
 pub use ids::{Flow, MessageId, ProcId};
 pub use message::Message;
 pub use overlap::{overlaps, OverlapRelation};
 pub use phase::{Phase, PhaseSchedule};
-pub use routeset::{ResourceInterner, ResourceOnes, RouteSet};
 pub use skew::SkewModel;
 pub use text::{
     format_schedule, format_trace, parse_schedule, parse_trace, ParseErrorKind, ParseLimits,

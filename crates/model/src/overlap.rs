@@ -1,6 +1,6 @@
 //! The time-overlap relation `O` between messages (Definition 3).
 
-use crate::{FlowSet, Message, MessageId, Trace};
+use crate::{Message, MessageId, Trace};
 
 /// Whether two messages potentially collide, i.e. overlap in time.
 ///
@@ -80,25 +80,6 @@ impl OverlapRelation {
     pub fn iter(&self) -> impl Iterator<Item = (MessageId, MessageId)> + '_ {
         self.pairs.iter().copied()
     }
-
-    /// Compiles the relation to per-message adjacency bitsets: `rows[i]`
-    /// has bit `j` set iff messages `i` and `j` overlap in time.
-    ///
-    /// `n_messages` fixes the universe (message ids are dense, so
-    /// `trace.len()` is the natural choice); pairs mentioning an id at or
-    /// beyond it are dropped. Rows are symmetric and irreflexive, the
-    /// bitset form of [`OverlapRelation::contains`].
-    pub fn adjacency_rows(&self, n_messages: usize) -> Vec<FlowSet> {
-        let mut rows: Vec<FlowSet> = (0..n_messages).map(|_| FlowSet::new(n_messages)).collect();
-        for &(a, b) in &self.pairs {
-            let (i, j) = (a.0, b.0);
-            if i < n_messages && j < n_messages {
-                rows[i].insert(j);
-                rows[j].insert(i);
-            }
-        }
-        rows
-    }
 }
 
 #[cfg(test)]
@@ -146,23 +127,6 @@ mod tests {
         let t = trace_of(&[(0, 10), (0, 10), (0, 10), (0, 10)]);
         let o = OverlapRelation::from_trace(&t);
         assert_eq!(o.len(), 6); // C(4,2)
-    }
-
-    #[test]
-    fn adjacency_rows_mirror_contains() {
-        let t = trace_of(&[(0, 10), (5, 15), (12, 20), (100, 110)]);
-        let o = OverlapRelation::from_trace(&t);
-        let rows = o.adjacency_rows(t.len());
-        assert_eq!(rows.len(), 4);
-        for a in t.message_ids() {
-            for b in t.message_ids() {
-                assert_eq!(
-                    rows[a.0].contains(b.0),
-                    o.contains(a, b),
-                    "row {a:?} bit {b:?}"
-                );
-            }
-        }
     }
 
     #[test]

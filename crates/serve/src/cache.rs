@@ -163,30 +163,15 @@ impl ResultCache {
         self.stats
     }
 
-    /// Looks up `key`, promoting disk entries into memory and refreshing
-    /// LRU recency. Returns the cached report string and the tier that
-    /// satisfied the lookup; `None` counts as a miss.
-    pub fn lookup(&mut self, key: &Digest) -> Option<(String, CacheTier)> {
-        if let Some(report) = self.map.get(key) {
-            let report = report.clone();
-            self.touch(key);
-            self.stats.hits += 1;
-            return Some((report, CacheTier::Hit));
-        }
-        if let Some(report) = self.read_disk(key) {
-            self.stats.disk_hits += 1;
-            self.insert_memory(*key, report.clone());
-            return Some((report, CacheTier::Disk));
-        }
-        self.stats.misses += 1;
-        None
-    }
-
-    /// Looks up `key` with certificate validation on the untrusted disk
-    /// tier. Memory entries are trusted (they were validated or freshly
-    /// synthesized in this process); a disk entry is served only when its
-    /// companion certificate exists and `validate` accepts it, otherwise
-    /// it counts as a [`CacheStats::cert_errors`] miss and the caller
+    /// Looks up `key`, refreshing LRU recency. Returns the cached report
+    /// string and the tier that satisfied the lookup; `None` counts as a
+    /// miss.
+    ///
+    /// Memory entries are trusted (they were validated or freshly
+    /// synthesized in this process). The disk tier is not: a disk entry
+    /// is served (and promoted into memory) only when its companion
+    /// certificate exists and `validate` accepts it, otherwise it counts
+    /// as a [`CacheStats::cert_errors`] miss and the caller
     /// re-synthesizes.
     pub fn lookup_certified<F: FnOnce(&str) -> bool>(
         &mut self,
@@ -218,16 +203,12 @@ impl ResultCache {
     }
 
     /// Inserts a freshly synthesized report under `key`, in memory and —
-    /// when a disk tier is configured — on disk. Disk write failures are
-    /// counted, not fatal: the request that produced the result already
-    /// has its answer.
-    pub fn insert(&mut self, key: Digest, report: String) {
-        self.insert_with_cert(key, report, None);
-    }
-
-    /// Like [`ResultCache::insert`], but also persists the result's
-    /// contention-freedom certificate next to the report on the disk
-    /// tier, where [`ResultCache::lookup_certified`] will demand it.
+    /// when a disk tier is configured — on disk, with the result's
+    /// contention-freedom certificate next to it, where
+    /// [`ResultCache::lookup_certified`] will demand it. A report stored
+    /// without a certificate is never served from disk. Disk write
+    /// failures are counted, not fatal: the request that produced the
+    /// result already has its answer.
     ///
     /// Commit order is certificate first, then report (each via
     /// temp-file + rename): a crash between the two leaves an orphan
@@ -437,10 +418,10 @@ mod tests {
     fn miss_then_insert_then_hit() {
         let mut cache = ResultCache::new(4);
         let k = key(1);
-        assert_eq!(cache.lookup(&k), None);
-        cache.insert(k, "{\"a\":1}".into());
+        assert_eq!(cache.lookup_certified(&k, |_| true), None);
+        cache.insert_with_cert(k, "{\"a\":1}".into(), None);
         assert_eq!(
-            cache.lookup(&k),
+            cache.lookup_certified(&k, |_| true),
             Some(("{\"a\":1}".to_string(), CacheTier::Hit))
         );
         let s = cache.stats();
@@ -452,34 +433,34 @@ mod tests {
     #[test]
     fn lru_evicts_least_recently_used() {
         let mut cache = ResultCache::new(2);
-        cache.insert(key(1), "{}".into());
-        cache.insert(key(2), "{}".into());
+        cache.insert_with_cert(key(1), "{}".into(), None);
+        cache.insert_with_cert(key(2), "{}".into(), None);
         // Touch 1 so 2 becomes the eviction victim.
-        assert!(cache.lookup(&key(1)).is_some());
-        cache.insert(key(3), "{}".into());
+        assert!(cache.lookup_certified(&key(1), |_| true).is_some());
+        cache.insert_with_cert(key(3), "{}".into(), None);
         assert_eq!(cache.len(), 2);
-        assert!(cache.lookup(&key(1)).is_some());
-        assert!(cache.lookup(&key(2)).is_none());
-        assert!(cache.lookup(&key(3)).is_some());
+        assert!(cache.lookup_certified(&key(1), |_| true).is_some());
+        assert!(cache.lookup_certified(&key(2), |_| true).is_none());
+        assert!(cache.lookup_certified(&key(3), |_| true).is_some());
         assert_eq!(cache.stats().evictions, 1);
     }
 
     #[test]
     fn capacity_clamps_to_one() {
         let mut cache = ResultCache::new(0);
-        cache.insert(key(1), "{}".into());
-        cache.insert(key(2), "{}".into());
+        cache.insert_with_cert(key(1), "{}".into(), None);
+        cache.insert_with_cert(key(2), "{}".into(), None);
         assert_eq!(cache.len(), 1);
     }
 
     #[test]
     fn reinserting_updates_without_growth() {
         let mut cache = ResultCache::new(2);
-        cache.insert(key(1), "{\"v\":1}".into());
-        cache.insert(key(1), "{\"v\":2}".into());
+        cache.insert_with_cert(key(1), "{\"v\":1}".into(), None);
+        cache.insert_with_cert(key(1), "{\"v\":2}".into(), None);
         assert_eq!(cache.len(), 1);
         assert_eq!(
-            cache.lookup(&key(1)),
+            cache.lookup_certified(&key(1), |_| true),
             Some(("{\"v\":2}".to_string(), CacheTier::Hit))
         );
     }
@@ -491,17 +472,17 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
 
         let mut warm = ResultCache::new(2).with_dir(dir.clone());
-        warm.insert(key(1), "{\"a\":1}".into());
+        warm.insert_with_cert(key(1), "{\"a\":1}".into(), Some("{}".into()));
 
         // A fresh cache (cold memory) finds the entry on disk.
         let mut cold = ResultCache::new(2).with_dir(dir.clone());
         assert_eq!(
-            cold.lookup(&key(1)),
+            cold.lookup_certified(&key(1), |_| true),
             Some(("{\"a\":1}".to_string(), CacheTier::Disk))
         );
         // Promoted: second lookup is a memory hit.
         assert_eq!(
-            cold.lookup(&key(1)),
+            cold.lookup_certified(&key(1), |_| true),
             Some(("{\"a\":1}".to_string(), CacheTier::Hit))
         );
         assert_eq!(cold.stats().disk_hits, 1);
@@ -510,7 +491,7 @@ mod tests {
         fs::write(dir.join(format!("{}.json", key(2).to_hex())), "not json")
             .expect("test dir writable");
         let mut c = ResultCache::new(2).with_dir(dir.clone());
-        assert_eq!(c.lookup(&key(2)), None);
+        assert_eq!(c.lookup_certified(&key(2), |_| true), None);
         assert_eq!(c.stats().disk_errors, 1);
         assert_eq!(c.stats().misses, 1);
 
@@ -610,7 +591,7 @@ mod tests {
         );
         assert_eq!(cache.stats().disk_errors, 1);
         // The in-memory tier still serves the result to this process.
-        assert!(cache.lookup(&key(1)).is_some());
+        assert!(cache.lookup_certified(&key(1), |_| true).is_some());
     }
 
     /// A crash (torn write) during the report commit leaves an orphan
@@ -636,7 +617,11 @@ mod tests {
         reborn.recover();
         let s = reborn.stats();
         assert_eq!((s.recovered, s.quarantined), (0, 2), "{s:?}");
-        assert_eq!(reborn.lookup(&key(1)), None, "torn entry is not served");
+        assert_eq!(
+            reborn.lookup_certified(&key(1), |_| true),
+            None,
+            "torn entry is not served"
+        );
         // Quarantined bytes are preserved for post-mortems.
         assert!(store.exists(
             &dir.join("quarantine")
@@ -664,11 +649,11 @@ mod tests {
         assert_eq!(s.quarantined, 3, "{s:?}");
         // The recovered pairs still serve.
         assert_eq!(
-            reborn.lookup(&key(1)),
+            reborn.lookup_certified(&key(1), |_| true),
             Some(("{\"a\":1}".to_string(), CacheTier::Disk))
         );
         assert_eq!(
-            reborn.lookup(&key(2)),
+            reborn.lookup_certified(&key(2), |_| true),
             Some(("{\"b\":2}".to_string(), CacheTier::Disk))
         );
     }
@@ -686,6 +671,6 @@ mod tests {
         cache.recover();
         let s = cache.stats();
         assert_eq!((s.recovered, s.quarantined), (0, 2), "{s:?}");
-        assert_eq!(cache.lookup(&key(1)), None);
+        assert_eq!(cache.lookup_certified(&key(1), |_| true), None);
     }
 }

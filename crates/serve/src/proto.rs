@@ -41,7 +41,8 @@ pub struct SynthRequest {
     pub seed: Option<u64>,
     /// Restart portfolio size; defaults to the config default. Zero is
     /// rejected by the request builder with a `zero-restarts` reply, not
-    /// silently clamped.
+    /// silently clamped, and a count above
+    /// [`SynthesisRequest::MAX_RESTARTS`] with `too-many-restarts`.
     pub restarts: Option<u64>,
     /// Maximum switch degree; defaults to the config default.
     pub max_degree: Option<u64>,
@@ -256,7 +257,8 @@ impl SynthRequest {
     /// # Errors
     ///
     /// `bad-field` from [`synthesis_mode`](Self::synthesis_mode), then
-    /// the builder's `zero-restarts` / `zero-clusters`.
+    /// the builder's `zero-restarts` / `too-many-restarts` /
+    /// `zero-clusters`.
     pub fn build(
         &self,
         pattern: AppPattern,
@@ -539,7 +541,15 @@ mod tests {
         assert_eq!(restarts(Some(999), Some(2)), Ok(2));
         assert_eq!(restarts(None, Some(2)), Ok(2));
         assert_eq!(restarts(Some(3), Some(0)), Ok(1));
-        assert_eq!(restarts(Some(u64::MAX), None), Ok(usize::MAX));
+        let max = SynthesisRequest::MAX_RESTARTS;
+        assert_eq!(restarts(Some(max as u64), None), Ok(max));
+        let huge = restarts(Some(u64::MAX), None).expect_err("above the ceiling");
+        assert_eq!(huge.fingerprint, "too-many-restarts");
+        assert_eq!(
+            restarts(Some(u64::MAX), Some(2)),
+            Ok(2),
+            "the cap applies first"
+        );
         let zero = restarts(Some(0), Some(2)).expect_err("a zero is never capped into a job");
         assert_eq!(zero.fingerprint, "zero-restarts");
         assert_eq!(zero.detail, "restarts must be at least 1 (got 0)");

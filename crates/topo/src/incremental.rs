@@ -9,9 +9,10 @@
 //! verdict of the contention pairs that *mention* that flow. The
 //! [`IncrementalChecker`] exploits exactly that:
 //!
-//! * every routed flow carries a [`RouteSet`] *footprint* — a dense
-//!   bitset over channel ids interned by a [`ResourceInterner`]
-//!   (key = `link * 2 + direction`);
+//! * every routed flow carries a [`BitSet`] *footprint* over channel
+//!   ids: the checker numbers directed channels in the order it first
+//!   sees them, so a footprint's width follows the channels in use, not
+//!   the raw [`LinkId`](crate::LinkId) of a route;
 //! * the violated subset of `C` is kept as a sorted set of
 //!   [`FlowPair`]s, repaired after each edit by re-testing only the
 //!   pairs adjacent to the edited flow (bitset AND, word-at-a-time);
@@ -24,22 +25,12 @@
 //! instead of `O(|C| · route length)`, which is what makes per-scenario
 //! re-verification affordable in the fault sweep.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use nocsyn_model::{ContentionSet, Flow, FlowPair, ResourceInterner, RouteSet};
+use nocsyn_model::{BitSet, ContentionSet, Flow, FlowPair, FxBuildHasher};
 
 use crate::verify::ContentionReport;
-use crate::{Channel, ContentionWitness, Direction, Route, RouteTable};
-
-/// The opaque interner key of a directed channel: two resources per
-/// physical link, forward in the even slot.
-fn channel_key(ch: Channel) -> u64 {
-    let dir_bit = match ch.dir {
-        Direction::Forward => 0,
-        Direction::Backward => 1,
-    };
-    (ch.link.index() as u64) * 2 + dir_bit
-}
+use crate::{Channel, ContentionWitness, Route, RouteTable};
 
 /// Maintains the Theorem-1 verdict `C ∩ R = ∅` across single-route
 /// edits, with answers identical to a from-scratch
@@ -70,10 +61,12 @@ pub struct IncrementalChecker {
     /// Contention pairs indexed by the flows they mention (self-pairs
     /// appear once). Built once; `C` is fixed for the checker's life.
     neighbors: BTreeMap<Flow, Vec<FlowPair>>,
-    interner: ResourceInterner,
+    /// Directed channel → footprint id, in first-seen order.
+    /// Append-only, so an id never changes meaning.
+    channel_ids: HashMap<Channel, usize, FxBuildHasher>,
     routes: RouteTable,
     /// One footprint per *routed* flow (keys mirror `routes` exactly).
-    footprints: BTreeMap<Flow, RouteSet>,
+    footprints: BTreeMap<Flow, BitSet>,
     /// The violated subset of `C`, kept sorted so reports iterate in
     /// the same order as the exact checker.
     violations: BTreeSet<FlowPair>,
@@ -93,7 +86,7 @@ impl IncrementalChecker {
         IncrementalChecker {
             contention: contention.clone(),
             neighbors,
-            interner: ResourceInterner::new(),
+            channel_ids: HashMap::default(),
             routes: RouteTable::new(),
             footprints: BTreeMap::new(),
             violations: BTreeSet::new(),
@@ -128,9 +121,10 @@ impl IncrementalChecker {
     /// previous route; only contention pairs mentioning `flow` are
     /// re-evaluated.
     pub fn set_route(&mut self, flow: Flow, route: Route) -> Option<Route> {
-        let mut footprint = RouteSet::new();
+        let mut footprint = BitSet::new();
         for ch in route.iter() {
-            footprint.insert(self.interner.intern(channel_key(ch)));
+            let next = self.channel_ids.len();
+            footprint.insert(*self.channel_ids.entry(ch).or_insert(next));
         }
         self.footprints.insert(flow, footprint);
         let previous = self.routes.insert(flow, route);
@@ -226,13 +220,10 @@ impl IncrementalChecker {
             "footprint keys out of sync with the route table"
         );
         for (flow, route) in self.routes.iter() {
-            let mut expect = RouteSet::new();
+            let mut expect = BitSet::new();
             for ch in route.iter() {
-                let id = self
-                    .interner
-                    .id(channel_key(ch))
-                    .expect("every routed channel is interned");
-                expect.insert(id);
+                let id = self.channel_ids.get(&ch);
+                expect.insert(*id.expect("every routed channel is numbered"));
             }
             assert_eq!(
                 self.footprints.get(&flow),
@@ -321,6 +312,28 @@ mod tests {
             report.witnesses()[0].shared.len(),
             routes.route(flow).unwrap().len()
         );
+    }
+
+    #[test]
+    fn footprints_number_channels_not_raw_link_ids() {
+        // Route::new takes any LinkId; a footprint must be sized by the
+        // channels in use, not by the largest raw index.
+        use crate::{Channel, Direction, LinkId};
+        let t = concurrent_trace(&[(0, 1), (2, 3)], 4);
+        let far = |link, dir| Channel::new(LinkId(link), dir);
+        let shared = far(usize::MAX, Direction::Forward);
+        let mut checker = IncrementalChecker::new(&t.contention_set());
+        checker.set_route(
+            Flow::from_indices(0, 1),
+            Route::new(vec![far(1 << 40, Direction::Backward), shared]),
+        );
+        checker.set_route(Flow::from_indices(2, 3), Route::new(vec![shared]));
+        checker.assert_consistent();
+        assert_eq!(checker.n_violations(), 1);
+        assert!(checker
+            .footprints
+            .values()
+            .all(|fp| fp.iter().all(|id| id < 2)));
     }
 
     #[test]

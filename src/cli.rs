@@ -876,13 +876,10 @@ fn cli_corpus() -> Vec<Vec<u8>> {
 
 fn cmd_fuzz(opts: &Options) -> Result<String, String> {
     let mut registry = Registry::with_builtin_targets();
-    registry.register(FuzzTarget::new("cli", dispatch_probe));
+    registry.register(FuzzTarget::new("cli", cli_corpus(), dispatch_probe));
 
-    let mut corpus = nocsyn_fuzz::gen::default_corpus();
-    corpus.extend(cli_corpus());
-    corpus.extend(nocsyn_fuzz::serve_probe::serve_corpus());
-    corpus.extend(nocsyn_fuzz::certify_probe::certify_corpus());
-    corpus.extend(nocsyn_fuzz::chaos_probe::chaos_corpus());
+    // `--corpus-dir` entries join every target's own corpus.
+    let mut corpus = Vec::new();
     if let Some(dir) = &opts.corpus_dir {
         // Sorted read order keeps the corpus (and thus the whole run)
         // deterministic regardless of directory enumeration order.

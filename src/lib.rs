@@ -24,7 +24,7 @@ pub mod prelude {
     };
     pub use nocsyn_floorplan::place;
     pub use nocsyn_model::{
-        parse_schedule, parse_trace, Flow, FlowInterner, FlowSet, ParseLimits, ParseOptions, Phase,
+        parse_schedule, parse_trace, BitSet, Flow, FlowInterner, ParseLimits, ParseOptions, Phase,
         PhaseSchedule, ProcId, Trace,
     };
     pub use nocsyn_sim::{AppDriver, RoutePolicy, SimConfig};

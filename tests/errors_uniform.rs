@@ -52,6 +52,8 @@ fn every_public_error_type_is_uniform() {
 
     let e = RequestBuildError::ZeroRestarts;
     assert_boxable(e, e.fingerprint());
+    let e = RequestBuildError::TooManyRestarts { requested: 1 << 20 };
+    assert_boxable(e, e.fingerprint());
     let e = RequestBuildError::ZeroClusters;
     assert_boxable(e, e.fingerprint());
 
