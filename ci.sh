@@ -22,11 +22,14 @@ cargo build --release --offline --workspace
 echo "==> cargo test -q --offline"
 cargo test -q --offline --workspace
 
-echo "==> golden search and decomposition pins hold in an optimized build"
-# The per-attempt search counters and the decomposed designs at 64-256
-# nodes are pinned in these two test files; release codegen must not
-# move them either.
-cargo test --release --offline --test determinism --test decomposition
+echo "==> golden search, certificate and decomposition pins hold in an optimized build"
+# The per-attempt search counters, the golden certificates and the
+# decomposed designs at 64-256 nodes are pinned in these three test
+# files; release codegen must not move them either. Route repair replays
+# an anneal walk whose input its round already annealed (29 of the 64
+# walks in certificate_golden are replays), and this run pins replayed
+# routes where the debug re-walk oracle is compiled out.
+cargo test --release --offline --test determinism --test decomposition --test certificate_golden
 
 echo "==> paper figures: every reproduce figure matches its EXPERIMENTS.md block"
 # The debug test run skips the seven figures that are slow there; this

@@ -1,12 +1,10 @@
 //! Coloring benchmarks: the `O(KL)` fast bound versus real coloring.
 
-use std::collections::BTreeSet;
-
 use nocsyn_bench::timing::Runner;
 use nocsyn_coloring::{
-    exact_chromatic, fast_color_directed, greedy_dsatur, two_color, ConflictGraph,
+    exact_chromatic, fast_color_directed_masks, greedy_dsatur, two_color, ConflictGraph,
 };
-use nocsyn_model::{Clique, CliqueSet, ContentionSet, Flow};
+use nocsyn_model::{Clique, CliqueSet, ContentionSet, Flow, FlowInterner};
 
 /// Deterministic pseudo-random conflict graph of `n` vertices with edge
 /// probability ~1/3.
@@ -42,22 +40,27 @@ fn bench_graph_coloring(runner: &Runner) {
 
 fn bench_fast_color(runner: &Runner) {
     // K cliques of L flows each, with half the flows crossing the probe
-    // set: the paper's O(KL) estimate.
+    // set: the paper's O(KL) estimate, in the form the search calls — the
+    // cliques compiled to masks over a flow interner once, the crossing
+    // set a bitset over the same interner.
     for (k, l) in [(8usize, 8usize), (32, 16), (128, 16), (32, 64)] {
         let cliques = CliqueSet::from_cliques((0..k).map(|i| {
             (0..l)
                 .map(|j| Flow::from_indices(2 * (i * l + j), 2 * (i * l + j) + 1))
                 .collect::<Clique>()
         }));
-        let crossing: BTreeSet<Flow> = cliques
-            .iter()
-            .flat_map(|c| c.iter())
-            .enumerate()
-            .filter(|(i, _)| i % 2 == 0)
-            .map(|(_, f)| f)
-            .collect();
+        let interner = FlowInterner::from_flows(cliques.iter().flat_map(|c| c.iter()));
+        let masks = cliques.compile_masks(&interner);
+        let crossing = interner.set_of(
+            cliques
+                .iter()
+                .flat_map(|c| c.iter())
+                .enumerate()
+                .filter(|(i, _)| i % 2 == 0)
+                .map(|(_, f)| f),
+        );
         runner.case(&format!("coloring/fast-bound/K{k}-L{l}"), || {
-            fast_color_directed(&cliques, &crossing)
+            fast_color_directed_masks(&masks, &crossing)
         });
     }
 }

@@ -29,6 +29,7 @@ use nocsyn_rng::Rng;
 
 use crate::anneal::Acceptor;
 use crate::config::MAX_MOVE_ROUNDS;
+use crate::route_opt::AnnealMemo;
 use crate::{moves, route_opt, AppPattern, ColoringStrategy, SynthError, SynthesisConfig};
 
 /// An unordered pair of switch indices naming a pipe; `lo < hi`.
@@ -224,6 +225,9 @@ pub struct Partitioning {
     /// Committed score memo, invalidated by every mutation; `Cell` so the
     /// historically-`&self` [`Partitioning::score`] can fill it.
     score_memo: Cell<Option<ScoreMemo>>,
+    /// Route repair's record of each anneal round's last walk, replayed
+    /// when the round meets the same input again (see [`AnnealMemo`]).
+    pub(crate) anneal_memo: AnnealMemo,
     total_links: usize,
     pub(crate) stats: SearchStats,
 }
@@ -338,6 +342,7 @@ impl Partitioning {
             fast_cache: HashMap::default(),
             chi_cache: HashMap::default(),
             score_memo: Cell::new(None),
+            anneal_memo: AnnealMemo::default(),
             total_links: 0,
             stats: SearchStats::default(),
         })
@@ -384,6 +389,7 @@ impl Partitioning {
             fast_cache: HashMap::default(),
             chi_cache: HashMap::default(),
             score_memo: Cell::new(None),
+            anneal_memo: AnnealMemo::default(),
             members,
             pipe_lookup: vec![u32::MAX; n_switches * n_switches],
             pipe_stride: n_switches,
@@ -596,7 +602,7 @@ impl Partitioning {
     /// and after cancels out), and each touched pipe's link estimate is
     /// recomputed exactly once — however many flows of the batch cross it.
     /// Allocation-free apart from a reused touched-slots scratch buffer.
-    fn apply_path_changes<I>(&mut self, changes: I)
+    pub(crate) fn apply_path_changes<I>(&mut self, changes: I)
     where
         I: IntoIterator<Item = (usize, Vec<usize>)>,
     {
@@ -890,6 +896,21 @@ impl Partitioning {
     /// The switch path of the flow at index `idx`.
     pub(crate) fn path_of_idx(&self, idx: usize) -> &[usize] {
         &self.paths[idx]
+    }
+
+    /// Every flow's switch path, by flow index.
+    pub(crate) fn paths(&self) -> &[Vec<usize>] {
+        &self.paths
+    }
+
+    /// Every processor's home switch, by processor index.
+    pub(crate) fn homes(&self) -> &[usize] {
+        &self.home
+    }
+
+    /// The coloring strategy the link estimates are computed under.
+    pub(crate) fn strategy(&self) -> ColoringStrategy {
+        self.strategy
     }
 
     /// All flow indices with `proc` as an endpoint (precomputed,
@@ -1193,9 +1214,10 @@ fn refine(p: &mut Partitioning, config: &SynthesisConfig) {
                 }
             }
         }
-        if config.indirect_routing() {
-            route_opt::repair(p, config);
-        }
+        // Refinement starts at excess 0 and commits only strict
+        // lexicographic improvements, so no switch violates here and
+        // route repair would have nothing to do.
+        debug_assert!(p.violating(config).is_empty());
         if !improved {
             break;
         }

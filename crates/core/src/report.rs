@@ -30,14 +30,19 @@ pub struct SynthesisReport {
     pub moves_tried: usize,
     /// Processor moves committed.
     pub moves_accepted: usize,
-    /// Indirect-route candidates evaluated by `Best_Route`.
+    /// Route candidates evaluated: by `Best_Route`, and by route repair's
+    /// greedy reroutes and anneal. A replayed anneal (one whose input its
+    /// round already annealed) counts the candidates of the walk it
+    /// replays, as a memoized coloring bound leaves every count as it was.
     pub reroutes_tried: usize,
-    /// Indirect-route changes committed.
+    /// Route changes committed, by the same three procedures (a replayed
+    /// anneal counts those of the walk it replays).
     pub reroutes_accepted: usize,
-    /// Indirect-route candidates evaluated whose score exactly matched the
-    /// incumbent — neither better nor worse. Distinguishes "the search
-    /// found no improvement" from "the search never looked" when
-    /// `reroutes_accepted` is zero.
+    /// Route candidates evaluated whose score exactly matched the
+    /// incumbent — neither better nor worse — by the same three procedures
+    /// (a replayed anneal counts those of the walk it replays).
+    /// Distinguishes "the search found no improvement" from "the search
+    /// never looked" when `reroutes_accepted` is zero.
     pub reroutes_neutral: usize,
     /// Total-link estimate at the start of each round.
     pub cost_history: Vec<usize>,

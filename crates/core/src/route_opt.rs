@@ -10,7 +10,61 @@
 
 use nocsyn_model::Flow;
 
-use crate::{Partitioning, PipeKey};
+use crate::{ColoringStrategy, Partitioning, PipeKey, SynthesisConfig};
+
+/// Anneal rounds one [`repair`] runs at most. Round `r` seeds its walk
+/// with `r` and owns slot `r` of the [`AnnealMemo`].
+pub(crate) const ANNEAL_ROUNDS: usize = 3;
+
+/// Everything an anneal walk reads: with its round, the walk is a pure
+/// function of these fields. Left out on purpose are the pipe-slot
+/// numbering, which changes no computed value, and the coloring, probe
+/// and score memos, which cache pure functions of the fields below.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct AnnealInput {
+    seed: u64,
+    max_degree: usize,
+    strategy: ColoringStrategy,
+    n_switches: usize,
+    home: Vec<usize>,
+    paths: Vec<Vec<usize>>,
+}
+
+impl AnnealInput {
+    fn capture(p: &Partitioning, config: &SynthesisConfig) -> Self {
+        AnnealInput {
+            seed: config.seed(),
+            max_degree: config.max_degree(),
+            strategy: p.strategy(),
+            n_switches: p.n_switches(),
+            home: p.homes().to_vec(),
+            paths: p.paths().to_vec(),
+        }
+    }
+}
+
+/// What one walk did to its input: the flows it left on another path,
+/// with those paths, and the reroute counters it added.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct AnnealOutcome {
+    changed: Vec<(usize, Vec<usize>)>,
+    tried: usize,
+    accepted: usize,
+    neutral: usize,
+}
+
+/// Route repair's anneal memo: per round, the input of that round's last
+/// walk and what the walk did. `partition::run`'s outer loop is the one
+/// caller of [`repair`]. It re-runs `repair` on a state that has stalled,
+/// and `synthesize_attempt`'s exact-coloring reruns run `run` again, so a
+/// round often meets the input it annealed last: 48% of FFT16 walks and
+/// 30% of BT16 walks on the paper's 16-node suite. No repeat of an older
+/// input showed up there, so one slot per round is enough. The memo lives
+/// in its attempt's [`Partitioning`] and never crosses threads.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct AnnealMemo {
+    slots: [Option<(AnnealInput, AnnealOutcome)>; ANNEAL_ROUNDS],
+}
 
 /// Runs `Best_Route(S_i, S_j)` on the current partitioning: for each pipe
 /// connecting `si` (and, symmetrically, `sj`) to some other switch `k`,
@@ -77,13 +131,13 @@ pub(crate) fn best_route(p: &mut Partitioning, si: usize, sj: usize) {
 /// and the direct path — is scored by [`Partitioning::score`] (degree
 /// excess first, then chip area) and the best strict improvement is
 /// committed, until a fixpoint.
-pub(crate) fn repair(p: &mut Partitioning, config: &crate::SynthesisConfig) {
+pub(crate) fn repair(p: &mut Partitioning, config: &SynthesisConfig) {
     greedy_repair(p, config);
     // Greedy rerouting stalls on plateaus (e.g. a uniform over-degree
     // grid where every single reroute is score-neutral). Anneal over
     // random reroutes to cross, then descend again; retry with fresh
     // annealing seeds while violations remain.
-    for round in 0..3 {
+    for round in 0..ANNEAL_ROUNDS {
         if p.violating(config).is_empty() {
             break;
         }
@@ -93,7 +147,7 @@ pub(crate) fn repair(p: &mut Partitioning, config: &crate::SynthesisConfig) {
 }
 
 /// Strictly-improving reroute descent around violating switches.
-fn greedy_repair(p: &mut Partitioning, config: &crate::SynthesisConfig) {
+fn greedy_repair(p: &mut Partitioning, config: &SynthesisConfig) {
     for _ in 0..6 {
         let mut improved = false;
         for v in p.violating(config) {
@@ -117,10 +171,70 @@ fn greedy_repair(p: &mut Partitioning, config: &crate::SynthesisConfig) {
     }
 }
 
+/// [`anneal_once`] through the partitioning's [`AnnealMemo`]. When round
+/// `round` last annealed this same input, the walk is replayed instead of
+/// rerun: the paths it left are installed and the counters it added are
+/// added again, so routes and counters come out byte for byte as a fresh
+/// walk's. In debug builds a replay also runs the walk on a clone and
+/// checks both. Returns whether the walk was replayed.
+fn anneal_routes(p: &mut Partitioning, config: &SynthesisConfig, round: usize) -> bool {
+    let input = AnnealInput::capture(p, config);
+    if let Some((last, outcome)) = p.anneal_memo.slots[round].take() {
+        if last == input {
+            #[cfg(debug_assertions)]
+            let mut fresh = p.clone();
+            p.apply_path_changes(outcome.changed.iter().cloned());
+            p.stats.reroutes_tried += outcome.tried;
+            p.stats.reroutes_accepted += outcome.accepted;
+            p.stats.reroutes_neutral += outcome.neutral;
+            #[cfg(debug_assertions)]
+            {
+                let walked = recorded_walk(&mut fresh, config, round, &input.paths);
+                debug_assert_eq!(p.paths(), fresh.paths(), "replayed anneal paths");
+                debug_assert_eq!(outcome, walked, "replayed anneal outcome");
+            }
+            p.anneal_memo.slots[round] = Some((last, outcome));
+            return true;
+        }
+    }
+    let outcome = recorded_walk(p, config, round, &input.paths);
+    p.anneal_memo.slots[round] = Some((input, outcome));
+    false
+}
+
+/// Runs [`anneal_once`] on a partitioning whose paths are `before`, and
+/// records what it did.
+fn recorded_walk(
+    p: &mut Partitioning,
+    config: &SynthesisConfig,
+    round: usize,
+    before: &[Vec<usize>],
+) -> AnnealOutcome {
+    let (tried, accepted, neutral) = (
+        p.stats.reroutes_tried,
+        p.stats.reroutes_accepted,
+        p.stats.reroutes_neutral,
+    );
+    anneal_once(p, config, round as u64);
+    AnnealOutcome {
+        changed: p
+            .paths()
+            .iter()
+            .zip(before)
+            .enumerate()
+            .filter(|(_, (now, was))| now != was)
+            .map(|(idx, (now, _))| (idx, now.clone()))
+            .collect(),
+        tried: p.stats.reroutes_tried - tried,
+        accepted: p.stats.reroutes_accepted - accepted,
+        neutral: p.stats.reroutes_neutral - neutral,
+    }
+}
+
 /// Metropolis annealing over single-flow reroutes, minimizing degree
 /// excess first and chip area second. Restores the best configuration
 /// visited.
-fn anneal_routes(p: &mut Partitioning, config: &crate::SynthesisConfig, round: u64) {
+fn anneal_once(p: &mut Partitioning, config: &SynthesisConfig, round: u64) {
     use nocsyn_rng::Rng;
 
     let scalar = |p: &Partitioning| {
@@ -132,13 +246,10 @@ fn anneal_routes(p: &mut Partitioning, config: &crate::SynthesisConfig, round: u
         return;
     }
     let mut rng = Rng::seed_from_u64(config.seed() ^ 0xA11E_A1ED ^ (round << 17));
-    let snapshot = |p: &Partitioning| -> Vec<Vec<usize>> {
-        (0..n_flows).map(|i| p.path_of_idx(i).to_vec()).collect()
-    };
 
     let mut current = scalar(p);
     let mut best = current;
-    let mut best_paths = snapshot(p);
+    let mut best_paths = p.paths().to_vec();
     let mut temperature = 50.0;
     let iterations = 400 * n_flows.min(64);
 
@@ -181,7 +292,7 @@ fn anneal_routes(p: &mut Partitioning, config: &crate::SynthesisConfig, round: u
             current = new;
             if new < best {
                 best = new;
-                best_paths = snapshot(p);
+                best_paths = p.paths().to_vec();
             }
             p.stats.reroutes_accepted += 1;
         }
@@ -199,7 +310,7 @@ fn anneal_routes(p: &mut Partitioning, config: &crate::SynthesisConfig, round: u
 /// Considers all simple reroutes of `flow` — the direct path and every
 /// single-via detour — and commits the best one if it strictly improves
 /// the lexicographic score. Returns whether a change was committed.
-fn reroute_best(p: &mut Partitioning, flow: Flow, config: &crate::SynthesisConfig) -> bool {
+fn reroute_best(p: &mut Partitioning, flow: Flow, config: &SynthesisConfig) -> bool {
     let idx = p.flow_idx(flow);
     let original = p.path_of_idx(idx).to_vec();
     let current_score = p.score(config);
@@ -418,6 +529,74 @@ mod tests {
         assert_eq!(p.path(Flow::from_indices(0, 3)).unwrap(), &[0, 1]);
         assert_eq!(p.total_links(), 1);
         p.assert_consistent();
+    }
+
+    /// Processor 0 alone on switch 0 talks to one partner per switch
+    /// 1..=4, each in its own phase, so switch 0 needs degree 5 against a
+    /// bound of 3 until serialized flows share a first hop. Processor 5
+    /// has no flows: moving it changes degrees but no path.
+    fn violating_star() -> (Partitioning, SynthesisConfig) {
+        use nocsyn_model::{Phase, PhaseSchedule};
+        let mut schedule = PhaseSchedule::new(6);
+        for partner in 1..=4usize {
+            schedule
+                .push(Phase::from_flows([(0usize, partner)]).unwrap())
+                .unwrap();
+        }
+        let pattern = AppPattern::from_schedule(&schedule);
+        let p = Partitioning::from_assignment(&pattern, &[0, 1, 2, 3, 4, 1]).unwrap();
+        let config = SynthesisConfig::new().with_max_degree(3).with_seed(4);
+        assert_eq!(p.violating(&config), vec![0]);
+        (p, config)
+    }
+
+    /// Anneals `p` in `round` and checks the result against a fresh walk
+    /// on a clone with an empty memo: same paths, same counters, and a
+    /// replay exactly when `replay` says so.
+    fn anneal_matches_fresh_walk(
+        p: &mut Partitioning,
+        config: &SynthesisConfig,
+        round: usize,
+        replay: bool,
+    ) {
+        let mut fresh = p.clone();
+        fresh.anneal_memo = AnnealMemo::default();
+        assert!(!anneal_routes(&mut fresh, config, round));
+        assert_eq!(anneal_routes(p, config, round), replay, "replayed");
+        assert_eq!(p.paths(), fresh.paths(), "paths");
+        assert_eq!(p.stats, fresh.stats, "counters");
+        p.assert_consistent();
+    }
+
+    #[test]
+    fn anneal_replays_a_repeated_input_and_misses_a_changed_one() {
+        let (mut p, config) = violating_star();
+        let input = p.paths().to_vec();
+        anneal_matches_fresh_walk(&mut p, &config, 0, false);
+        assert_ne!(p.paths(), &input[..], "the walk reroutes some flow");
+        assert!(p.stats.reroutes_accepted > 0);
+        p.apply_path_changes(input.iter().cloned().enumerate());
+        // The memo now holds round 0's walk of `input`.
+        let remembered = p.clone();
+        anneal_matches_fresh_walk(&mut p, &config, 0, true);
+
+        // Each round has its own slot and seed.
+        anneal_matches_fresh_walk(&mut remembered.clone(), &config, 1, false);
+        // Every field of the input is part of the key.
+        let mut exact = remembered.clone();
+        exact.set_strategy(ColoringStrategy::Exact);
+        anneal_matches_fresh_walk(&mut exact, &config, 0, false);
+        let mut moved = remembered.clone();
+        moved.move_proc(nocsyn_model::ProcId(5), 0);
+        assert_eq!(moved.paths(), remembered.paths());
+        anneal_matches_fresh_walk(&mut moved, &config, 0, false);
+        let reseeded = config.clone().with_seed(5);
+        anneal_matches_fresh_walk(&mut remembered.clone(), &reseeded, 0, false);
+        let looser = config.clone().with_max_degree(4);
+        anneal_matches_fresh_walk(&mut remembered.clone(), &looser, 0, false);
+        let mut wider = remembered.clone();
+        wider.add_switch();
+        anneal_matches_fresh_walk(&mut wider, &config, 0, false);
     }
 
     #[test]
