@@ -14,17 +14,17 @@ use std::time::Instant;
 
 use nocsyn_coloring::fast_color;
 use nocsyn_engine::{par_map, Engine, JobError};
-use nocsyn_faults::{DegradationAnalyzer, FaultScenario};
+use nocsyn_faults::{DegradationReport, FaultScenario};
 use nocsyn_floorplan::{mesh_baseline, place, torus_baseline};
 use nocsyn_model::{Flow, PhaseSchedule, ProcId, SkewModel};
 use nocsyn_sim::{run_trace, AppDriver, ExecutionStats, RoutePolicy, SimConfig};
 use nocsyn_synth::{
     AcceptanceRule, AppPattern, ColoringStrategy, SynthesisConfig, SynthesisRequest,
 };
-use nocsyn_topo::{is_deadlock_free, verify_contention_free, RouteTable};
+use nocsyn_topo::{is_deadlock_free, regular, verify_contention_free, RouteTable};
 use nocsyn_workloads::{figure1, open_loop_traffic, Benchmark, TrafficPattern, WorkloadParams};
 
-use crate::{build_instance, grid_dims, HarnessError, Instance, NetworkKind};
+use crate::{build_instance, HarnessError, Instance, NetworkKind};
 
 /// `writeln!` into a `String`, which cannot fail.
 macro_rules! outln {
@@ -278,7 +278,7 @@ fn fig7() -> Result<String, HarnessError> {
         );
         for row in rows.by_ref().take(Benchmark::ALL.len()) {
             let (benchmark, n, generated) = row?;
-            let (r, c) = grid_dims(n);
+            let (r, c) = regular::grid_dims(n);
             let mesh = mesh_baseline(r, c);
             let area = generated.area();
             outln!(
@@ -810,12 +810,13 @@ fn degradation_cell(
     let mut clean = 0usize;
     let mut disconnected = 0usize;
     let mut execs: Vec<u64> = Vec::new();
-    // Scenarios of one cell share the baseline table, so one incremental
-    // analyzer (per-scenario route-edit deltas, rolled back after each
-    // report) replaces per-scenario full re-verification.
-    let mut analyzer = DegradationAnalyzer::new(&inst.network, pattern.contention(), &routes);
     for scenario in &scenarios {
-        let report = analyzer.analyze(scenario.clone());
+        let report = DegradationReport::analyze(
+            &inst.network,
+            pattern.contention(),
+            &routes,
+            scenario.clone(),
+        );
         if report.still_contention_free() {
             clean += 1;
         }

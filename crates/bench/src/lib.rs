@@ -57,17 +57,6 @@ impl NetworkKind {
     }
 }
 
-/// The mesh/torus grid shape used for `n` processors: the most square
-/// factorization (2x4 for 8, 3x3 for 9, 4x4 for 16).
-pub fn grid_dims(n: usize) -> (usize, usize) {
-    assert!(n > 0, "grid for zero processors");
-    let mut r = (n as f64).sqrt().floor() as usize;
-    while r > 1 && !n.is_multiple_of(r) {
-        r -= 1;
-    }
-    (r.max(1), n / r.max(1))
-}
-
 /// A comparison network instantiated for an experiment: the topology, its
 /// routing policy, and its floorplan (which fixes link delays).
 #[derive(Debug)]
@@ -89,7 +78,7 @@ impl Instance {
     /// their analytic baselines (hand layouts, as in the paper); other
     /// networks use their floorplan.
     pub fn area(&self) -> AreaReport {
-        let (rows, cols) = grid_dims(self.network.n_procs());
+        let (rows, cols) = regular::grid_dims(self.network.n_procs());
         match self.kind {
             NetworkKind::Mesh => mesh_baseline(rows, cols),
             NetworkKind::Torus => nocsyn_floorplan::torus_baseline(rows, cols),
@@ -188,7 +177,7 @@ pub fn build_instance(
     seed: u64,
 ) -> Result<Instance, HarnessError> {
     let n = schedule.n_procs();
-    let (rows, cols) = grid_dims(n);
+    let (rows, cols) = regular::grid_dims(n);
     let (network, policy, synthesis) = match kind {
         NetworkKind::Crossbar => {
             let (net, routes) = regular::crossbar(n)?;
@@ -303,13 +292,6 @@ pub mod timing {
             Runner { budget, filter }
         }
 
-        /// Sets the per-case time budget.
-        #[must_use]
-        pub fn with_budget(mut self, budget: Duration) -> Self {
-            self.budget = budget;
-            self
-        }
-
         /// Runs one case: a warmup call, then repeated timed calls until
         /// the budget is spent (at least 3, at most 100 000 iterations),
         /// and prints one summary line. Returns `None` when the case is
@@ -420,14 +402,6 @@ mod tests {
         assert_eq!(src.to_string(), inner.to_string());
         let boxed: Box<dyn std::error::Error + Send + Sync> = Box::new(e);
         assert!(boxed.to_string().starts_with("synthesis:"));
-    }
-
-    #[test]
-    fn grid_dims_match_paper_configs() {
-        assert_eq!(grid_dims(8), (2, 4));
-        assert_eq!(grid_dims(9), (3, 3));
-        assert_eq!(grid_dims(16), (4, 4));
-        assert_eq!(grid_dims(7), (1, 7));
     }
 
     #[test]

@@ -1179,8 +1179,9 @@ fn split_loop(
 /// merging allowed, accepting only configurations that keep the
 /// constraints satisfied and strictly reduce `links + live switches`
 /// (both chip-area units). This is an extension over the published
-/// algorithm (which stops at the first feasible configuration); DESIGN.md
-/// §5 tracks it as an ablation and the `ablation` binary quantifies it.
+/// algorithm (which stops at the first feasible configuration; DESIGN.md
+/// §5b). It always runs: no configuration switch turns it off, so
+/// `reproduce ablation` has no row for it.
 fn refine(p: &mut Partitioning, config: &SynthesisConfig) {
     if !p.violating(config).is_empty() {
         // Merging is only meaningful between feasible configurations: from

@@ -18,10 +18,7 @@
 //! 3. [`DegradationReport::analyze`] re-runs `verify_contention_free` on
 //!    the repaired table, classifying **every** flow as
 //!    [`FlowFate::Repaired`], [`FlowFate::ContentionIntroduced`] (with the
-//!    Theorem-1 witnesses), or [`FlowFate::Unroutable`]. For sweeps over
-//!    many scenarios of one baseline, [`DegradationAnalyzer`] produces the
-//!    identical reports incrementally: one shared Theorem-1 checker,
-//!    per-scenario route edits applied and rolled back.
+//!    Theorem-1 witnesses), or [`FlowFate::Unroutable`].
 //!
 //! Everything here is a pure function of `(network, routes, scenario)`:
 //! reports carry no clocks or iteration-order artifacts, so the same seed
@@ -52,12 +49,10 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod analyzer;
 mod repair;
 mod report;
 mod scenario;
 
-pub use analyzer::DegradationAnalyzer;
 pub use repair::{
     repair_routes, route_is_affected, DisconnectCause, DisconnectionWitness, RepairOutcome,
 };

@@ -73,19 +73,6 @@ impl DegradationReport {
     ) -> Self {
         let outcome = repair_routes(net, routes, &scenario);
         let check = verify_contention_free(contention, &outcome.routes);
-        Self::from_parts(scenario, outcome, check)
-    }
-
-    /// Classifies every flow of a repair outcome against a Theorem-1
-    /// report over the repaired table. Shared by [`Self::analyze`] and
-    /// the incremental [`DegradationAnalyzer`](crate::DegradationAnalyzer):
-    /// as long as `check` equals `verify_contention_free` over
-    /// `outcome.routes`, both paths build identical reports.
-    pub(crate) fn from_parts(
-        scenario: FaultScenario,
-        outcome: crate::RepairOutcome,
-        check: ContentionReport,
-    ) -> Self {
         let mut fates: BTreeMap<Flow, FlowFate> = BTreeMap::new();
         for witness in &outcome.unroutable {
             fates.insert(

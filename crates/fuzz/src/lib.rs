@@ -11,11 +11,10 @@
 //!   corpora, and grammar-aware construction of schedules/traces — so
 //!   both the happy path and the error paths stay exercised.
 //! * **Targets** ([`target`]) are named entry points (`parse_schedule`,
-//!   `parse_trace`, the `route_edit_probe` differential oracle over the
-//!   incremental Theorem-1 checker, plus whatever callers register,
-//!   e.g. the CLI dispatch path) that report accepted/rejected/work-done
-//!   per case. Each target owns its seed corpus, so an entry added for
-//!   one target changes no other target's cases.
+//!   `parse_trace`, plus whatever callers register, e.g. the CLI
+//!   dispatch path) that report accepted/rejected/work-done per case.
+//!   Each target owns its seed corpus, so an entry added for one target
+//!   changes no other target's cases.
 //! * **Budgets** ([`CaseBudget`]) bound each case: input size is capped
 //!   before the target runs, and the target's self-reported tick and
 //!   output counts are checked after. A violation is recorded, not
@@ -38,7 +37,6 @@ pub mod certify_probe;
 pub mod chaos_probe;
 pub mod gen;
 pub mod request_probe;
-pub mod route_probe;
 pub mod serve_probe;
 pub mod target;
 pub mod triage;

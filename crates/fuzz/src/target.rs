@@ -120,17 +120,15 @@ impl Registry {
 
     /// A registry preloaded with the built-in targets, each with its own
     /// seed corpus: the model parsers (`parse_schedule`, `parse_trace`),
-    /// the incremental Theorem-1 differential probe
-    /// (`route_edit_probe`), the serve daemon's line protocol
-    /// (`serve_request`), the certificate checker (`certify_input`),
-    /// the crash-safety shadow-model probe over the fault-injected
-    /// result cache (`chaos_plan`), and the synthesis-request builder
+    /// the serve daemon's line protocol (`serve_request`), the
+    /// certificate checker (`certify_input`), the crash-safety
+    /// shadow-model probe over the fault-injected result cache
+    /// (`chaos_plan`), and the synthesis-request builder
     /// (`synthesis_request`).
     pub fn with_builtin_targets() -> Self {
         let mut r = Registry::new();
         r.register(parse_schedule_target());
         r.register(parse_trace_target());
-        r.register(crate::route_probe::route_edit_probe_target());
         r.register(crate::serve_probe::serve_request_target());
         r.register(crate::certify_probe::certify_input_target());
         r.register(crate::chaos_probe::chaos_plan_target());
@@ -223,13 +221,11 @@ mod tests {
                 "chaos_plan",
                 "parse_schedule",
                 "parse_trace",
-                "route_edit_probe",
                 "serve_request",
                 "synthesis_request"
             ]
         );
         assert!(r.get("parse_schedule").is_some());
-        assert!(r.get("route_edit_probe").is_some());
         assert!(r.get("nope").is_none());
     }
 

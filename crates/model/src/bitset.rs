@@ -309,13 +309,6 @@ impl BitSet {
             .sum()
     }
 
-    /// Whether the sets share an id (stops at the first overlapping word)
-    /// — the Theorem-1 test of two route footprints.
-    #[inline]
-    pub fn intersects(&self, other: &BitSet) -> bool {
-        self.words.iter().zip(&other.words).any(|(w, o)| w & o != 0)
-    }
-
     /// Iterates set ids in ascending order.
     #[inline]
     pub fn iter(&self) -> Ones<'_> {

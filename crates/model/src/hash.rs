@@ -1,8 +1,7 @@
 //! Deterministic, fast hashing for hot-path lookup tables.
 //!
-//! The synthesis inner loops key memo tables by small integers, by
-//! [`BitSet`](crate::BitSet) crossing sets and by the channels an
-//! incremental Theorem-1 check numbers. The standard library's default
+//! The synthesis inner loops key memo tables by small integers and by
+//! [`BitSet`](crate::BitSet) crossing sets. The standard library's default
 //! SipHash is designed to resist hash-flooding from untrusted keys; these
 //! tables only ever hold keys the search itself generated, so that
 //! robustness buys nothing and costs a large fraction of every probe. [`FxBuildHasher`] swaps in the

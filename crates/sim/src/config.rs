@@ -2,7 +2,7 @@
 
 use std::collections::BTreeSet;
 
-use nocsyn_topo::{LinkId, Network};
+use nocsyn_topo::LinkId;
 
 /// Tunable parameters of the flit-level simulator.
 ///
@@ -20,8 +20,6 @@ pub struct SimConfig {
     retransmit_delay: u64,
     max_cycles: u64,
     link_delays: Vec<u32>,
-    compute_jitter: f64,
-    jitter_seed: u64,
     failed_links: BTreeSet<LinkId>,
 }
 
@@ -41,22 +39,8 @@ impl SimConfig {
             retransmit_delay: 32,
             max_cycles: 50_000_000,
             link_delays: Vec::new(),
-            compute_jitter: 0.0,
-            jitter_seed: 0,
             failed_links: BTreeSet::new(),
         }
-    }
-
-    /// Overrides the flit width in bytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bytes` is zero.
-    #[must_use]
-    pub fn with_flit_bytes(mut self, bytes: u32) -> Self {
-        assert!(bytes > 0, "flits carry at least one byte");
-        self.flit_bytes = bytes;
-        self
     }
 
     /// Overrides the virtual-channel count per physical link.
@@ -68,14 +52,6 @@ impl SimConfig {
     pub fn with_vcs(mut self, vcs: usize) -> Self {
         assert!(vcs > 0, "need at least one virtual channel");
         self.vcs = vcs;
-        self
-    }
-
-    /// Overrides the send/receive software overheads (cycles).
-    #[must_use]
-    pub fn with_overheads(mut self, send: u64, recv: u64) -> Self {
-        self.send_overhead = send;
-        self.recv_overhead = recv;
         self
     }
 
@@ -92,43 +68,6 @@ impl SimConfig {
     pub fn with_max_cycles(mut self, cycles: u64) -> Self {
         self.max_cycles = cycles;
         self
-    }
-
-    /// Sets the per-process compute-time jitter: each computation gap is
-    /// scaled by a deterministic pseudo-random factor in
-    /// `[1 - jitter, 1 + jitter]`. Real executions skew this way, which
-    /// makes adjacent contention periods overlap — the effect the paper
-    /// credits for the residual gap between generated networks and the
-    /// crossbar (Section 4.2).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `jitter` is negative or ≥ 1.
-    #[must_use]
-    pub fn with_compute_jitter(mut self, jitter: f64, seed: u64) -> Self {
-        assert!((0.0..1.0).contains(&jitter), "jitter must be in [0, 1)");
-        self.compute_jitter = jitter;
-        self.jitter_seed = seed;
-        self
-    }
-
-    /// The jittered computation time for process `proc` at phase `step`,
-    /// given the nominal `ticks`.
-    pub fn jittered_compute(&self, ticks: u64, proc: usize, step: usize) -> u64 {
-        if self.compute_jitter == 0.0 || ticks == 0 {
-            return ticks;
-        }
-        // SplitMix64 over (proc, step), mapped to [-1, 1].
-        let mut x = self
-            .jitter_seed
-            .wrapping_add((proc as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-            .wrapping_add((step as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9));
-        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        x ^= x >> 31;
-        let unit = (x as f64 / u64::MAX as f64) * 2.0 - 1.0;
-        let scaled = ticks as f64 * (1.0 + self.compute_jitter * unit);
-        scaled.max(0.0).round() as u64
     }
 
     /// Sets per-link delays in cycles (index = [`LinkId`]); unlisted links
@@ -202,14 +141,6 @@ impl SimConfig {
     pub fn flits_for(&self, bytes: u32) -> u64 {
         u64::from(bytes.div_ceil(self.flit_bytes)).max(1) + 1
     }
-
-    /// Convenience: derives per-link delays for `net` from a link-length
-    /// function (lengths in tiles; zero-length links cost one cycle).
-    #[must_use]
-    pub fn with_delays_from<F: FnMut(LinkId) -> u32>(self, net: &Network, mut length: F) -> Self {
-        let delays = net.link_ids().map(|l| length(l).max(1)).collect();
-        self.with_link_delays(delays)
-    }
 }
 
 impl Default for SimConfig {
@@ -253,49 +184,5 @@ mod tests {
     #[should_panic(expected = "at least one virtual channel")]
     fn zero_vcs_rejected() {
         let _ = SimConfig::paper().with_vcs(0);
-    }
-}
-
-#[cfg(test)]
-mod jitter_tests {
-    use super::*;
-
-    #[test]
-    fn zero_jitter_is_identity() {
-        let c = SimConfig::paper();
-        assert_eq!(c.jittered_compute(1_000, 3, 7), 1_000);
-        assert_eq!(c.jittered_compute(0, 0, 0), 0);
-    }
-
-    #[test]
-    fn jitter_is_bounded_and_deterministic() {
-        let c = SimConfig::paper().with_compute_jitter(0.25, 42);
-        for proc in 0..8 {
-            for step in 0..8 {
-                let a = c.jittered_compute(1_000, proc, step);
-                let b = c.jittered_compute(1_000, proc, step);
-                assert_eq!(a, b, "same (proc, step) must repeat");
-                assert!((750..=1250).contains(&a), "out of bounds: {a}");
-            }
-        }
-        // Different seeds give different draws somewhere.
-        let d = SimConfig::paper().with_compute_jitter(0.25, 43);
-        let differs =
-            (0..8).any(|p| d.jittered_compute(1_000, p, 0) != c.jittered_compute(1_000, p, 0));
-        assert!(differs);
-    }
-
-    #[test]
-    fn jitter_actually_varies_across_procs() {
-        let c = SimConfig::paper().with_compute_jitter(0.5, 7);
-        let draws: std::collections::BTreeSet<u64> =
-            (0..16).map(|p| c.jittered_compute(10_000, p, 0)).collect();
-        assert!(draws.len() > 8, "jitter draws look degenerate: {draws:?}");
-    }
-
-    #[test]
-    #[should_panic(expected = "jitter must be in [0, 1)")]
-    fn jitter_out_of_range_rejected() {
-        let _ = SimConfig::paper().with_compute_jitter(1.5, 0);
     }
 }

@@ -240,8 +240,7 @@ impl<'a> AppDriver<'a> {
                 }
             }
             None => {
-                let compute = self.config.jittered_compute(info.compute, pidx, step);
-                self.advance_phase(pidx, procs, phases, t + compute, unfinished);
+                self.advance_phase(pidx, procs, phases, t + info.compute, unfinished);
             }
         }
         Ok(())
@@ -259,10 +258,7 @@ impl<'a> AppDriver<'a> {
         unfinished: &mut usize,
     ) {
         procs[pidx].comm += completion - since;
-        let step = procs[pidx].step;
-        let compute = self
-            .config
-            .jittered_compute(phases[step].compute, pidx, step);
+        let compute = phases[procs[pidx].step].compute;
         self.advance_phase(pidx, procs, phases, completion + compute, unfinished);
     }
 

@@ -14,9 +14,6 @@
 //!   (Definition 7): flow pairs whose routing paths share a channel.
 //! * [`verify_contention_free`] — Theorem 1: `C ∩ R = ∅ ⇒ contention-free`,
 //!   with witnesses when the check fails.
-//! * [`IncrementalChecker`] — the same verdict maintained under
-//!   single-route edits via bitset footprints, re-testing only the
-//!   contention pairs the edited flow touches.
 //! * [`regular`] — generators for the baseline topologies of the paper's
 //!   evaluation: 2-D mesh with dimension-order routing, 2-D torus, and the
 //!   fully-connected crossbar ("mega-switch").
@@ -51,7 +48,6 @@ mod diff;
 pub mod dot;
 mod error;
 mod ids;
-mod incremental;
 mod network;
 pub mod regular;
 mod route;
@@ -65,7 +61,6 @@ pub use diff::NetworkDelta;
 pub use dot::{loaded_to_dot, route_to_dot, to_dot};
 pub use error::TopoError;
 pub use ids::{Channel, Direction, LinkId, NodeRef, SwitchId};
-pub use incremental::IncrementalChecker;
 pub use network::{Link, Network, Switch};
 pub use route::{Route, RouteTable};
 pub use shortest::{shortest_route, shortest_route_avoiding, switch_distances};

@@ -1,5 +1,6 @@
 //! Regular baseline topologies: crossbar, 2-D mesh, 2-D torus, and
-//! fully-connected networks, each paired with its deterministic route table.
+//! fully-connected networks, each paired with its deterministic route table,
+//! plus [`grid_dims`], the mesh/torus shape for a processor count.
 //!
 //! These are the comparison points of the paper's evaluation (Section 4):
 //! the non-blocking crossbar is the performance ideal, the mesh (with
@@ -70,6 +71,21 @@ pub fn fully_connected(n_procs: usize) -> Result<(Network, RouteTable), TopoErro
         }
     })?;
     Ok((net, routes))
+}
+
+/// The mesh/torus grid shape used for `n` processors: the most square
+/// factorization (2x4 for 8, 3x3 for 9, 4x4 for 16).
+///
+/// # Panics
+///
+/// Panics if `n` is zero.
+pub fn grid_dims(n: usize) -> (usize, usize) {
+    assert!(n > 0, "grid for zero processors");
+    let mut r = (n as f64).sqrt().floor() as usize;
+    while r > 1 && !n.is_multiple_of(r) {
+        r -= 1;
+    }
+    (r.max(1), n / r.max(1))
 }
 
 /// A 2-D mesh of processor tiles with dimension-order (X-then-Y) routing.
@@ -384,6 +400,14 @@ mod tests {
         assert!(!r.conflicts(Flow::from_indices(0, 1), Flow::from_indices(2, 3)));
         // Same source shares the injection link.
         assert!(r.conflicts(Flow::from_indices(0, 1), Flow::from_indices(0, 2)));
+    }
+
+    #[test]
+    fn grid_dims_match_paper_configs() {
+        assert_eq!(grid_dims(8), (2, 4));
+        assert_eq!(grid_dims(9), (3, 3));
+        assert_eq!(grid_dims(16), (4, 4));
+        assert_eq!(grid_dims(7), (1, 7));
     }
 
     #[test]

@@ -151,11 +151,6 @@ impl RouteTable {
         self.routes.insert(flow, route)
     }
 
-    /// Removes the route for `flow`, returning it if one existed.
-    pub fn remove(&mut self, flow: Flow) -> Option<Route> {
-        self.routes.remove(&flow)
-    }
-
     /// Inserts a route only if the flow is not yet routed.
     pub fn insert_if_absent(&mut self, flow: Flow, route: Route) -> bool {
         match self.routes.entry(flow) {
@@ -317,7 +312,6 @@ mod tests {
         let mut table = RouteTable::new();
         assert!(table.insert_if_absent(flow, Route::new(hops.clone())));
         assert!(!table.insert_if_absent(flow, Route::default()));
-        assert_eq!(table.remove(Flow::from_indices(1, 0)), None);
         table.validate(&net).unwrap();
         let load = table.channel_load();
         assert_eq!(load.len(), 3);

@@ -36,14 +36,6 @@ pub struct ContentionReport {
 }
 
 impl ContentionReport {
-    /// Builds a report from pre-computed witnesses. Crate-internal: the
-    /// incremental checker constructs reports that must be
-    /// indistinguishable from a [`verify_contention_free`] run, and
-    /// keeping this private preserves "a report came from a check".
-    pub(crate) fn from_witnesses(witnesses: Vec<ContentionWitness>) -> Self {
-        ContentionReport { witnesses }
-    }
-
     /// Whether `C ∩ R = ∅`, i.e. the sufficient condition for
     /// contention-free communication holds.
     pub fn is_contention_free(&self) -> bool {

@@ -312,6 +312,33 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
     Ok(opts)
 }
 
+/// A command's entry point; it gets the arguments after the command name.
+type Handler = fn(&[String]) -> Result<String, String>;
+
+/// Every command `run` accepts, with its entry point. `run` looks the
+/// command up here before it reads any file, and the `cli` fuzz target
+/// (`dispatch_probe`) accepts exactly these names.
+const COMMANDS: &[(&str, Handler)] = &[
+    ("help", |_| Ok(HELP.to_string())),
+    ("--help", |_| Ok(HELP.to_string())),
+    ("-h", |_| Ok(HELP.to_string())),
+    ("info", |args| run_on_pattern("info", args)),
+    ("synth", |args| run_on_pattern("synth", args)),
+    ("simulate", |args| run_on_pattern("simulate", args)),
+    ("verify", |args| run_on_pattern("verify", args)),
+    ("faults", |args| run_on_pattern("faults", args)),
+    // The checker takes two files (pattern, certificate); everything
+    // after them is options.
+    ("certify", cmd_certify),
+    // The fuzzer, the daemon and the chaos harness take no pattern file:
+    // the daemon's patterns arrive inline over the protocol, and the
+    // chaos harness generates its request corpus from the seed.
+    ("fuzz", |args| cmd_fuzz(&parse_options(args)?)),
+    ("serve", |args| cmd_serve(&parse_options(args)?)),
+    ("client", cmd_client),
+    ("chaos", |args| cmd_chaos(&parse_options(args)?)),
+];
+
 /// Executes the CLI for the given arguments (without the program name)
 /// and returns its stdout text.
 ///
@@ -323,52 +350,34 @@ pub fn run(args: &[String]) -> Result<String, String> {
     let Some(command) = args.first() else {
         return Ok(HELP.to_string());
     };
-    if command == "help" || command == "--help" || command == "-h" {
-        return Ok(HELP.to_string());
-    }
-    if command == "fuzz" {
-        // The fuzzer takes no pattern file; everything after `fuzz` is
-        // options.
-        return cmd_fuzz(&parse_options(&args[1..])?);
-    }
-    if command == "serve" {
-        // The daemon takes no pattern file; patterns arrive inline over
-        // the protocol.
-        return cmd_serve(&parse_options(&args[1..])?);
-    }
-    if command == "client" {
-        return cmd_client(&args[1..]);
-    }
-    if command == "chaos" {
-        // The chaos harness takes no pattern file; its request corpus is
-        // generated from the seed.
-        return cmd_chaos(&parse_options(&args[1..])?);
-    }
-    if command == "certify" {
-        // The checker takes two files (pattern, certificate); everything
-        // after them is options.
-        return cmd_certify(&args[1..]);
-    }
-    let Some(path) = args.get(1) else {
+    let Some((_, handler)) = COMMANDS.iter().find(|(name, _)| name == command) else {
+        return Err(format!("unknown command `{command}`"));
+    };
+    handler(&args[1..])
+}
+
+/// Runs a command whose first argument is a pattern file; everything
+/// after the file is options.
+fn run_on_pattern(command: &str, args: &[String]) -> Result<String, String> {
+    let Some(path) = args.first() else {
         return Err(format!("`{command}` requires a pattern file"));
     };
-    let opts = parse_options(&args[2..])?;
+    let opts = parse_options(&args[1..])?;
     let input = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let parsed = parse_pattern(&input, &ParseOptions::new()).map_err(|e| format!("{path}: {e}"))?;
 
-    match command.as_str() {
+    match command {
         "info" => cmd_info(&parsed, &opts),
         "synth" => cmd_synth(parsed, input, &opts),
-        "simulate" | "verify" | "faults" => {
+        _ => {
             let (net, policy) = build_network_for(&parsed.pattern, input, &opts)?;
-            match (command.as_str(), &parsed.source) {
+            match (command, &parsed.source) {
                 ("simulate", Pattern::Schedule(s)) => cmd_simulate(s, &net, policy, &opts),
                 ("simulate", Pattern::Trace(t)) => cmd_replay(t, &net, &policy, &opts),
                 ("verify", _) => cmd_verify(&parsed.pattern, &policy, &opts),
                 _ => cmd_faults(&parsed, &net, &policy, &opts),
             }
         }
-        other => Err(format!("unknown command `{other}`")),
     }
 }
 
@@ -497,7 +506,7 @@ fn cmd_synth(parsed: ParsedPattern, text: String, opts: &Options) -> Result<Stri
         let _ = writeln!(out, "\n{}", explain(result, pattern));
     }
 
-    let (rows, cols) = near_square(pattern.n_procs());
+    let (rows, cols) = regular::grid_dims(pattern.n_procs());
     let plan = place(&result.network, opts.seed);
     let area = plan.area(&result.network);
     let mesh = mesh_baseline(rows, cols);
@@ -828,11 +837,6 @@ fn render_rejection(rej: &Rejection, json: bool) -> String {
     .to_string()
 }
 
-/// The commands `dispatch_probe` recognizes (everything `run` accepts).
-const COMMANDS: &[&str] = &[
-    "info", "synth", "simulate", "verify", "faults", "certify", "fuzz", "help",
-];
-
 /// The pure slice of the CLI that the `cli` fuzz target exercises:
 /// command lookup, option parsing and input-layer parsing, with no
 /// filesystem access and no synthesis. Input layout: first line is the
@@ -848,7 +852,7 @@ fn dispatch_probe(input: &[u8]) -> CaseReport {
     let Some(command) = argv.first() else {
         return CaseReport::rejected(ticks, "empty-argv");
     };
-    if !COMMANDS.contains(&command.as_str()) {
+    if !COMMANDS.iter().any(|(name, _)| name == command) {
         return CaseReport::rejected(ticks, "unknown-command");
     }
     if parse_options(&argv[1..]).is_err() {
@@ -1063,7 +1067,7 @@ fn build_network_for(
     opts: &Options,
 ) -> Result<(Network, RoutePolicy), String> {
     let n = pattern.n_procs();
-    let (rows, cols) = near_square(n);
+    let (rows, cols) = regular::grid_dims(n);
     match opts.network.as_str() {
         "crossbar" => {
             let (net, routes) = regular::crossbar(n).map_err(|e| e.to_string())?;
@@ -1107,15 +1111,6 @@ fn policy_table(policy: &RoutePolicy, pattern: &AppPattern) -> Result<RouteTable
         table.insert(flow, route.clone());
     }
     Ok(table)
-}
-
-/// Most-square factorization of `n`.
-fn near_square(n: usize) -> (usize, usize) {
-    let mut r = (n as f64).sqrt().floor() as usize;
-    while r > 1 && !n.is_multiple_of(r) {
-        r -= 1;
-    }
-    (r.max(1), n / r.max(1))
 }
 
 #[cfg(test)]
@@ -1596,12 +1591,26 @@ mod tests {
         let ok = dispatch_probe(b"synth --seed 1\nprocs 4\nphase\n 0 -> 1\n");
         assert_eq!(ok.rejected, None);
         assert_eq!(ok.output_units, 1);
+        // Every command `run` accepts, the daemon, client and chaos
+        // commands included.
+        for (name, _) in COMMANDS {
+            let case = dispatch_probe(format!("{name}\nprocs 2\nphase\n 0 -> 1\n").as_bytes());
+            assert_eq!(case.rejected, None, "`{name}` was refused");
+        }
     }
 
     #[test]
     fn error_paths() {
+        // An unknown command is named as such before any file is read:
+        // neither a missing pattern argument nor an unreadable path may
+        // mask it.
+        for argv in [
+            args(&["frobnicate"]),
+            args(&["frobnicate", "/nonexistent.txt"]),
+        ] {
+            assert_eq!(run(&argv).unwrap_err(), "unknown command `frobnicate`");
+        }
         assert!(run(&args(&["synth"])).is_err()); // missing file
-        assert!(run(&args(&["bogus", "x"])).is_err());
         assert!(run(&args(&["info", "/nonexistent-nocsyn-file"])).is_err());
         let path = write_pattern("badopt", PATTERN);
         assert!(run(&args(&["synth", &path, "--max-degree", "lots"])).is_err());
