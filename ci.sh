@@ -30,6 +30,10 @@ echo "==> golden search, certificate and decomposition pins hold in an optimized
 # walks in certificate_golden are replays), and this run pins replayed
 # routes where the debug re-walk oracle is compiled out.
 cargo test --release --offline --test determinism --test decomposition --test certificate_golden
+# The search's unit tests check the reroute and move probes against a
+# real apply; here the probes' own debug-assert oracles are compiled out,
+# so these tests are what holds them.
+cargo test --release --offline -p nocsyn-synth --lib
 
 echo "==> paper figures: every reproduce figure matches its EXPERIMENTS.md block"
 # The debug test run skips the seven figures that are slow there; this

@@ -51,9 +51,9 @@ impl MoveCandidate {
 /// relocated processors' flows (as the paper specifies), and returns the
 /// lowest-cost candidate.
 ///
-/// The evaluation is performed by applying the change to the partitioning,
-/// reading the incrementally-maintained total, and undoing it exactly — so
-/// each candidate costs only the pipe recomputations its flows touch.
+/// Each candidate is scored by [`Partitioning::probe_move`] without
+/// committing it, so it costs only the recolorings of the pipe
+/// directions its flows leave and join.
 ///
 /// Returns `None` when no legal candidate exists at all.
 pub(crate) fn best_move(
@@ -89,7 +89,7 @@ pub(crate) fn best_move(
         if (ni_after - nj_after).unsigned_abs() > config.balance_tolerance() {
             continue;
         }
-        let cost = evaluate(p, &[(proc, to)]);
+        let (cost, _) = evaluate(p, &[(proc, to)], config);
         if best.as_ref().is_none_or(|b| cost < b.cost()) {
             best = Some(MoveCandidate::Single { proc, to, cost });
         }
@@ -100,7 +100,7 @@ pub(crate) fn best_move(
     let right: Vec<ProcId> = p.members(sj).to_vec();
     for &a in &left {
         for &b in &right {
-            let cost = evaluate(p, &[(a, sj), (b, si)]);
+            let (cost, _) = evaluate(p, &[(a, sj), (b, si)], config);
             if best.as_ref().is_none_or(|bst| cost < bst.cost()) {
                 best = Some(MoveCandidate::Swap {
                     a,
@@ -115,42 +115,18 @@ pub(crate) fn best_move(
     best
 }
 
-/// Applies the given relocations, reads the incrementally-maintained link
-/// total, and undoes everything exactly (including any detoured paths
-/// Best_Route had installed for the touched flows). This is the paper's
-/// "expected number of links ... assuming direct routes" evaluation,
-/// side-effect free.
-fn evaluate(p: &mut Partitioning, relocations: &[(ProcId, usize)]) -> usize {
-    evaluate_with(p, relocations, Partitioning::total_links)
-}
-
-/// Like [`evaluate`], but lets the caller observe arbitrary state of the
-/// trial configuration (degrees, live switch counts, ...).
-fn evaluate_with<T>(
+/// The total link estimate and the lexicographic score the partitioning
+/// would have after the given relocations, with the relocated
+/// processors' flows on direct routes — the paper's "expected number of
+/// links ... assuming direct routes" evaluation, side-effect free (see
+/// [`Partitioning::probe_move`]). Counts one tried move.
+fn evaluate(
     p: &mut Partitioning,
     relocations: &[(ProcId, usize)],
-    observe: impl FnOnce(&Partitioning) -> T,
-) -> T {
+    config: &SynthesisConfig,
+) -> (usize, (usize, usize)) {
     p.stats.moves_tried += 1;
-    let mut undo: Vec<(ProcId, usize)> = Vec::with_capacity(relocations.len());
-    let mut saved: Vec<(usize, Vec<usize>)> = Vec::new();
-    for &(proc, to) in relocations {
-        undo.push((proc, p.home(proc)));
-        for &i in p.flows_of_proc(proc) {
-            if !saved.iter().any(|(j, _)| *j == i) {
-                saved.push((i, p.path_of_idx(i).to_vec()));
-            }
-        }
-        p.move_proc(proc, to);
-    }
-    let out = observe(p);
-    for &(proc, home) in undo.iter().rev() {
-        p.move_proc(proc, home);
-    }
-    for (i, path) in saved {
-        p.set_path(i, path);
-    }
-    out
+    p.probe_move(relocations, config)
 }
 
 /// Refinement between an arbitrary switch pair: singles in both directions
@@ -179,7 +155,7 @@ pub(crate) fn refine_move(
         .chain(p.members(sj).iter().map(|&q| (q, si)))
         .collect();
     for (proc, to) in singles {
-        let score = evaluate_with(p, &[(proc, to)], |p| p.score(config));
+        let (_, score) = evaluate(p, &[(proc, to)], config);
         consider(
             MoveCandidate::Single { proc, to, cost: 0 },
             score,
@@ -190,7 +166,7 @@ pub(crate) fn refine_move(
     let right: Vec<ProcId> = p.members(sj).to_vec();
     for &a in &left {
         for &b in &right {
-            let score = evaluate_with(p, &[(a, sj), (b, si)], |p| p.score(config));
+            let (_, score) = evaluate(p, &[(a, sj), (b, si)], config);
             consider(
                 MoveCandidate::Swap {
                     a,

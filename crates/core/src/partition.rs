@@ -10,12 +10,13 @@
 //! Pipes live in append-only *slots*, numbered in first-seen order, and
 //! every flow carries a [`BitSet`] footprint of the directed pipe
 //! resources its path crosses (resource id = `slot * 2 + direction`). A
-//! candidate reroute therefore never walks the pipe map: its old
-//! crossings come straight from the footprint, its new crossings from the
-//! candidate path, and the two lists cancel by parity — the delta-update
-//! invariant of DESIGN.md §11–12. [`Partitioning::probe_score`] evaluates
-//! a reroute from those toggles alone, with the full recompute demoted to
-//! a debug-assert oracle.
+//! candidate reroute, move or swap therefore never walks the pipe map:
+//! each changed flow's old crossings come straight from its footprint,
+//! its new crossings from its candidate path, and the two lists cancel by
+//! parity — the delta-update invariant of DESIGN.md §11–12.
+//! [`Partitioning::probe_score`] evaluates a reroute and
+//! [`Partitioning::probe_move`] a move or swap from those toggles alone,
+//! with the full recompute demoted to a debug-assert oracle.
 //!
 //! [`Network`]: nocsyn_topo::Network
 
@@ -148,6 +149,36 @@ pub(crate) struct SearchStats {
 /// the `(excess, area)` pair.
 type ScoreMemo = (usize, (usize, usize));
 
+/// A probe toggle: flow `idx` entering or leaving directed pipe resource
+/// `res` (`slot * 2 + direction`), packed as `res << 32 | idx`. Sorted
+/// toggles group by slot, then direction; a single flip's word is its
+/// `probe_cache` key.
+fn toggle_word(res: usize, idx: usize) -> u64 {
+    ((res as u64) << 32) | idx as u64
+}
+
+/// A probe's change at one switch: `(switch, incident links, live
+/// incident pipes, members)`.
+type SwitchDelta = (usize, isize, isize, isize);
+
+/// Adds a change to switch `s`'s entry of a probe's per-switch deltas.
+fn add_switch_delta(
+    switches: &mut Vec<SwitchDelta>,
+    s: usize,
+    d_incident: isize,
+    d_pipes: isize,
+    d_members: isize,
+) {
+    match switches.iter_mut().find(|e| e.0 == s) {
+        Some(e) => {
+            e.1 += d_incident;
+            e.2 += d_pipes;
+            e.3 += d_members;
+        }
+        None => switches.push((s, d_incident, d_pipes, d_members)),
+    }
+}
+
 /// The evolving partition of processors into switches, with per-flow switch
 /// paths and per-pipe link estimates.
 #[derive(Debug, Clone)]
@@ -203,14 +234,14 @@ pub struct Partitioning {
     /// Reused buffer of pipe slots touched by the current path-change
     /// batch.
     touched_scratch: Vec<usize>,
-    /// Reused buffers for [`Partitioning::probe_score`]: parity-filtered
-    /// directed-resource toggles and per-switch delta accumulators.
-    probe_toggles: Vec<usize>,
-    probe_switches: Vec<(usize, isize, isize)>,
+    /// Reused buffers for the probes: toggles (see [`toggle_word`]) and
+    /// per-switch delta accumulators.
+    probe_toggles: Vec<u64>,
+    probe_switches: Vec<SwitchDelta>,
     /// Reused bitset holding a probed direction's crossing set.
     dir_scratch: BitSet,
     /// Generation-checked memo of flipped-direction estimates, keyed by
-    /// `(slot, direction, flow)` packed into one word. Entries are valid
+    /// the flip's [`toggle_word`]. Entries are valid
     /// while the direction's edit generation matches; stale entries are
     /// overwritten on the next miss.
     probe_cache: HashMap<u64, (u64, u32), FxBuildHasher>,
@@ -659,20 +690,23 @@ impl Partitioning {
     }
 
     // ------------------------------------------------------------------
-    // Probes: score a candidate reroute without committing it.
+    // Probes: score a candidate reroute or move without committing it.
     // ------------------------------------------------------------------
 
-    /// Gathers the directed pipe resources whose crossing sets would flip
-    /// if flow `idx` moved to `new_path`: the flow's current footprint
-    /// XOR the candidate's crossings, computed by sort + parity-cancel
-    /// (a resource crossed both before and after appears twice and drops
-    /// out). Interns candidate pipes on the fly — an interned-but-empty
-    /// slot is indistinguishable from an absent pipe.
-    fn collect_probe_toggles(&mut self, idx: usize, new_path: &[usize]) {
+    /// Empties the probe buffers before a probe gathers its toggles.
+    fn start_probe(&mut self) {
+        self.probe_toggles.clear();
+        self.probe_switches.clear();
+    }
+
+    /// Appends the toggles of flow `idx` moving onto `new_path`: its
+    /// current footprint, then the candidate's crossings. Interns
+    /// candidate pipes on the fly — an interned-but-empty slot is
+    /// indistinguishable from an absent pipe.
+    fn push_probe_toggles(&mut self, idx: usize, new_path: &[usize]) {
         let universe = self.paths.len();
-        let mut toggles = std::mem::take(&mut self.probe_toggles);
-        toggles.clear();
-        toggles.extend(self.footprints[idx].iter());
+        self.probe_toggles
+            .extend(self.footprints[idx].iter().map(|res| toggle_word(res, idx)));
         for w in new_path.windows(2) {
             let key = PipeKey::new(w[0], w[1]);
             let slot = intern_pipe_slot(
@@ -682,11 +716,88 @@ impl Partitioning {
                 universe,
                 key,
             );
-            toggles.push(slot * 2 + usize::from(!key.forward_from(w[0])));
+            let res = slot * 2 + usize::from(!key.forward_from(w[0]));
+            self.probe_toggles.push(toggle_word(res, idx));
         }
+    }
+
+    /// Link estimate of one direction of `slot` with the flows of
+    /// `toggles` (all on that direction) flipped, plus whether the
+    /// direction would then be empty. Reads the committed set into a
+    /// scratch bitset; commits nothing. With `memo`, a single-flow flip
+    /// goes through `probe_cache`.
+    fn flipped_dir_links(
+        &mut self,
+        slot: usize,
+        backward: bool,
+        toggles: &[u64],
+        memo: bool,
+    ) -> (usize, bool) {
+        let st = &self.pipe_slots[slot];
+        let (set, count, gen, links) = if backward {
+            (&st.backward, st.bwd_n, st.bwd_gen, st.bwd_links)
+        } else {
+            (&st.forward, st.fwd_n, st.fwd_gen, st.fwd_links)
+        };
+        if toggles.is_empty() {
+            return (links, count == 0);
+        }
+        let flipped_n = toggles.iter().fold(count, |n, &t| {
+            if set.contains(t as u32 as usize) {
+                n - 1
+            } else {
+                n + 1
+            }
+        });
+        if flipped_n == 0 {
+            return (0, true);
+        }
+        // The anneal re-probes the same (pipe, direction, flow) flips over
+        // and over between commits; a generation-checked memo answers those
+        // without touching the bitset or the set-keyed caches.
+        let memo_key = match toggles {
+            &[t] if memo => Some(t),
+            _ => None,
+        };
+        if let Some(key) = memo_key {
+            if let Some(&(g, links)) = self.probe_cache.get(&key) {
+                if g == gen {
+                    return (links as usize, false);
+                }
+            }
+        }
+        self.dir_scratch.clone_from(set);
+        for &t in toggles {
+            self.dir_scratch.toggle(t as u32 as usize);
+        }
+        let links = estimate_dir(
+            self.strategy,
+            &self.clique_masks,
+            &self.interner,
+            self.pattern.contention(),
+            &mut self.fast_cache,
+            &mut self.chi_cache,
+            &self.dir_scratch,
+        );
+        if let Some(key) = memo_key {
+            self.probe_cache.insert(key, (gen, links as u32));
+        }
+        (links, false)
+    }
+
+    /// The delta core behind every probe. Cancels the gathered toggles by
+    /// parity (a flow crossing a resource both before and after appears
+    /// twice and drops out), then re-estimates each touched slot with
+    /// each direction's flows flipped. Returns the change in total links
+    /// and adds every touched switch's change in incident links and live
+    /// pipes to `probe_switches`. `memo` routes single-flow flips through
+    /// `probe_cache`, which serves the anneal's reroutes; move probes stay
+    /// out of it.
+    fn probe_links_delta(&mut self, memo: bool) -> isize {
+        let mut toggles = std::mem::take(&mut self.probe_toggles);
         toggles.sort_unstable();
-        // The footprint is a set and the candidate path is simple, so a
-        // resource's multiplicity is at most 2; keep odd occurrences.
+        // A footprint is a set and a candidate path is simple, so a toggle
+        // occurs at most twice; keep odd occurrences.
         let mut keep = 0;
         let mut i = 0;
         while i < toggles.len() {
@@ -699,49 +810,53 @@ impl Partitioning {
             }
         }
         toggles.truncate(keep);
+        let mut d_total = 0isize;
+        let mut i = 0;
+        while i < toggles.len() {
+            // Sorted: a slot's forward toggles, then its backward ones.
+            let slot = (toggles[i] >> 33) as usize;
+            let run_end = |from: usize, res: usize| {
+                from + toggles[from..]
+                    .iter()
+                    .take_while(|&&t| t >> 32 == res as u64)
+                    .count()
+            };
+            let mid = run_end(i, slot * 2);
+            let end = run_end(mid, slot * 2 + 1);
+            let (new_fwd, fwd_empty) = self.flipped_dir_links(slot, false, &toggles[i..mid], memo);
+            let (new_bwd, bwd_empty) = self.flipped_dir_links(slot, true, &toggles[mid..end], memo);
+            let st = &self.pipe_slots[slot];
+            let d_links = new_fwd.max(new_bwd) as isize - st.links as isize;
+            let d_pipes = isize::from(!(fwd_empty && bwd_empty)) - isize::from(!st.is_empty());
+            d_total += d_links;
+            for s in [st.key.lo, st.key.hi] {
+                add_switch_delta(&mut self.probe_switches, s, d_links, d_pipes, 0);
+            }
+            i = end;
+        }
         self.probe_toggles = toggles;
+        d_total
     }
 
-    /// Link estimate of one direction of `slot` with flow `idx` flipped,
-    /// plus whether that direction would then be empty. Reads the
-    /// committed set into a scratch bitset; commits nothing.
-    fn flipped_dir_links(&mut self, slot: usize, backward: bool, idx: usize) -> (usize, bool) {
-        let st = &self.pipe_slots[slot];
-        let (set, count, gen) = if backward {
-            (&st.backward, st.bwd_n, st.bwd_gen)
-        } else {
-            (&st.forward, st.fwd_n, st.fwd_gen)
-        };
-        let flipped_n = if set.contains(idx) {
-            count - 1
-        } else {
-            count + 1
-        };
-        if flipped_n == 0 {
-            return (0, true);
+    /// The exact [`Partitioning::score`] after a probed change that moves
+    /// total links by `d_links`: the committed score plus each switch in
+    /// `probe_switches` changing its degree excess and liveness.
+    fn probed_score(&self, d_links: isize, config: &SynthesisConfig) -> (usize, usize) {
+        let (base_excess, base_area) = self.score(config);
+        let max_degree = config.max_degree() as isize;
+        let (mut d_excess, mut d_live) = (0isize, 0isize);
+        for &(s, d_incident, d_pipes, d_members) in &self.probe_switches {
+            let members = self.members[s].len() as isize;
+            let deg_old = members + self.incident_links[s] as isize;
+            let deg_new = deg_old + d_incident + d_members;
+            d_excess += (deg_new - max_degree).max(0) - (deg_old - max_degree).max(0);
+            let now_live = members + d_members > 0 || self.incident_pipes[s] as isize + d_pipes > 0;
+            d_live += isize::from(now_live) - isize::from(self.switch_live[s]);
         }
-        // The anneal re-probes the same (pipe, direction, flow) flips over
-        // and over between commits; a generation-checked memo answers those
-        // without touching the bitset or the set-keyed caches.
-        let memo_key = (((slot * 2 + usize::from(backward)) as u64) << 32) | idx as u64;
-        if let Some(&(g, links)) = self.probe_cache.get(&memo_key) {
-            if g == gen {
-                return (links as usize, false);
-            }
-        }
-        self.dir_scratch.clone_from(set);
-        self.dir_scratch.toggle(idx);
-        let links = estimate_dir(
-            self.strategy,
-            &self.clique_masks,
-            &self.interner,
-            self.pattern.contention(),
-            &mut self.fast_cache,
-            &mut self.chi_cache,
-            &self.dir_scratch,
-        );
-        self.probe_cache.insert(memo_key, (gen, links as u32));
-        (links, false)
+        (
+            (base_excess as isize + d_excess) as usize,
+            (base_area as isize + d_links + d_live) as usize,
+        )
     }
 
     /// The total link estimate the partitioning would have after rerouting
@@ -749,29 +864,9 @@ impl Partitioning {
     /// alone — no committed state changes. In debug builds the result is
     /// checked against a real apply-score-revert.
     pub(crate) fn probe_total_links(&mut self, idx: usize, new_path: &[usize]) -> usize {
-        self.collect_probe_toggles(idx, new_path);
-        let toggles = std::mem::take(&mut self.probe_toggles);
-        let mut total = self.total_links as isize;
-        let mut i = 0;
-        while i < toggles.len() {
-            let slot = toggles[i] / 2;
-            let flip_fwd = toggles[i].is_multiple_of(2);
-            let flip_both = flip_fwd && i + 1 < toggles.len() && toggles[i + 1] == slot * 2 + 1;
-            let new_fwd = if flip_fwd {
-                self.flipped_dir_links(slot, false, idx).0
-            } else {
-                self.pipe_slots[slot].fwd_links
-            };
-            let new_bwd = if !flip_fwd || flip_both {
-                self.flipped_dir_links(slot, true, idx).0
-            } else {
-                self.pipe_slots[slot].bwd_links
-            };
-            total += new_fwd.max(new_bwd) as isize - self.pipe_slots[slot].links as isize;
-            i += if flip_both { 2 } else { 1 };
-        }
-        self.probe_toggles = toggles;
-        let probed = total as usize;
+        self.start_probe();
+        self.push_probe_toggles(idx, new_path);
+        let probed = (self.total_links as isize + self.probe_links_delta(true)) as usize;
         #[cfg(debug_assertions)]
         {
             let old_path = self.paths[idx].clone();
@@ -798,68 +893,10 @@ impl Partitioning {
         new_path: &[usize],
         config: &SynthesisConfig,
     ) -> (usize, usize) {
-        let (base_excess, base_area) = self.score(config);
-        self.collect_probe_toggles(idx, new_path);
-        let toggles = std::mem::take(&mut self.probe_toggles);
-        let mut switches = std::mem::take(&mut self.probe_switches);
-        switches.clear();
-        let max_degree = config.max_degree() as isize;
-        let mut d_links_total = 0isize;
-        let mut d_excess = 0isize;
-        let mut i = 0;
-        while i < toggles.len() {
-            let slot = toggles[i] / 2;
-            let flip_fwd = toggles[i].is_multiple_of(2);
-            let flip_both = flip_fwd && i + 1 < toggles.len() && toggles[i + 1] == slot * 2 + 1;
-            let was_nonempty = !self.pipe_slots[slot].is_empty();
-            let (new_fwd, fwd_empty) = if flip_fwd {
-                self.flipped_dir_links(slot, false, idx)
-            } else {
-                let st = &self.pipe_slots[slot];
-                (st.fwd_links, st.fwd_n == 0)
-            };
-            let (new_bwd, bwd_empty) = if !flip_fwd || flip_both {
-                self.flipped_dir_links(slot, true, idx)
-            } else {
-                let st = &self.pipe_slots[slot];
-                (st.bwd_links, st.bwd_n == 0)
-            };
-            let old_links = self.pipe_slots[slot].links;
-            let new_links = new_fwd.max(new_bwd);
-            let d_links = new_links as isize - old_links as isize;
-            d_links_total += d_links;
-            let now_nonempty = !(fwd_empty && bwd_empty);
-            let d_pipes = match (was_nonempty, now_nonempty) {
-                (false, true) => 1isize,
-                (true, false) => -1,
-                _ => 0,
-            };
-            let key = self.pipe_slots[slot].key;
-            for s in [key.lo, key.hi] {
-                if let Some(entry) = switches.iter_mut().find(|e| e.0 == s) {
-                    entry.1 += d_links;
-                    entry.2 += d_pipes;
-                } else {
-                    switches.push((s, d_links, d_pipes));
-                }
-            }
-            i += if flip_both { 2 } else { 1 };
-        }
-        let mut d_live = 0isize;
-        for &(s, d_links, d_pipes) in &switches {
-            let deg_old = (self.members[s].len() + self.incident_links[s]) as isize;
-            let deg_new = deg_old + d_links;
-            d_excess += (deg_new - max_degree).max(0) - (deg_old - max_degree).max(0);
-            let now_live =
-                !self.members[s].is_empty() || self.incident_pipes[s] as isize + d_pipes > 0;
-            d_live += isize::from(now_live) - isize::from(self.switch_live[s]);
-        }
-        self.probe_toggles = toggles;
-        self.probe_switches = switches;
-        let probed = (
-            (base_excess as isize + d_excess) as usize,
-            (base_area as isize + d_links_total + d_live) as usize,
-        );
+        self.start_probe();
+        self.push_probe_toggles(idx, new_path);
+        let d_links = self.probe_links_delta(true);
+        let probed = self.probed_score(d_links, config);
         #[cfg(debug_assertions)]
         {
             let old_path = self.paths[idx].clone();
@@ -869,6 +906,96 @@ impl Partitioning {
             debug_assert_eq!(probed, actual, "probe_score diverged from full recompute");
         }
         probed
+    }
+
+    /// The total link estimate and the exact [`Partitioning::score`] the
+    /// partitioning would have after [`Partitioning::move_proc`] committed
+    /// `relocations` in order — distinct processors, each to a switch
+    /// other than its home. Every moved processor's flows go onto direct
+    /// paths under the new homes (a flow between two moved processors
+    /// counts once), each move takes one member from its old switch and
+    /// gives one to its new switch, and the delta core scores the result;
+    /// no committed state changes. In debug builds the result is checked
+    /// against a real apply-read-undo.
+    pub(crate) fn probe_move(
+        &mut self,
+        relocations: &[(ProcId, usize)],
+        config: &SynthesisConfig,
+    ) -> (usize, (usize, usize)) {
+        self.start_probe();
+        for (k, &(proc, to)) in relocations.iter().enumerate() {
+            let from = self.home[proc.index()];
+            debug_assert_ne!(from, to, "a relocation must change the home");
+            add_switch_delta(&mut self.probe_switches, from, 0, 0, -1);
+            add_switch_delta(&mut self.probe_switches, to, 0, 0, 1);
+            for n in 0..self.proc_flows[proc.index()].len() {
+                let idx = self.proc_flows[proc.index()][n];
+                let flow = self.pattern.flows()[idx];
+                if relocations[..k]
+                    .iter()
+                    .any(|&(q, _)| q == flow.src || q == flow.dst)
+                {
+                    continue; // gathered with the earlier processor
+                }
+                let home_after = |q: ProcId| {
+                    relocations
+                        .iter()
+                        .find(|&&(r, _)| r == q)
+                        .map_or(self.home[q.index()], |&(_, to)| to)
+                };
+                let path = [home_after(flow.src), home_after(flow.dst)];
+                let direct = if path[0] == path[1] {
+                    &path[..1]
+                } else {
+                    &path[..]
+                };
+                self.push_probe_toggles(idx, direct);
+            }
+        }
+        let d_links = self.probe_links_delta(false);
+        let probed = (
+            (self.total_links as isize + d_links) as usize,
+            self.probed_score(d_links, config),
+        );
+        #[cfg(debug_assertions)]
+        {
+            let actual = self.apply_read_undo(relocations, |p| (p.total_links, p.score(config)));
+            debug_assert_eq!(probed, actual, "probe_move diverged from apply-read-undo");
+        }
+        probed
+    }
+
+    /// Commits `relocations` with [`Partitioning::move_proc`], reads the
+    /// result, and undoes everything exactly, the touched flows' detours
+    /// included — the full recompute that [`Partitioning::probe_move`]
+    /// is checked against.
+    #[cfg(any(test, debug_assertions))]
+    fn apply_read_undo<T>(
+        &mut self,
+        relocations: &[(ProcId, usize)],
+        read: impl FnOnce(&Self) -> T,
+    ) -> T {
+        let mut saved: Vec<(usize, Vec<usize>)> = Vec::new();
+        for &(proc, _) in relocations {
+            for &idx in &self.proc_flows[proc.index()] {
+                if !saved.iter().any(|(j, _)| *j == idx) {
+                    saved.push((idx, self.paths[idx].clone()));
+                }
+            }
+        }
+        let homes: Vec<(ProcId, usize)> = relocations
+            .iter()
+            .map(|&(proc, _)| (proc, self.home[proc.index()]))
+            .collect();
+        for &(proc, to) in relocations {
+            self.move_proc(proc, to);
+        }
+        let out = read(self);
+        for &(proc, home) in homes.iter().rev() {
+            self.move_proc(proc, home);
+        }
+        self.apply_path_changes(saved);
+        out
     }
 
     /// The endpoint home switches of flow `idx` — its direct path is
@@ -911,12 +1038,6 @@ impl Partitioning {
     /// The coloring strategy the link estimates are computed under.
     pub(crate) fn strategy(&self) -> ColoringStrategy {
         self.strategy
-    }
-
-    /// All flow indices with `proc` as an endpoint (precomputed,
-    /// ascending).
-    pub(crate) fn flows_of_proc(&self, proc: ProcId) -> &[usize] {
-        &self.proc_flows[proc.index()]
     }
 
     /// Moves `proc` to switch `to`, resetting its flows to direct paths
@@ -1284,7 +1405,7 @@ mod tests {
         let proc = p.members(0)[0];
         p.move_proc(proc, 1);
         p.assert_consistent();
-        for &idx in p.flows_of_proc(proc) {
+        for &idx in &p.proc_flows[proc.index()] {
             assert_eq!(p.paths[idx], p.direct_path(idx));
         }
     }
@@ -1301,7 +1422,7 @@ mod tests {
         p.assert_consistent();
 
         // Find a flow between switch 2 and another switch and detour it.
-        let flow_idx = p.flows_of_proc(proc)[0];
+        let flow_idx = p.proc_flows[proc.index()][0];
         let direct = p.paths[flow_idx].clone();
         if direct.len() == 2 {
             let (a, b) = (direct[0], direct[1]);
@@ -1354,6 +1475,112 @@ mod tests {
                 p.set_path(idx, original);
             }
             p.assert_consistent();
+        }
+    }
+
+    /// A seeded 16-processor schedule: four phases, each a random cyclic
+    /// shift over a shuffled processor order (every processor sends once
+    /// and receives once per phase).
+    fn pattern16(rng: &mut Rng) -> AppPattern {
+        let mut s = PhaseSchedule::new(16);
+        for _ in 0..4 {
+            let mut order: Vec<usize> = (0..16).collect();
+            rng.shuffle(&mut order);
+            let shift = rng.gen_range(1..16usize);
+            let flows = (0..16).map(|i| (order[i], order[(i + shift) % 16]));
+            s.push(Phase::from_flows(flows).unwrap()).unwrap();
+        }
+        AppPattern::from_schedule(&s)
+    }
+
+    /// Detours a random cut flow through a third switch, if it picks one.
+    fn install_detour(p: &mut Partitioning, rng: &mut Rng) {
+        let idx = rng.gen_range(0..p.paths.len());
+        let direct = p.direct_path(idx);
+        let via = rng.gen_range(0..p.n_switches());
+        if direct.len() == 2 && !direct.contains(&via) {
+            p.set_path(idx, vec![direct[0], via, direct[1]]);
+        }
+    }
+
+    #[test]
+    fn probe_move_matches_apply_for_random_moves_and_swaps() {
+        // The move probe against a real apply (move_proc per relocation)
+        // over singles, swaps of unrelated and of communicating processors
+        // and moves that empty a switch, from states with detours
+        // installed, under both coloring strategies. (The probe's own
+        // debug oracle re-checks every call too; this keeps the guarantee
+        // alive with debug assertions disabled.)
+        for (seed, strategy) in [(21, ColoringStrategy::Fast), (22, ColoringStrategy::Exact)] {
+            let mut rng = Rng::seed_from_u64(seed);
+            let mut p = Partitioning::megaswitch(&pattern16(&mut rng)).unwrap();
+            p.set_strategy(strategy);
+            let config = SynthesisConfig::new().with_max_degree(5);
+            let s1 = p.split(0, &mut rng);
+            p.split(0, &mut rng);
+            p.split(s1, &mut rng);
+            p.add_switch(); // empty: pipes to it hold no slot yet
+            crate::route_opt::best_route(&mut p, 0, s1);
+            for _ in 0..6 {
+                install_detour(&mut p, &mut rng);
+            }
+            p.assert_consistent();
+            let (mut talking_swaps, mut emptying) = (0, 0);
+            for trial in 0..300 {
+                let n = p.pattern.n_procs();
+                let a = ProcId(rng.gen_range(0..n));
+                let relocations = match rng.gen_range(0..4usize) {
+                    0 => {
+                        // A communicating pair on two switches trades homes.
+                        let flow = p.pattern.flows()[rng.gen_range(0..p.paths.len())];
+                        let (hs, hd) = (p.home(flow.src), p.home(flow.dst));
+                        if hs == hd {
+                            continue;
+                        }
+                        talking_swaps += 1;
+                        vec![(flow.src, hd), (flow.dst, hs)]
+                    }
+                    1 => {
+                        let b = ProcId(rng.gen_range(0..n));
+                        if p.home(a) == p.home(b) {
+                            continue;
+                        }
+                        vec![(a, p.home(b)), (b, p.home(a))]
+                    }
+                    _ => {
+                        let to = rng.gen_range(0..p.n_switches());
+                        if to == p.home(a) {
+                            continue;
+                        }
+                        if p.members(p.home(a)).len() == 1 {
+                            emptying += 1;
+                        }
+                        vec![(a, to)]
+                    }
+                };
+                let probed = p.probe_move(&relocations, &config);
+                let applied =
+                    p.apply_read_undo(&relocations, |p| (p.total_links(), p.score(&config)));
+                assert_eq!(
+                    probed, applied,
+                    "{strategy:?} trial {trial}: {relocations:?}"
+                );
+                // Commit some candidates, leave others undone, to vary the
+                // base.
+                if rng.gen_bool(0.5) {
+                    for &(q, to) in &relocations {
+                        p.move_proc(q, to);
+                    }
+                }
+                if rng.gen_bool(0.3) {
+                    install_detour(&mut p, &mut rng);
+                }
+                p.assert_consistent();
+            }
+            assert!(
+                talking_swaps > 0 && emptying > 0,
+                "{talking_swaps} {emptying}"
+            );
         }
     }
 

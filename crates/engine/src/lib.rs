@@ -457,14 +457,16 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// nothing leaks even when deadlines fire).
 #[derive(Clone)]
 pub struct Engine {
-    workers: usize,
+    /// The set worker count; `None` sizes the engine to the machine when
+    /// it needs a count.
+    workers: Option<usize>,
     sink: Arc<SinkGuard>,
 }
 
 impl std::fmt::Debug for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Engine")
-            .field("workers", &self.workers)
+            .field("workers", &self.workers())
             .finish_non_exhaustive()
     }
 }
@@ -478,11 +480,11 @@ impl Default for Engine {
 impl Engine {
     /// Creates an engine sized to the machine
     /// (`std::thread::available_parallelism`, 1 if unknown) with telemetry
-    /// discarded.
+    /// discarded. The machine's count is read only when the engine needs
+    /// it, so an engine given [`Engine::with_workers`] never asks.
     pub fn new() -> Self {
-        let workers = thread::available_parallelism().map_or(1, |n| n.get());
         Engine {
-            workers,
+            workers: None,
             sink: Arc::new(SinkGuard::new(Arc::new(NullSink))),
         }
     }
@@ -491,7 +493,7 @@ impl Engine {
     /// affects wall time only, never the selected results.
     #[must_use]
     pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
+        self.workers = Some(workers.max(1));
         self
     }
 
@@ -511,9 +513,10 @@ impl Engine {
         self.sink.emit(event);
     }
 
-    /// Configured worker count.
+    /// Configured worker count: the set one, else the machine's.
     pub fn workers(&self) -> usize {
         self.workers
+            .unwrap_or_else(|| thread::available_parallelism().map_or(1, |n| n.get()))
     }
 
     /// Runs a batch of jobs and returns their outcomes in job order.
@@ -565,7 +568,7 @@ impl Engine {
         let n_units = starts[execs.len()];
         if n_units > 0 {
             thread::scope(|scope| {
-                for _ in 0..self.workers.min(n_units) {
+                for _ in 0..self.workers().min(n_units) {
                     scope.spawn(|| self.work(&execs, &states, &starts, &cursor));
                 }
             });
@@ -823,6 +826,15 @@ mod tests {
             .restarts(RESTARTS)
             .build()
             .expect("flat request builds")
+    }
+
+    #[test]
+    fn worker_count_is_the_set_one_else_the_machines() {
+        assert_eq!(Engine::new().with_workers(3).workers(), 3);
+        assert_eq!(Engine::new().with_workers(0).workers(), 1);
+        let machine = thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(Engine::new().workers(), machine);
+        assert_eq!(Engine::default().workers(), machine);
     }
 
     /// The one-worker portfolio: what "sequential" means.

@@ -133,8 +133,7 @@ impl FlowInterner {
 /// A growable dense bitset over ids: `Vec<u64>` words, one bit per id.
 ///
 /// There is no fixed universe. An id past the current width reads as
-/// absent; [`insert`](BitSet::insert), [`toggle`](BitSet::toggle),
-/// [`union_with`](BitSet::union_with) and [`xor_with`](BitSet::xor_with)
+/// absent; [`insert`](BitSet::insert) and [`toggle`](BitSet::toggle)
 /// widen the set, and binary operations treat missing words as zero.
 /// `Eq` and `Hash` ignore trailing zero words, so a set that grew and
 /// then emptied equals (and hashes like) a fresh empty set. Iteration
@@ -150,7 +149,7 @@ impl FlowInterner {
 /// let b = BitSet::from_ids([65]);
 /// assert_eq!(a.len(), 3);
 /// assert_eq!(a.intersection_len(&b), 1);
-/// a.xor_with(&b);
+/// a.toggle(65);
 /// assert_eq!(a.iter().collect::<Vec<_>>(), [0, 129]);
 /// a.toggle(0);
 /// a.toggle(129);
@@ -205,13 +204,6 @@ impl BitSet {
         (&mut self.words[index], 1 << (id % BITS))
     }
 
-    /// Widens the set to at least `other`'s width.
-    fn widen_to(&mut self, other: &BitSet) {
-        if self.words.len() < other.words.len() {
-            self.words.resize(other.words.len(), 0);
-        }
-    }
-
     /// Number of set ids (population count).
     #[inline]
     pub fn len(&self) -> usize {
@@ -263,38 +255,6 @@ impl BitSet {
         let (word, mask) = self.slot_mut(id);
         *word ^= mask;
         *word & mask != 0
-    }
-
-    /// `self |= other`, widening to cover `other`.
-    pub fn union_with(&mut self, other: &BitSet) {
-        self.widen_to(other);
-        for (w, o) in self.words.iter_mut().zip(&other.words) {
-            *w |= o;
-        }
-    }
-
-    /// `self &= other`; ids past `other`'s width are cleared.
-    pub fn intersect_with(&mut self, other: &BitSet) {
-        for (i, w) in self.words.iter_mut().enumerate() {
-            *w &= other.words.get(i).copied().unwrap_or(0);
-        }
-    }
-
-    /// `self ^= other`, widening to cover `other` — the incremental-edit
-    /// primitive: XOR-ing a delta removes the ids present in both and adds
-    /// the ids only in `other`, in one word-wise pass.
-    pub fn xor_with(&mut self, other: &BitSet) {
-        self.widen_to(other);
-        for (w, o) in self.words.iter_mut().zip(&other.words) {
-            *w ^= o;
-        }
-    }
-
-    /// `self &= !other`.
-    pub fn difference_with(&mut self, other: &BitSet) {
-        for (w, o) in self.words.iter_mut().zip(&other.words) {
-            *w &= !o;
-        }
     }
 
     /// `|self ∩ other|` without materializing the intersection — the

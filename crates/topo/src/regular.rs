@@ -135,19 +135,6 @@ pub fn torus_with_alternates(
     grid(rows, cols, true)
 }
 
-/// A 2-D mesh with both dimension orders of DOR (see
-/// [`torus_with_alternates`]).
-///
-/// # Errors
-///
-/// [`TopoError::DegenerateShape`] if either dimension is zero.
-pub fn mesh_with_alternates(
-    rows: usize,
-    cols: usize,
-) -> Result<(Network, RouteTable, RouteTable), TopoError> {
-    grid(rows, cols, false)
-}
-
 /// Shared mesh/torus builder; returns the X-then-Y and Y-then-X route
 /// tables.
 fn grid(
@@ -276,12 +263,6 @@ where
     Ok(table)
 }
 
-/// Number of switch-to-switch links a `rows x cols` mesh uses (the analytic
-/// closed form, handy for area baselines).
-pub fn mesh_link_count(rows: usize, cols: usize) -> usize {
-    rows * cols.saturating_sub(1) + cols * rows.saturating_sub(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -321,7 +302,8 @@ mod tests {
     fn mesh_shape_and_routes() {
         let (net, routes) = mesh(4, 4).unwrap();
         assert_eq!(net.n_switches(), 16);
-        assert_eq!(net.n_network_links(), mesh_link_count(4, 4));
+        // rows·(cols−1) + cols·(rows−1)
+        assert_eq!(net.n_network_links(), 24);
         assert_eq!(net.max_degree(), 5); // interior: 4 neighbors + 1 proc
         assert!(net.is_strongly_connected());
         routes.validate(&net).unwrap();
@@ -365,7 +347,7 @@ mod tests {
         // For a 2-long dimension the wrap link would duplicate the mesh
         // link, so it is omitted.
         let (net, routes) = torus(2, 2).unwrap();
-        assert_eq!(net.n_network_links(), mesh_link_count(2, 2));
+        assert_eq!(net.n_network_links(), 4); // the 2x2 mesh's links
         routes.validate(&net).unwrap();
     }
 

@@ -865,13 +865,23 @@ fn dispatch_probe(input: &[u8]) -> CaseReport {
 }
 
 /// Corpus entries shaped like fuzzed CLI invocations (argument line +
-/// pattern body), so the mutators reach deep into `dispatch_probe`.
+/// pattern body), so the mutators reach deep into `dispatch_probe`. At
+/// least one line starts with each command of [`COMMANDS`].
 fn cli_corpus() -> Vec<Vec<u8>> {
     [
         "synth --seed 3 --restarts 2 --jobs 2\nprocs 4\nphase bytes=64\n 0 -> 1\n 2 -> 3\n",
         "info\nprocs 2\nphase\n 0 -> 1\n",
         "faults --network mesh --exhaustive --json\nprocs 4\nphase\n 1 -> 2\n",
         "simulate --network torus\nprocs 4\nmsg 0 -> 1 start=0 finish=10\n",
+        "help\nprocs 2\nphase\n 1 -> 0\n",
+        "--help\nprocs 3\nphase\n 0 -> 2\n",
+        "-h\nprocs 2\nmsg 1 -> 0 start=0 finish=4\n",
+        "verify --network crossbar --json\nprocs 4\nphase\n 0 -> 3\n 1 -> 2\n",
+        "certify --json --job 00\nprocs 4\nphase\n 2 -> 0\n",
+        "fuzz --target cli --iters 10 --corpus-dir c\nprocs 2\nphase\n 0 -> 1\n",
+        "serve --drain --cache-dir d --max-restarts 4 --queue-depth 2\nprocs 4\nphase\n 3 -> 1\n",
+        "client --retries 2 --backoff-ms 5 --io-timeout-ms 100\nprocs 2\nphase\n 1 -> 0\n",
+        "chaos --seed 1 --iters 5 --json\nprocs 3\nphase\n 2 -> 1\n",
     ]
     .iter()
     .map(|s| s.as_bytes().to_vec())
@@ -1596,6 +1606,23 @@ mod tests {
         for (name, _) in COMMANDS {
             let case = dispatch_probe(format!("{name}\nprocs 2\nphase\n 0 -> 1\n").as_bytes());
             assert_eq!(case.rejected, None, "`{name}` was refused");
+        }
+    }
+
+    #[test]
+    fn cli_corpus_starts_every_command() {
+        let corpus = cli_corpus();
+        for (name, _) in COMMANDS {
+            let starts = |entry: &Vec<u8>| {
+                entry.split(|b| b.is_ascii_whitespace()).next() == Some(name.as_bytes())
+            };
+            let entry = corpus.iter().find(|e| starts(e));
+            let entry = entry.unwrap_or_else(|| panic!("no cli corpus line starts `{name}`"));
+            assert_eq!(
+                dispatch_probe(entry).rejected,
+                None,
+                "`{name}` line refused"
+            );
         }
     }
 
